@@ -38,7 +38,7 @@ void BM_DeployDouble(benchmark::State& state) {
 BENCHMARK(BM_DeployDouble)->RangeMultiplier(4)->Range(16, 1024);
 
 void BM_DeployNoVerify(benchmark::State& state) {
-  // Ablation: how much of Deploy is the exact-rank ITS verification?
+  // Ablation: how much of Deploy is the ITS verification?
   const size_t m = static_cast<size_t>(state.range(0));
   const size_t l = 64;
   const auto problem = MakeProblem(m, l, 16, 1);

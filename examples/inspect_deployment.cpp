@@ -2,7 +2,7 @@
 //
 // inspect_deployment: operator tool that loads a persisted deployment file,
 // prints the plan and share layout, and RE-VERIFIES availability + ITS with
-// exact rank computations — the check an operator runs before trusting a
+// the exact structured check — the check an operator runs before trusting a
 // deployment file of unknown provenance.
 //
 //   ./build/examples/batch_analytics          # writes a deployment file
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
 
   // Re-verify from first principles (the loader validated structure; this
-  // recomputes ranks over GF(2^61-1)).
+  // recomputes every rank and span intersection exactly).
   const auto report =
       scec::VerifyStructuredScheme(deployment->code, plan.scheme);
   std::cout << "\nRe-verification: " << report.Summary() << "\n";

@@ -5,7 +5,7 @@
 //   1. Describe the edge fleet (unit costs per resource).
 //   2. Plan: TA1/TA2 pick r (random rows) and i (devices) optimally.
 //   3. Deploy: the cloud pads A with ChaCha20 randomness and ships coded
-//      rows; ITS is verified by exact rank computations before shipping.
+//      rows; availability and ITS are verified exactly before shipping.
 //   4. Query: the user sends x, devices each return their share times x,
 //      and the user decodes A·x with m subtractions.
 //

@@ -61,11 +61,11 @@ struct Deployment {
   size_t l = 0;
 };
 
-// Plans, encodes, and (optionally) verifies ITS before returning. With a
-// pool, the per-device encoding and the per-device ITS rank checks (both
-// embarrassingly parallel across the k devices) fan out; pad generation
-// stays serial on `rng`, so the deployment is bit-identical to the serial
-// one for every pool size.
+// Plans, encodes, and (optionally) verifies availability and ITS before
+// returning (the exact structured check, near-linear in m + r). With a pool,
+// the per-device encoding (embarrassingly parallel across the k devices)
+// fans out; pad generation stays serial on `rng`, so the deployment is
+// bit-identical to the serial one for every pool size.
 template <typename T>
 Result<Deployment<T>> Deploy(const McscecProblem& problem, const Matrix<T>& a,
                              ChaCha20Rng& rng,
@@ -149,7 +149,7 @@ Matrix<T> QueryBatch(const Deployment<T>& deployment, const Matrix<T>& x,
 struct SessionOptions {
   TaAlgorithm algorithm = TaAlgorithm::kAuto;
   bool verify_security = true;
-  // Deploy-time fan-out (per-device encode + ITS checks).
+  // Deploy-time fan-out (per-device encode).
   ThreadPool* pool = nullptr;
   // Freivalds digests per device held by the session's verifier. 0 (default)
   // skips verifier creation entirely, leaving the rng stream — and therefore

@@ -11,7 +11,6 @@
 #include "coding/security_check.h"
 #include "common/check.h"
 #include "core/problem.h"
-#include "field/field_traits.h"
 
 namespace scec::net {
 namespace {
@@ -83,9 +82,9 @@ void NetCoordinator::AddCumulativeRows(size_t segment_index) {
     for (size_t row = 0; row < seg.scheme.row_counts[slot]; ++row) {
       const CodedRowSpec spec = seg.code.RowSpec(start + row);
       ViewRow view;
-      view.data_col = spec.data_row.has_value()
-                          ? seg.data_rows[*spec.data_row]
-                          : SIZE_MAX;
+      if (spec.data_row.has_value()) {
+        view.data_col = seg.data_rows[*spec.data_row];
+      }
       view.pad_col = a_.rows() + pad_cols_ + spec.random_row;
       views_[device].push_back(view);
     }
@@ -93,29 +92,16 @@ void NetCoordinator::AddCumulativeRows(size_t segment_index) {
   pad_cols_ += seg.code.r();
 }
 
-bool NetCoordinator::CumulativeViewsSecure() const {
-  const size_t m = a_.rows();
-  const size_t width = m + pad_cols_;
-  std::vector<Matrix<Gf61>> blocks;
-  for (const std::vector<ViewRow>& rows : views_) {
-    if (rows.empty()) continue;
-    Matrix<Gf61> block(rows.size(), width);
-    const Gf61 one = FieldTraits<Gf61>::One();
-    for (size_t row = 0; row < rows.size(); ++row) {
-      if (rows[row].data_col != SIZE_MAX) block(row, rows[row].data_col) = one;
-      block(row, rows[row].pad_col) = one;
-    }
-    blocks.push_back(std::move(block));
-  }
-  if (blocks.empty()) return true;
-  return VerifyCumulativeViews(blocks, m).all_secure;
+SchemeSecurityReport NetCoordinator::VerifyCumulativeSecurity() const {
+  return VerifyCumulativeViews(views_, a_.rows());
 }
 
 Status NetCoordinator::VerifyCumulativeOrAbort(const char* stage) {
-  if (!options_.check_cumulative_security) return Status::Ok();
-  if (!CumulativeViewsSecure()) {
+  const SchemeSecurityReport report = VerifyCumulativeSecurity();
+  if (!report.all_secure) {
     return SecurityViolation(std::string(stage) +
-                             " leaked data rows (cumulative ITS violated)");
+                             " leaked data rows (cumulative ITS violated):" +
+                             report.LeakSummary());
   }
   Trace(std::string("its_check stage=") + stage + " result=secure");
   return Status::Ok();

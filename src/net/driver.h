@@ -26,7 +26,7 @@
 //   eviction     — a device that exhausts its retry budget is evicted,
 //   recovery     — lost rows are re-planned with TA2 over the survivors and
 //                  re-encoded with FRESH pads; cumulative per-device views
-//                  are exact-rank checked (Def. 2 ITS across rounds).
+//                  are checked exactly (Def. 2 ITS across rounds).
 //
 // Decision trace: with `record_trace` the driver appends one line per
 // protocol decision (plan, stage, dispatch, retry, hedge, evict, recover,
@@ -48,6 +48,7 @@
 #include "coding/encoding_matrix.h"
 #include "coding/lcec.h"
 #include "coding/result_verify.h"
+#include "coding/security_check.h"
 #include "common/error.h"
 #include "common/retry.h"
 #include "common/rng.h"
@@ -86,11 +87,6 @@ struct NetCoordinatorOptions {
   uint64_t digest_seed = 43;
 
   size_t max_recovery_rounds = 4;
-
-  // Exact-rank Def. 2 check over every device's cumulative view after setup
-  // and after every recovery re-encode. O((m+r)^3) per round — disable for
-  // large benches only.
-  bool check_cumulative_security = true;
 
   sim::ReputationOptions reputation;  // quarantine knobs (disabled = all pass)
 
@@ -144,8 +140,9 @@ class NetCoordinator {
   size_t num_segments() const { return segments_.size(); }
   bool evicted(size_t device) const { return evicted_[device]; }
 
-  // Exact-rank Def. 2 over every device's cumulative view (all rounds).
-  bool CumulativeViewsSecure() const;
+  // Exact Def. 2 over every device's cumulative view (all rounds); report
+  // index = fleet device. Checked after setup and every recovery re-encode.
+  SchemeSecurityReport VerifyCumulativeSecurity() const;
 
  private:
   // One encoding round: round 0 covers all m rows, recovery rounds cover
@@ -210,12 +207,7 @@ class NetCoordinator {
   uint64_t next_share_id_ = 1;
 
   // Cumulative per-device coefficient rows over the extended basis
-  // [A_1..A_m | pads round 0 | pads round 1 | ...]. data_col == SIZE_MAX
-  // marks a pure pad row.
-  struct ViewRow {
-    size_t data_col = SIZE_MAX;
-    size_t pad_col = 0;
-  };
+  // [A_1..A_m | pads round 0 | pads round 1 | ...].
   std::vector<std::vector<ViewRow>> views_;  // per fleet device
   size_t pad_cols_ = 0;
 

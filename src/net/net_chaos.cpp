@@ -228,11 +228,14 @@ NetChaosEpisode RunNetChaosEpisode(const NetChaosConfig& config,
     if (healer.joinable()) healer.join();
 
     // Invariant 2: cumulative Def. 2 ITS across every recovery round.
-    if (setup.ok() && !coordinator.CumulativeViewsSecure()) {
-      fail(&NetChaosInvariants::security_its,
-           "cumulative view lost ITS after " +
-               std::to_string(coordinator.stats().recovery_rounds) +
-               " recovery rounds");
+    if (setup.ok()) {
+      const SchemeSecurityReport its = coordinator.VerifyCumulativeSecurity();
+      if (!its.all_secure) {
+        fail(&NetChaosInvariants::security_its,
+             "cumulative view lost ITS after " +
+                 std::to_string(coordinator.stats().recovery_rounds) +
+                 " recovery rounds:" + its.LeakSummary());
+      }
     }
 
     // Invariant 3: double-entry ledger. Drain, sweep leftover completions,

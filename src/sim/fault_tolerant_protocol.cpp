@@ -311,9 +311,9 @@ void FaultTolerantScecProtocol::AddSegment(
     DeviceState& dev = devices_[seg.phys[j]];
     for (size_t row = 0; row < seg.scheme.row_counts[j]; ++row) {
       const CodedRowSpec spec = seg.code.RowSpec(start + row);
-      HeldRow held;
+      ViewRow held;
       if (spec.data_row.has_value()) {
-        held.data_row = seg.data_rows[*spec.data_row];
+        held.data_col = seg.data_rows[*spec.data_row];
       }
       held.pad_col = pads_total_ + spec.random_row;
       dev.held.push_back(held);
@@ -1488,10 +1488,10 @@ void FaultTolerantScecProtocol::RestorePriorSegment(
     DeviceState& dev = devices_[record.phys[j]];
     for (size_t row = 0; row < record.row_counts[j]; ++row) {
       const CodedRowSpec spec = code.RowSpec(start + row);
-      HeldRow held;
+      ViewRow held;
       if (spec.data_row.has_value()) {
         SCEC_CHECK_LT(*spec.data_row, record.data_rows.size());
-        held.data_row = record.data_rows[*spec.data_row];
+        held.data_col = record.data_rows[*spec.data_row];
       }
       held.pad_col = pads_total_ + spec.random_row;
       dev.held.push_back(held);
@@ -1556,22 +1556,10 @@ void FaultTolerantScecProtocol::RestoreFromReplay(
 
 SchemeSecurityReport FaultTolerantScecProtocol::VerifyCumulativeSecurity()
     const {
-  const size_t m = a_->rows();
-  const size_t width = m + pads_total_;
-  std::vector<Matrix<Gf61>> blocks;
-  blocks.reserve(devices_.size());
-  for (const DeviceState& dev : devices_) {
-    Matrix<Gf61> block(dev.held.size(), width);
-    for (size_t i = 0; i < dev.held.size(); ++i) {
-      const HeldRow& held = dev.held[i];
-      if (held.data_row.has_value()) {
-        block(i, *held.data_row) = Gf61::One();
-      }
-      block(i, m + held.pad_col) = Gf61::One();
-    }
-    blocks.push_back(std::move(block));
-  }
-  return VerifyCumulativeViews(blocks, m);
+  std::vector<std::vector<ViewRow>> views;
+  views.reserve(devices_.size());
+  for (const DeviceState& dev : devices_) views.push_back(dev.held);
+  return VerifyCumulativeViews(views, a_->rows());
 }
 
 }  // namespace scec::sim

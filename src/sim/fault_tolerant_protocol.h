@@ -44,8 +44,8 @@
 //                CUMULATIVE view across encoding rounds (reusing a pad lets
 //                old−new rows cancel it and expose data); the protocol
 //                re-verifies this after every recovery round — and after
-//                every query that dispatched a hedge — with exact
-//                GF(2^61−1) ranks (VerifyCumulativeViews) and aborts on any
+//                every query that dispatched a hedge — with the exact
+//                structured check (VerifyCumulativeViews) and aborts on any
 //                leak.
 //   Masking    — with `byzantine_tolerance` t > 0, Stage() provisions t
 //                GUARD segments (core/byzantine.h): each re-encodes ALL m
@@ -284,17 +284,13 @@ class FaultTolerantScecProtocol {
     bool staged = false;
   };
 
-  // One coefficient row a device holds, over the extended basis
-  // [A_1..A_m | pad columns of every round]; used for cumulative ITS.
-  struct HeldRow {
-    std::optional<size_t> data_row;  // global row of A, if mixed
-    size_t pad_col;                  // absolute pad index across all rounds
-  };
-
   struct DeviceState {
     EdgeDevice spec;
     bool evicted = false;
-    std::vector<HeldRow> held;  // every coefficient row ever staged
+    // Every coefficient row ever staged, over the extended basis
+    // [A_1..A_m | pad columns of every round]: data_col is the global row
+    // of A, pad_col the absolute pad index across all rounds.
+    std::vector<ViewRow> held;
   };
 
   // In-flight collection state for one (segment, device) of the current

@@ -196,7 +196,6 @@ NetCoordinatorOptions IdentityDriverOptions() {
   NetCoordinatorOptions options;
   options.rpc_deadline_s = 5.0;  // generous: fault-free must not time out
   options.record_trace = true;
-  options.check_cumulative_security = true;
   return options;
 }
 
@@ -297,7 +296,7 @@ TEST(NetCoordinator, MasksByzantineDeviceAndRecovers) {
   }
   EXPECT_GE(coordinator.stats().byzantine_flagged, 1u);
   EXPECT_GE(coordinator.stats().recovery_rounds, 1u);
-  EXPECT_TRUE(coordinator.CumulativeViewsSecure());
+  EXPECT_TRUE(coordinator.VerifyCumulativeSecurity().all_secure);
   EXPECT_EQ(coordinator.reputation().standing(1),
             sim::DeviceStanding::kQuarantined);
 }
@@ -330,7 +329,7 @@ TEST(NetCoordinator, EvictsSilentDeviceAfterRetryBudget) {
   EXPECT_GE(coordinator.stats().retries, 1u);
   EXPECT_TRUE(coordinator.evicted(2));
   EXPECT_GE(coordinator.stats().recovery_rounds, 1u);
-  EXPECT_TRUE(coordinator.CumulativeViewsSecure());
+  EXPECT_TRUE(coordinator.VerifyCumulativeSecurity().all_secure);
 
   // Next query runs without device 2 from the start and still decodes.
   Result<std::vector<double>> again = coordinator.Query(x);

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+#include "linalg/elimination.h"
 
 namespace scec {
 namespace {
@@ -22,6 +27,40 @@ LcecScheme CanonicalScheme(size_t m, size_t r) {
     remaining -= take;
   }
   return scheme;
+}
+
+// Eq. (8)'s rows in the structured form, pad q as column m + q (DenseB's).
+std::vector<ViewRow> CodeRows(const StructuredCode& code) {
+  std::vector<ViewRow> rows;
+  for (size_t index = 0; index < code.total_rows(); ++index) {
+    const CodedRowSpec spec = code.RowSpec(index);
+    ViewRow row;
+    if (spec.data_row.has_value()) row.data_col = *spec.data_row;
+    row.pad_col = code.m() + spec.random_row;
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+Matrix<Gf61> DenseRows(std::span<const ViewRow> rows, size_t width) {
+  Matrix<Gf61> block(rows.size(), width);
+  for (size_t row = 0; row < rows.size(); ++row) {
+    if (rows[row].data_col != kNoColumn) {
+      block(row, rows[row].data_col) = Gf61::One();
+    }
+    if (rows[row].pad_col != kNoColumn) {
+      block(row, rows[row].pad_col) = Gf61::One();
+    }
+  }
+  return block;
+}
+
+// The exact-rank oracle for one view: (rank, dim(L(block) ∩ L([E_m | 0]))).
+std::pair<size_t, size_t> OracleRankAndLeak(const Matrix<Gf61>& block,
+                                            size_t m) {
+  Matrix<Gf61> lambda(m, block.cols());
+  for (size_t row = 0; row < m; ++row) lambda(row, row) = Gf61::One();
+  return {RankOf(block), SpanIntersectionDim(block, lambda)};
 }
 
 // Theorem 3: the structured code satisfies availability + ITS for every
@@ -131,6 +170,209 @@ TEST(SecurityCheck, ReportSummaryMentionsFailure) {
   const std::string summary = report.Summary();
   EXPECT_NE(summary.find("FAIL"), std::string::npos);
   EXPECT_NE(summary.find("device 1"), std::string::npos);
+}
+
+// --- Differential tests: structured checker vs the exact-rank oracle -------
+
+// Every m <= 24 and r in [1, m], canonical and random contiguous partitions
+// (some with blocks larger than r, which must leak): the structured report
+// equals VerifyEncodingMatrix field for field.
+TEST(StructuredCheckOracle, EveryPartitionUpToM24MatchesExactRank) {
+  Xoshiro256StarStar rng(0x5EC12);
+  size_t leaking_blocks = 0;
+  for (size_t m = 1; m <= 24; ++m) {
+    for (size_t r = 1; r <= m; ++r) {
+      const StructuredCode code(m, r);
+      const Matrix<Gf61> dense = code.DenseB<Gf61>();
+      const std::vector<ViewRow> rows = CodeRows(code);
+      std::vector<std::vector<size_t>> partitions = {
+          CanonicalScheme(m, r).row_counts};
+      for (const size_t cap : {r, m + r}) {
+        std::vector<size_t> counts;
+        for (size_t left = m + r; left > 0;) {
+          const size_t take = 1 + rng.NextBelow(std::min(cap, left));
+          counts.push_back(take);
+          left -= take;
+        }
+        partitions.push_back(counts);
+      }
+      for (const std::vector<size_t>& counts : partitions) {
+        const SchemeSecurityReport oracle =
+            VerifyEncodingMatrix(dense, m, counts);
+        EXPECT_EQ(VerifyViewRows(rows, m).rank, oracle.b_rank);
+        bool within_r = true;
+        size_t start = 0;
+        for (size_t d = 0; d < counts.size(); ++d) {
+          const DeviceSecurityReport fast = VerifyViewRows(
+              std::span<const ViewRow>(rows).subspan(start, counts[d]), m);
+          ASSERT_EQ(fast.rows, oracle.devices[d].rows);
+          EXPECT_EQ(fast.rank, oracle.devices[d].rank)
+              << "m=" << m << " r=" << r << " device " << d;
+          EXPECT_EQ(fast.intersection_dim, oracle.devices[d].intersection_dim)
+              << "m=" << m << " r=" << r << " device " << d;
+          if (counts[d] > r) {
+            within_r = false;
+            EXPECT_GE(fast.intersection_dim, 1u) << "block > r must leak";
+            ++leaking_blocks;
+          }
+          start += counts[d];
+        }
+        if (!within_r) continue;  // VerifyStructuredScheme enforces Lemma 1
+        LcecScheme scheme;
+        scheme.m = m;
+        scheme.r = r;
+        scheme.row_counts = counts;
+        const SchemeSecurityReport structured =
+            VerifyStructuredScheme(code, scheme);
+        EXPECT_EQ(structured.b_rank, oracle.b_rank);
+        EXPECT_EQ(structured.available, oracle.available);
+        EXPECT_EQ(structured.all_secure, oracle.all_secure);
+        ASSERT_EQ(structured.devices.size(), oracle.devices.size());
+        for (size_t d = 0; d < counts.size(); ++d) {
+          EXPECT_EQ(structured.devices[d].device, d);
+          EXPECT_EQ(structured.devices[d].rows, oracle.devices[d].rows);
+          EXPECT_EQ(structured.devices[d].rank, oracle.devices[d].rank);
+          EXPECT_EQ(structured.devices[d].intersection_dim,
+                    oracle.devices[d].intersection_dim);
+        }
+      }
+    }
+  }
+  EXPECT_GT(leaking_blocks, 100u);
+}
+
+// Random cumulative views: several pad generations, duplicate rows, pure pad
+// rows, data-only rows, zero rows, and data columns shared across pads.
+TEST(StructuredCheckOracle, RandomRowMultisetsMatchExactRank) {
+  Xoshiro256StarStar rng(0xD1FF);
+  size_t leaking = 0, secure = 0;
+  for (int trial = 0; trial < 2400; ++trial) {
+    const size_t m = 1 + rng.NextBelow(12);
+    size_t pads = 0;
+    const size_t generations = 1 + rng.NextBelow(3);
+    for (size_t g = 0; g < generations; ++g) pads += 1 + rng.NextBelow(m);
+    const size_t width = m + pads;
+    std::vector<ViewRow> rows;
+    const size_t num_rows = rng.NextBelow(2 * m + 4);
+    for (size_t i = 0; i < num_rows; ++i) {
+      ViewRow row;
+      const uint64_t kind = rng.NextBelow(20);
+      if (kind < 2 && !rows.empty()) {
+        row = rows[rng.NextBelow(rows.size())];  // duplicate
+      } else if (kind < 5) {
+        row.pad_col = m + rng.NextBelow(pads);  // pure pad
+      } else if (kind < 7) {
+        row.data_col = rng.NextBelow(m);  // data only
+      } else if (kind < 8) {
+        // zero row: no data, no pad
+      } else {
+        row.data_col = rng.NextBelow(m);
+        row.pad_col = m + rng.NextBelow(pads);
+      }
+      rows.push_back(row);
+    }
+    const Matrix<Gf61> block = DenseRows(rows, width);
+    const auto [rank, leak] = OracleRankAndLeak(block, m);
+    const DeviceSecurityReport fast = VerifyViewRows(rows, m);
+    ASSERT_EQ(fast.rows, rows.size());
+    ASSERT_EQ(fast.rank, rank) << "trial " << trial;
+    ASSERT_EQ(fast.intersection_dim, leak) << "trial " << trial;
+    const DeviceSecurityReport dense = VerifyCumulativeView(block, m);
+    ASSERT_EQ(dense.rank, rank) << "trial " << trial;
+    ASSERT_EQ(dense.intersection_dim, leak) << "trial " << trial;
+    (leak > 0 ? leaking : secure) += 1;
+  }
+  // Both outcomes are exercised in bulk.
+  EXPECT_GT(leaking, 500u);
+  EXPECT_GT(secure, 200u);
+}
+
+// Dense blocks outside the 0/1 structured shape take the exact-rank
+// fallback. Each case is built so that reading it as structured rows would
+// give a different answer than the oracle.
+TEST(StructuredCheckOracle, NonStructuredBlocksFallBackToExactRank) {
+  const size_t m = 3, width = 5;
+  const Gf61 two = Gf61::One() + Gf61::One();
+  std::vector<Matrix<Gf61>> blocks;
+  {
+    // e0 + e3 and 2·e0 + e3: difference −e0 leaks.
+    Matrix<Gf61> b(2, width);
+    b(0, 0) = Gf61::One();
+    b(0, 3) = Gf61::One();
+    b(1, 0) = two;
+    b(1, 3) = Gf61::One();
+    blocks.push_back(b);
+  }
+  {
+    // e0 + e1 + e3 and e0 + e3: two data entries in a row; e1 leaks.
+    Matrix<Gf61> b(2, width);
+    b(0, 0) = Gf61::One();
+    b(0, 1) = Gf61::One();
+    b(0, 3) = Gf61::One();
+    b(1, 0) = Gf61::One();
+    b(1, 3) = Gf61::One();
+    blocks.push_back(b);
+  }
+  {
+    // e0 + e3 + e4 and e1 + e3 + e4: two pad entries, difference leaks.
+    Matrix<Gf61> b(2, width);
+    for (size_t row = 0; row < 2; ++row) {
+      b(row, row) = Gf61::One();
+      b(row, 3) = Gf61::One();
+      b(row, 4) = Gf61::One();
+    }
+    blocks.push_back(b);
+  }
+  {
+    // e0 + 2·e3 and e1 + e4: scaled pad, nothing leaks.
+    Matrix<Gf61> b(2, width);
+    b(0, 0) = Gf61::One();
+    b(0, 3) = two;
+    b(1, 1) = Gf61::One();
+    b(1, 4) = Gf61::One();
+    blocks.push_back(b);
+  }
+  Xoshiro256StarStar rng(0xFA11);
+  for (int trial = 0; trial < 200; ++trial) {
+    Matrix<Gf61> b(1 + rng.NextBelow(6), width);
+    for (size_t row = 0; row < b.rows(); ++row) {
+      for (size_t col = 0; col < width; ++col) {
+        if (rng.NextBelow(3) == 0) b(row, col) = Gf61(rng.NextBelow(3));
+      }
+    }
+    blocks.push_back(b);
+  }
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const auto [rank, leak] = OracleRankAndLeak(blocks[i], m);
+    const DeviceSecurityReport report = VerifyCumulativeView(blocks[i], m);
+    EXPECT_EQ(report.rank, rank) << "block " << i;
+    EXPECT_EQ(report.intersection_dim, leak) << "block " << i;
+  }
+  EXPECT_EQ(VerifyCumulativeView(blocks[0], m).intersection_dim, 1u);
+  EXPECT_EQ(VerifyCumulativeView(blocks[1], m).intersection_dim, 1u);
+  EXPECT_EQ(VerifyCumulativeView(blocks[2], m).intersection_dim, 1u);
+  EXPECT_EQ(VerifyCumulativeView(blocks[3], m).intersection_dim, 0u);
+}
+
+// Report index i is views[i], empty views included, so a leak names the
+// device that holds it.
+TEST(StructuredCheckOracle, CumulativeReportIndexesEveryView) {
+  const size_t m = 4;
+  const std::vector<std::vector<ViewRow>> views = {
+      {},
+      {{0, m + 0}, {1, m + 1}},
+      {},
+      {{2, m + 2}, {3, m + 2}},  // shared pad: A_2 − A_3 leaks
+  };
+  const SchemeSecurityReport report = VerifyCumulativeViews(views, m);
+  ASSERT_EQ(report.devices.size(), views.size());
+  EXPECT_FALSE(report.all_secure);
+  for (size_t d = 0; d < views.size(); ++d) {
+    EXPECT_EQ(report.devices[d].device, d);
+    EXPECT_EQ(report.devices[d].rows, views[d].size());
+    EXPECT_EQ(report.devices[d].secure(), d != 3);
+  }
+  EXPECT_EQ(report.LeakSummary(), " [device 3 leaks dim=1]");
 }
 
 }  // namespace
