@@ -4,13 +4,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <numeric>
 #include <utility>
 
-#include "coding/decoder.h"
-#include "coding/security_check.h"
 #include "common/check.h"
-#include "core/problem.h"
 
 namespace scec::net {
 namespace {
@@ -45,7 +41,7 @@ NetCoordinator::NetCoordinator(Matrix<double> a, DeviceFleet fleet,
       jitter_(options.backoff_jitter, options.jitter_seed),
       reputation_(fleet_.size(), options.reputation),
       evicted_(fleet_.size(), false),
-      views_(fleet_.size()) {
+      views_(fleet_.size(), a_.rows()) {
   SCEC_CHECK_GE(a_.rows(), 1u);
   SCEC_CHECK_GE(a_.cols(), 1u);
   SCEC_CHECK_GE(fleet_.size(), 2u);
@@ -74,28 +70,6 @@ void NetCoordinator::FlushVerified() {
   verified_buffer_.clear();
 }
 
-void NetCoordinator::AddCumulativeRows(size_t segment_index) {
-  const Segment& seg = segments_[segment_index];
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
-    const size_t device = seg.devices[slot];
-    const size_t start = seg.scheme.BlockStart(slot);
-    for (size_t row = 0; row < seg.scheme.row_counts[slot]; ++row) {
-      const CodedRowSpec spec = seg.code.RowSpec(start + row);
-      ViewRow view;
-      if (spec.data_row.has_value()) {
-        view.data_col = seg.data_rows[*spec.data_row];
-      }
-      view.pad_col = a_.rows() + pad_cols_ + spec.random_row;
-      views_[device].push_back(view);
-    }
-  }
-  pad_cols_ += seg.code.r();
-}
-
-SchemeSecurityReport NetCoordinator::VerifyCumulativeSecurity() const {
-  return VerifyCumulativeViews(views_, a_.rows());
-}
-
 Status NetCoordinator::VerifyCumulativeOrAbort(const char* stage) {
   const SchemeSecurityReport report = VerifyCumulativeSecurity();
   if (!report.all_secure) {
@@ -114,45 +88,52 @@ Status NetCoordinator::Setup(Transport* transport) {
       << "transport device ids must equal fleet indices";
   transport_ = transport;
 
-  McscecProblem problem;
-  problem.m = a_.rows();
-  problem.l = a_.cols();
-  problem.fleet = fleet_;
-  problem.Validate();
-
-  Result<Plan> planned = PlanMcscec(problem, options_.algorithm);
+  Result<CodedSegment> planned =
+      PlanSegment(AllRows(a_.rows()), a_.cols(), fleet_,
+                  [this](size_t d) { return UsableDevice(d); },
+                  options_.algorithm);
   SCEC_RETURN_IF_ERROR(planned.status());
-  const Plan& plan = planned.value();
-
-  Segment seg{StructuredCode(a_.rows(), plan.allocation.r), plan.scheme,
-              plan.participating, {}, {}, {}};
-  SCEC_RETURN_IF_ERROR(CheckSchemeSecure(seg.code, seg.scheme));
-  seg.data_rows.resize(a_.rows());
-  std::iota(seg.data_rows.begin(), seg.data_rows.end(), size_t{0});
-
   Trace("plan algo=" + std::string(TaAlgorithmName(options_.algorithm)) +
         " m=" + std::to_string(a_.rows()) +
-        " r=" + std::to_string(plan.allocation.r) +
-        " devices=" + std::to_string(plan.participating.size()));
+        " r=" + std::to_string(planned->code().r()) +
+        " devices=" + std::to_string(planned->num_slots()));
 
-  EncodedDeployment<double> encoded =
-      EncodeDeployment(seg.code, seg.scheme, a_, pad_rng_);
-  seg.verifier = ResultVerifier<double>::Create(encoded.shares, digest_rng_,
-                                                options_.num_digests);
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
+  SCEC_RETURN_IF_ERROR(EncodeAndStage(std::move(planned).value()));
+  return VerifyCumulativeOrAbort("setup");
+}
+
+Status NetCoordinator::EncodeAndStage(CodedSegment layout) {
+  // FRESH pads (pad_rng_ never rewinds).
+  EncodedDeployment<double> encoded = EncodeSegment(layout, a_, pad_rng_);
+  Segment seg{std::move(layout),
+              ResultVerifier<double>::Create(encoded.shares, digest_rng_,
+                                             options_.num_digests),
+              {}};
+  for (size_t slot = 0; slot < seg.layout.num_slots(); ++slot) {
     const uint64_t share_id = next_share_id_++;
     seg.share_ids.push_back(share_id);
     const Matrix<double>& rows = encoded.shares[slot].coded_rows;
-    SCEC_RETURN_IF_ERROR(
-        transport_->StageShare(seg.devices[slot], share_id, rows));
+    const size_t device = seg.layout.devices()[slot];
+    Status staged = transport_->StageShare(device, share_id, rows);
+    if (!staged.ok()) {
+      // The earlier slots' daemons hold their rows now, so those rows stay
+      // in the views and this segment's pad columns are spent. The device
+      // died during staging: evict it so a replan routes around it.
+      views_.AddStaged(seg.layout, slot);
+      evicted_[device] = true;
+      ++stats_.evictions;
+      Trace("evict d=" + std::to_string(device) + " error=stage_failed");
+      return Unavailable("staging to device " + std::to_string(device) +
+                         " failed: " + staged.message());
+    }
     stats_.staged_value_bytes += 8.0 * rows.rows() * rows.cols();
-    Trace("stage seg=0 slot=" + std::to_string(slot) +
-          " d=" + std::to_string(seg.devices[slot]) +
+    Trace("stage seg=" + std::to_string(segments_.size()) +
+          " slot=" + std::to_string(slot) + " d=" + std::to_string(device) +
           " rows=" + std::to_string(rows.rows()));
   }
+  views_.Add(seg.layout);
   segments_.push_back(std::move(seg));
-  AddCumulativeRows(0);
-  return VerifyCumulativeOrAbort("setup");
+  return Status::Ok();
 }
 
 void NetCoordinator::DispatchSlot(size_t segment_index, size_t slot,
@@ -160,7 +141,7 @@ void NetCoordinator::DispatchSlot(size_t segment_index, size_t slot,
                                   double start_delay_s) {
   const Segment& seg = segments_[segment_index];
   SlotState& state = query_slots_[segment_index][slot];
-  const size_t device = seg.devices[slot];
+  const size_t device = seg.layout.devices()[slot];
   const uint64_t rpc =
       transport_->SubmitQuery(device, seg.share_ids[slot], x,
                               options_.rpc_deadline_s, start_delay_s);
@@ -180,16 +161,17 @@ void NetCoordinator::DispatchSlot(size_t segment_index, size_t slot,
 
 void NetCoordinator::DispatchSegment(size_t segment_index,
                                      const std::vector<double>& x) {
-  const Segment& seg = segments_[segment_index];
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
+  const std::vector<size_t>& devices =
+      segments_[segment_index].layout.devices();
+  for (size_t slot = 0; slot < devices.size(); ++slot) {
     SlotState& state = query_slots_[segment_index][slot];
     if (state.phase != SlotPhase::kIdle) continue;
-    if (!UsableDevice(seg.devices[slot])) {
+    if (!UsableDevice(devices[slot])) {
       // Evicted or quarantined holder: its rows go straight to recovery.
       state.phase = SlotPhase::kFailed;
       Trace("skip seg=" + std::to_string(segment_index) +
             " slot=" + std::to_string(slot) +
-            " d=" + std::to_string(seg.devices[slot]) + " reason=unusable");
+            " d=" + std::to_string(devices[slot]) + " reason=unusable");
       continue;
     }
     state.phase = SlotPhase::kOutstanding;
@@ -232,9 +214,8 @@ void NetCoordinator::HandleResponse(const Completion& completion,
   }
   const Inflight entry = it->second;
   const Segment& seg = segments_[entry.segment];
-  SlotState& state = query_slots_[entry.segment][entry.slot];
-  const size_t device = seg.devices[entry.slot];
-  const size_t expected = seg.scheme.row_counts[entry.slot];
+  const size_t device = seg.layout.devices()[entry.slot];
+  const size_t expected = seg.layout.scheme().row_counts[entry.slot];
 
   const bool size_ok = completion.values.size() == expected;
   const bool verified =
@@ -260,7 +241,7 @@ void NetCoordinator::HandleResponse(const Completion& completion,
   ++stats_.responses_used;
   stats_.response_value_bytes += 8.0 * completion.values.size();
   reputation_.RecordVerified(device);
-  state.values = completion.values;
+  responses_[entry.segment][entry.slot] = completion.values;
   TraceVerified("verified seg=" + std::to_string(entry.segment) +
                 " slot=" + std::to_string(entry.slot) +
                 " d=" + std::to_string(device));
@@ -276,9 +257,8 @@ void NetCoordinator::HandleError(const Completion& completion,
   }
   const Inflight entry = it->second;
   inflight_.erase(it);
-  const Segment& seg = segments_[entry.segment];
   SlotState& state = query_slots_[entry.segment][entry.slot];
-  const size_t device = seg.devices[entry.slot];
+  const size_t device = segments_[entry.segment].layout.devices()[entry.slot];
   if (entry.hedge) {
     state.hedge_rpc = 0;
   } else {
@@ -328,6 +308,7 @@ void NetCoordinator::HandleAlarm(const Completion& completion,
   const Inflight entry = it->second;
   alarms_.erase(it);
   const Segment& seg = segments_[entry.segment];
+  const size_t device = seg.layout.devices()[entry.slot];
   SlotState& state = query_slots_[entry.segment][entry.slot];
   state.hedge_alarm = 0;
   if (state.phase != SlotPhase::kOutstanding || state.primary_rpc == 0 ||
@@ -337,7 +318,7 @@ void NetCoordinator::HandleAlarm(const Completion& completion,
   // The primary is straggling: duplicate it to the same holder (the share
   // is device-bound, so no new view is created — ITS unaffected).
   const uint64_t rpc = transport_->SubmitQuery(
-      seg.devices[entry.slot], seg.share_ids[entry.slot], x,
+      device, seg.share_ids[entry.slot], x,
       options_.rpc_deadline_s, /*start_delay_s=*/0.0);
   inflight_[rpc] = Inflight{entry.segment, entry.slot, /*hedge=*/true};
   state.hedge_rpc = rpc;
@@ -347,7 +328,7 @@ void NetCoordinator::HandleAlarm(const Completion& completion,
   stats_.query_value_bytes += 8.0 * x.size();
   Trace("hedge seg=" + std::to_string(entry.segment) +
         " slot=" + std::to_string(entry.slot) +
-        " d=" + std::to_string(seg.devices[entry.slot]));
+        " d=" + std::to_string(device));
 }
 
 Status NetCoordinator::WaitOutstanding(const std::vector<double>& x) {
@@ -377,98 +358,20 @@ Status NetCoordinator::WaitOutstanding(const std::vector<double>& x) {
   return Status::Ok();
 }
 
-void NetCoordinator::CollectDecoded(
-    std::vector<std::optional<double>>* decoded) const {
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    const Segment& seg = segments_[s];
-    const size_t r = seg.code.r();
-    // Availability per coded row of this segment's B.
-    std::vector<const double*> row_value(seg.scheme.total_rows(), nullptr);
-    for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
-      const SlotState& state = query_slots_[s][slot];
-      if (state.phase != SlotPhase::kDone) continue;
-      const size_t start = seg.scheme.BlockStart(slot);
-      for (size_t row = 0; row < seg.scheme.row_counts[slot]; ++row) {
-        row_value[start + row] = &state.values[row];
-      }
-    }
-    // A_p·x = y[r+p] − y[p mod r] whenever both coded rows answered.
-    for (size_t p = 0; p < seg.code.m(); ++p) {
-      const size_t global = seg.data_rows[p];
-      if ((*decoded)[global].has_value()) continue;
-      const double* mixed = row_value[r + p];
-      const double* pad = row_value[p % r];
-      if (mixed != nullptr && pad != nullptr) {
-        (*decoded)[global] = *mixed - *pad;
-      }
-    }
-  }
-}
-
 Result<size_t> NetCoordinator::PlanRecoverySegment(
     const std::vector<size_t>& lost) {
   // TA2 over the surviving fleet, exactly as the in-sim protocol replans.
-  std::vector<size_t> survivor_phys;
-  DeviceFleet survivors;
-  for (size_t d = 0; d < fleet_.size(); ++d) {
-    if (!UsableDevice(d)) continue;
-    survivor_phys.push_back(d);
-    survivors.Add(fleet_[d]);
-  }
-  if (survivor_phys.size() < 2) {
-    return Infeasible("fewer than 2 devices survive; MCSCEC requires k >= 2");
-  }
-  McscecProblem problem;
-  problem.m = lost.size();
-  problem.l = a_.cols();
-  problem.fleet = std::move(survivors);
-  Result<Plan> planned = PlanMcscec(problem, TaAlgorithm::kTA2);
+  Result<CodedSegment> planned =
+      PlanSegment(lost, a_.cols(), fleet_,
+                  [this](size_t d) { return UsableDevice(d); },
+                  TaAlgorithm::kTA2);
   SCEC_RETURN_IF_ERROR(planned.status());
-  const Plan& plan = planned.value();
-
-  Segment seg{StructuredCode(lost.size(), plan.allocation.r), plan.scheme,
-              {}, {}, lost, {}};
-  SCEC_RETURN_IF_ERROR(CheckSchemeSecure(seg.code, seg.scheme));
-  for (size_t survivor_index : plan.participating) {
-    seg.devices.push_back(survivor_phys[survivor_index]);
-  }
-
-  // FRESH pads (pad_rng_ never rewinds): reusing a pad column would let
-  // (old row − new row) cancel it and expose a difference of data rows.
-  Matrix<double> a_lost(lost.size(), a_.cols());
-  for (size_t p = 0; p < lost.size(); ++p) {
-    a_lost.SetRow(p, a_.Row(lost[p]));
-  }
-  EncodedDeployment<double> encoded =
-      EncodeDeployment(seg.code, seg.scheme, a_lost, pad_rng_);
-  seg.verifier = ResultVerifier<double>::Create(encoded.shares, digest_rng_,
-                                                options_.num_digests);
-
   Trace("recover rows=" + std::to_string(lost.size()) +
-        " devices=" + std::to_string(seg.devices.size()));
-  for (size_t slot = 0; slot < seg.devices.size(); ++slot) {
-    const uint64_t share_id = next_share_id_++;
-    seg.share_ids.push_back(share_id);
-    const Matrix<double>& rows = encoded.shares[slot].coded_rows;
-    const size_t device = seg.devices[slot];
-    Status staged = transport_->StageShare(device, share_id, rows);
-    if (!staged.ok()) {
-      // The chosen survivor died during staging: evict it and let the
-      // caller replan the round over whoever remains.
-      evicted_[device] = true;
-      ++stats_.evictions;
-      Trace("evict d=" + std::to_string(device) + " error=stage_failed");
-      return Unavailable("staging to device " + std::to_string(device) +
-                         " failed: " + staged.message());
-    }
-    stats_.staged_value_bytes += 8.0 * rows.rows() * rows.cols();
-    Trace("stage seg=" + std::to_string(segments_.size()) +
-          " slot=" + std::to_string(slot) + " d=" + std::to_string(device) +
-          " rows=" + std::to_string(rows.rows()));
-  }
+        " devices=" + std::to_string(planned->num_slots()));
 
-  segments_.push_back(std::move(seg));
-  AddCumulativeRows(segments_.size() - 1);
+  // kUnavailable when a survivor dies during staging: the caller replans
+  // the round over whoever remains.
+  SCEC_RETURN_IF_ERROR(EncodeAndStage(std::move(planned).value()));
   ++stats_.recovery_rounds;
   stats_.replanned_rows += lost.size();
   SCEC_RETURN_IF_ERROR(VerifyCumulativeOrAbort("recovery"));
@@ -487,8 +390,10 @@ Result<std::vector<double>> NetCoordinator::Query(
   Trace("query q=" + std::to_string(stats_.queries));
 
   query_slots_.assign(segments_.size(), {});
+  responses_.assign(segments_.size(), {});
   for (size_t s = 0; s < segments_.size(); ++s) {
-    query_slots_[s].assign(segments_[s].devices.size(), SlotState{});
+    query_slots_[s].assign(segments_[s].layout.num_slots(), SlotState{});
+    responses_[s].assign(segments_[s].layout.num_slots(), std::nullopt);
   }
   inflight_.clear();
   alarms_.clear();
@@ -501,14 +406,13 @@ Result<std::vector<double>> NetCoordinator::Query(
   SCEC_RETURN_IF_ERROR(WaitOutstanding(x));
 
   std::vector<std::optional<double>> decoded(a_.rows());
-  CollectDecoded(&decoded);
-  std::vector<size_t> lost;
-  for (size_t p = 0; p < decoded.size(); ++p) {
-    if (!decoded[p].has_value()) lost.push_back(p);
-  }
-
   size_t rounds_this_query = 0;
-  while (!lost.empty()) {
+  for (;;) {
+    for (size_t s = 0; s < segments_.size(); ++s) {
+      DecodeSegment(segments_[s].layout, responses_[s], &decoded);
+    }
+    const std::vector<size_t> lost = MissingRows(decoded);
+    if (lost.empty()) break;
     if (rounds_this_query >= options_.max_recovery_rounds) {
       return Internal("rows still undecodable after " +
                       std::to_string(options_.max_recovery_rounds) +
@@ -520,15 +424,11 @@ Result<std::vector<double>> NetCoordinator::Query(
       if (seg.status().code() == ErrorCode::kUnavailable) continue;
       return seg.status();
     }
-    query_slots_.resize(segments_.size());
-    query_slots_[*seg].assign(segments_[*seg].devices.size(), SlotState{});
+    const size_t slots = segments_[*seg].layout.num_slots();
+    query_slots_.emplace_back(slots, SlotState{});
+    responses_.emplace_back(slots, std::nullopt);
     DispatchSegment(*seg, x);
     SCEC_RETURN_IF_ERROR(WaitOutstanding(x));
-    CollectDecoded(&decoded);
-    lost.clear();
-    for (size_t p = 0; p < decoded.size(); ++p) {
-      if (!decoded[p].has_value()) lost.push_back(p);
-    }
   }
 
   FlushVerified();

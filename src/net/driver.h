@@ -38,21 +38,18 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "allocation/device.h"
-#include "coding/encoder.h"
-#include "coding/encoding_matrix.h"
-#include "coding/lcec.h"
 #include "coding/result_verify.h"
 #include "coding/security_check.h"
 #include "common/error.h"
 #include "common/retry.h"
 #include "common/rng.h"
 #include "core/planner.h"
+#include "core/segment.h"
 #include "linalg/matrix.h"
 #include "net/transport.h"
 #include "sim/reputation.h"
@@ -142,18 +139,18 @@ class NetCoordinator {
 
   // Exact Def. 2 over every device's cumulative view (all rounds); report
   // index = fleet device. Checked after setup and every recovery re-encode.
-  SchemeSecurityReport VerifyCumulativeSecurity() const;
+  SchemeSecurityReport VerifyCumulativeSecurity() const {
+    return views_.Verify();
+  }
 
  private:
-  // One encoding round: round 0 covers all m rows, recovery rounds cover
-  // the lost subset. Shares stay staged on their daemons across queries.
+  // One encoding round (core/segment.h): round 0 covers all m rows,
+  // recovery rounds cover the lost subset. Shares stay staged on their
+  // daemons across queries.
   struct Segment {
-    StructuredCode code;
-    LcecScheme scheme;
-    std::vector<size_t> devices;    // fleet index per scheme slot
-    std::vector<uint64_t> share_ids;
-    std::vector<size_t> data_rows;  // global data row per local row index
+    CodedSegment layout;
     ResultVerifier<double> verifier;
+    std::vector<uint64_t> share_ids;
   };
 
   enum class SlotPhase { kIdle, kOutstanding, kDone, kFailed };
@@ -163,7 +160,6 @@ class NetCoordinator {
     uint64_t primary_rpc = 0;
     uint64_t hedge_rpc = 0;
     uint64_t hedge_alarm = 0;
-    std::vector<double> values;    // verified B_j·T·x chunk
   };
   struct Inflight {
     size_t segment = 0;
@@ -172,7 +168,10 @@ class NetCoordinator {
   };
 
   bool UsableDevice(size_t device) const;
-  void AddCumulativeRows(size_t segment_index);
+  // Encodes `layout` with fresh pads and stages one share per slot. Every
+  // staged slot's rows enter the cumulative views, even when a later slot
+  // fails; the failing device is evicted and the result is kUnavailable.
+  Status EncodeAndStage(CodedSegment layout);
   Status VerifyCumulativeOrAbort(const char* stage);
 
   // Query machinery (all operate on query_slots_ / inflight_).
@@ -185,7 +184,6 @@ class NetCoordinator {
   void HandleError(const Completion& completion, const std::vector<double>& x);
   void HandleAlarm(const Completion& completion, const std::vector<double>& x);
   Status WaitOutstanding(const std::vector<double>& x);
-  void CollectDecoded(std::vector<std::optional<double>>* decoded) const;
   Result<size_t> PlanRecoverySegment(const std::vector<size_t>& lost);
 
   void Trace(std::string line);
@@ -206,13 +204,11 @@ class NetCoordinator {
   std::vector<bool> evicted_;
   uint64_t next_share_id_ = 1;
 
-  // Cumulative per-device coefficient rows over the extended basis
-  // [A_1..A_m | pads round 0 | pads round 1 | ...].
-  std::vector<std::vector<ViewRow>> views_;  // per fleet device
-  size_t pad_cols_ = 0;
+  CumulativeViews views_;  // per fleet device, across all rounds
 
   // Per-query state.
   std::vector<std::vector<SlotState>> query_slots_;  // [segment][slot]
+  std::vector<SlotResponses<double>> responses_;     // [segment][slot]
   std::unordered_map<uint64_t, Inflight> inflight_;
   std::unordered_map<uint64_t, Inflight> alarms_;
   size_t outstanding_ = 0;

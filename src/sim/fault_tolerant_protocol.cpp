@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -103,18 +102,6 @@ uint64_t GenerationSeed(uint64_t seed, uint32_t generation) {
   return mix.Next();
 }
 
-// row index within B -> (scheme device, offset within its response).
-std::vector<std::pair<size_t, size_t>> HolderMap(const LcecScheme& scheme) {
-  std::vector<std::pair<size_t, size_t>> holder(scheme.total_rows());
-  size_t row = 0;
-  for (size_t j = 0; j < scheme.num_devices(); ++j) {
-    for (size_t k = 0; k < scheme.row_counts[j]; ++k) {
-      holder[row++] = {j, k};
-    }
-  }
-  return holder;
-}
-
 }  // namespace
 
 namespace {
@@ -165,7 +152,9 @@ FaultTolerantScecProtocol::FaultTolerantScecProtocol(
       hedge_rng_(
           GenerationSeed(ft_options.hedge_pad_seed, ft_options.generation)),
       guard_rng_(
-          GenerationSeed(ft_options.guard_pad_seed, ft_options.generation)) {
+          GenerationSeed(ft_options.guard_pad_seed, ft_options.generation)),
+      fleet_(std::move(fleet_specs)),
+      evicted_(fleet_.size(), false) {
   SCEC_CHECK(deployment_ != nullptr);
   SCEC_CHECK(a_ != nullptr);
   SCEC_CHECK_EQ(a_->rows(), deployment_->code.m());
@@ -188,26 +177,21 @@ FaultTolerantScecProtocol::FaultTolerantScecProtocol(
   if (ft_.byzantine_tolerance > 0) ft_.reputation.enabled = true;
   ft_.reputation.Validate();
 
-  devices_.reserve(fleet_specs.size());
-  for (EdgeDevice& spec : fleet_specs) {
-    DeviceState state;
-    state.spec = std::move(spec);
-    devices_.push_back(std::move(state));
-  }
   for (size_t fleet_index : deployment_->plan.participating) {
-    SCEC_CHECK_LT(fleet_index, devices_.size())
+    SCEC_CHECK_LT(fleet_index, fleet_.size())
         << "fleet_specs must cover every participating device";
   }
-  latency_.assign(devices_.size(), LatencyEstimator(ft_.estimator));
-  reputation_ = ReputationTracker(devices_.size(), ft_.reputation);
+  latency_.assign(fleet_.size(), LatencyEstimator(ft_.estimator));
+  reputation_ = ReputationTracker(fleet_.size(), ft_.reputation);
+  views_ = CumulativeViews(fleet_.size(), a_->rows());
   BuildTopology();
 
   // The base deployment is segment 0: all m data rows, the planner's scheme,
   // participating fleet indices as the physical mapping.
-  std::vector<size_t> all_rows(a_->rows());
-  std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-  AddSegment(std::move(all_rows), deployment_->code, deployment_->plan.scheme,
-             deployment_->plan.participating, deployment_->shares);
+  AddSegment(CodedSegment(AllRows(a_->rows()), deployment_->code,
+                          deployment_->plan.scheme,
+                          deployment_->plan.participating),
+             deployment_->shares);
   recovery_.base_plan_cost = deployment_->plan.allocation.total_cost;
   recovery_.generation = ft_.generation;
 }
@@ -230,9 +214,8 @@ void FaultTolerantScecProtocol::JournalAppend(recovery::JournalEvent event,
 }
 
 size_t FaultTolerantScecProtocol::num_evicted() const {
-  size_t count = 0;
-  for (const DeviceState& dev : devices_) count += dev.evicted ? 1 : 0;
-  return count;
+  return static_cast<size_t>(
+      std::count(evicted_.begin(), evicted_.end(), true));
 }
 
 void FaultTolerantScecProtocol::BuildTopology() {
@@ -243,8 +226,8 @@ void FaultTolerantScecProtocol::BuildTopology() {
   }
   // Links for the FULL fleet (node id = fleet index): recovery can re-plan
   // onto any surviving device, whether or not segment 0 used it.
-  for (size_t d = 0; d < devices_.size(); ++d) {
-    const EdgeDevice& spec = devices_[d].spec;
+  for (size_t d = 0; d < fleet_.size(); ++d) {
+    const EdgeDevice& spec = fleet_[d];
     const NodeId node = DeviceNode(d);
     network_.AddLink(kCloudNode, node,
                      LinkSpec{spec.link_latency_s, spec.downlink_bps});
@@ -259,22 +242,7 @@ void FaultTolerantScecProtocol::BuildTopology() {
 
 void FaultTolerantScecProtocol::SendMsg(NodeId from, NodeId to, uint64_t bytes,
                                         EventQueue::Callback on_delivered,
-                                        bool abort_on_failure) {
-  EventQueue::Callback on_failure = nullptr;
-  if (abort_on_failure) {
-    on_failure = []() {
-      SCEC_CHECK(false) << "reliable transfer exhausted its retry budget";
-    };
-  }
-  // Query-path sends fail silently: the protocol's own deadline + retry
-  // layer handles the loss.
-  SendMsgEx(from, to, bytes, std::move(on_delivered), std::move(on_failure));
-}
-
-void FaultTolerantScecProtocol::SendMsgEx(NodeId from, NodeId to,
-                                          uint64_t bytes,
-                                          EventQueue::Callback on_delivered,
-                                          EventQueue::Callback on_failure) {
+                                        EventQueue::Callback on_failure) {
   if (channel_ != nullptr) {
     channel_->Send(from, to, bytes, std::move(on_delivered),
                    std::move(on_failure), options_.retransmit_timeout_s,
@@ -285,54 +253,30 @@ void FaultTolerantScecProtocol::SendMsgEx(NodeId from, NodeId to,
 }
 
 void FaultTolerantScecProtocol::AddSegment(
-    std::vector<size_t> data_rows, StructuredCode code, LcecScheme scheme,
-    std::vector<size_t> phys, std::vector<DeviceShare<double>> shares) {
-  SCEC_CHECK_EQ(data_rows.size(), code.m());
-  SCEC_CHECK_EQ(phys.size(), scheme.num_devices());
-  SCEC_CHECK_EQ(shares.size(), scheme.num_devices());
+    CodedSegment layout, std::vector<DeviceShare<double>> shares) {
+  SCEC_CHECK_EQ(shares.size(), layout.num_slots());
+  views_.Add(layout);
 
-  Segment seg;
-  seg.data_rows = std::move(data_rows);
-  seg.code = code;
-  seg.scheme = std::move(scheme);
-  seg.phys = std::move(phys);
-  seg.verifier =
-      ResultVerifier<double>::Create(shares, verifier_rng_, ft_.num_digests);
+  const size_t seg_index = segments_.size();
+  Segment seg{std::move(layout),
+              ResultVerifier<double>::Create(shares, verifier_rng_,
+                                             ft_.num_digests),
+              {}, {}, {}, false};
   seg.share_rows.reserve(shares.size());
   for (DeviceShare<double>& share : shares) {
     seg.share_rows.push_back(std::move(share.coded_rows));
   }
-
-  // Record every coefficient row each device receives, over the extended
-  // basis [A | pads of all rounds] — the input to the cumulative Def. 2
-  // check. Pad columns of this round start at pads_total_.
-  for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
-    const size_t start = seg.scheme.BlockStart(j);
-    DeviceState& dev = devices_[seg.phys[j]];
-    for (size_t row = 0; row < seg.scheme.row_counts[j]; ++row) {
-      const CodedRowSpec spec = seg.code.RowSpec(start + row);
-      ViewRow held;
-      if (spec.data_row.has_value()) {
-        held.data_col = seg.data_rows[*spec.data_row];
-      }
-      held.pad_col = pads_total_ + spec.random_row;
-      dev.held.push_back(held);
-    }
-  }
-  pads_total_ += seg.code.r();
-
-  const size_t seg_index = segments_.size();
-  for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
-    const size_t phys_index = seg.phys[j];
+  for (size_t j = 0; j < seg.layout.num_slots(); ++j) {
+    const size_t phys_index = seg.layout.devices()[j];
     seg.actors.push_back(std::make_unique<EdgeDeviceActor>(
-        phys_index, devices_[phys_index].spec, &queue_, &network_, &options_,
+        phys_index, fleet_[phys_index], &queue_, &network_, &options_,
         &straggler_rng_,
         [this, seg_index, j](size_t, std::vector<double> response) {
           OnResponse(seg_index, j, std::move(response));
         },
         channel_.get()));
   }
-  seg.responses.assign(seg.scheme.num_devices(), std::nullopt);
+  seg.responses.assign(seg.layout.num_slots(), std::nullopt);
   segments_.push_back(std::move(seg));
 
   // Journal the new segment's shape so a restarted coordinator can
@@ -341,40 +285,26 @@ void FaultTolerantScecProtocol::AddSegment(
   // rebuilt from the sealed snapshot, not the journal, and its pad VALUES
   // must never leave the coordinator. Only shapes are journaled, ever.
   if (journal_ != nullptr) {
-    const Segment& added = segments_.back();
     recovery::JournalEvent event;
     event.kind = recovery::JournalEventKind::kSegmentAdded;
     event.segment = seg_index;
-    recovery::JournalSegmentRecord record;
-    record.index = seg_index;
-    record.m = added.code.m();
-    record.r = added.code.r();
-    record.row_counts = added.scheme.row_counts;
-    record.phys = added.phys;
-    record.data_rows = added.data_rows;
-    event.segment_record = std::move(record);
+    event.segment_record = SegmentRecord(segments_.back().layout, seg_index);
     JournalAppend(std::move(event), /*committed=*/true);
   }
 }
 
 void FaultTolerantScecProtocol::StageSegment(size_t segment_index) {
-  Segment& seg = segments_[segment_index];
-  for (size_t j = 0; j < seg.actors.size(); ++j) {
-    const Matrix<double>& share = seg.share_rows[j];
-    const uint64_t bytes = static_cast<uint64_t>(
-        static_cast<double>(share.size()) * options_.value_bytes);
-    metrics_.staging_bytes += bytes;
-    EdgeDeviceActor* actor = seg.actors[j].get();
-    SendMsg(kCloudNode, DeviceNode(seg.phys[j]), bytes,
-            [actor, share]() { actor->OnShareDelivered(share); },
-            /*abort_on_failure=*/true);
-  }
+  StageSegmentAsync(
+      segment_index,
+      [this, segment_index]() { segments_[segment_index].staged = true; },
+      []() {
+        SCEC_CHECK(false) << "reliable transfer exhausted its retry budget";
+      });
   queue_.RunUntilEmpty();
-  for (const auto& actor : seg.actors) SCEC_CHECK(actor->HasShare());
-  seg.staged = true;
+  SCEC_CHECK(segments_[segment_index].staged);
 }
 
-void FaultTolerantScecProtocol::StageSegmentAsync(
+uint64_t FaultTolerantScecProtocol::StageSegmentAsync(
     size_t segment_index, EventQueue::Callback on_staged,
     EventQueue::Callback on_abort) {
   Segment& seg = segments_[segment_index];
@@ -388,32 +318,34 @@ void FaultTolerantScecProtocol::StageSegmentAsync(
   state->remaining = seg.actors.size();
   state->on_staged = std::move(on_staged);
   state->on_abort = std::move(on_abort);
+  uint64_t total_bytes = 0;
   for (size_t j = 0; j < seg.actors.size(); ++j) {
     const Matrix<double>& share = seg.share_rows[j];
     const uint64_t bytes = static_cast<uint64_t>(
         static_cast<double>(share.size()) * options_.value_bytes);
     metrics_.staging_bytes += bytes;
-    recovery_.hedge_staging_bytes += bytes;
+    total_bytes += bytes;
     EdgeDeviceActor* actor = seg.actors[j].get();
-    SendMsgEx(kCloudNode, DeviceNode(seg.phys[j]), bytes,
-              [actor, share, state]() {
-                actor->OnShareDelivered(share);
-                if (state->aborted) return;
-                // `staged` is NOT set here: the on_staged callback decides.
-                // A hedge whose original resolved while shares were in
-                // flight must stay unstaged, or every later round-0 would
-                // re-query the dead speculative segment.
-                if (--state->remaining == 0) state->on_staged();
-              },
-              [state]() {
-                // Lossy link exhausted its retransmit budget: the segment
-                // can never fully stage, so the hedge is abandoned. The
-                // original pending's own deadline/retry path still runs.
-                if (state->aborted) return;
-                state->aborted = true;
-                state->on_abort();
-              });
+    SendMsg(kCloudNode, DeviceNode(seg.layout.devices()[j]), bytes,
+            [actor, share, state]() {
+              actor->OnShareDelivered(share);
+              if (state->aborted) return;
+              // `staged` is NOT set here: the on_staged callback decides.
+              // A hedge whose original resolved while shares were in
+              // flight must stay unstaged, or every later round-0 would
+              // re-query the dead speculative segment.
+              if (--state->remaining == 0) state->on_staged();
+            },
+            [state]() {
+              // Lossy link exhausted its retransmit budget: the segment
+              // can never fully stage. A hedge is abandoned (the original
+              // pending's own deadline/retry path still runs).
+              if (state->aborted) return;
+              state->aborted = true;
+              state->on_abort();
+            });
   }
+  return total_bytes;
 }
 
 void FaultTolerantScecProtocol::Stage() {
@@ -425,7 +357,7 @@ void FaultTolerantScecProtocol::Stage() {
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimSpan("stage", stage_start,
                                         queue_.now() - stage_start,
-                                        /*tid=*/devices_.size());
+                                        /*tid=*/fleet_.size());
   }
   {
     recovery::JournalEvent event;
@@ -438,33 +370,24 @@ void FaultTolerantScecProtocol::Stage() {
 
 void FaultTolerantScecProtocol::ProvisionGuards() {
   if (ft_.byzantine_tolerance == 0) return;
-  DeviceFleet fleet;
-  for (const DeviceState& dev : devices_) fleet.Add(dev.spec);
   const std::vector<std::array<size_t, 2>> pairs =
-      SelectGuardPairs(fleet, deployment_->l, deployment_->plan.participating,
+      SelectGuardPairs(fleet_, deployment_->l, deployment_->plan.participating,
                        ft_.byzantine_tolerance);
   const size_t m = a_->rows();
   for (const std::array<size_t, 2>& pair : pairs) {
     // Each guard re-encodes ALL m data rows with fresh pads: pad block on
-    // pair[0], mixed block on pair[1] (Lemma 1 holds: V = m <= r = m).
-    StructuredCode code(m, m);
-    LcecScheme scheme = SchemeFromRowCounts(m, m, {m, m});
-    const Status secure = CheckSchemeSecure(code, scheme);
-    SCEC_CHECK(secure.ok()) << secure.message();
-    std::vector<size_t> all_rows(m);
-    std::iota(all_rows.begin(), all_rows.end(), size_t{0});
-    EncodedDeployment<double> encoded =
-        EncodeDeployment(code, scheme, *a_, guard_rng_);
-    AddSegment(std::move(all_rows), code, std::move(scheme),
-               {pair[0], pair[1]}, std::move(encoded.shares));
+    // pair[0], mixed block on pair[1].
+    CodedSegment layout = PairSegment(AllRows(m), pair[0], pair[1]);
+    EncodedDeployment<double> encoded = EncodeSegment(layout, *a_, guard_rng_);
+    AddSegment(std::move(layout), std::move(encoded.shares));
     StageSegment(segments_.size() - 1);
     ++recovery_.byzantine_guard_segments;
     recovery_.byzantine_guard_rows += 2 * m;
     // Eq. (1) spend on the surplus, same formula as PlanByzantineMcscec.
     recovery_.byzantine_guard_cost +=
         static_cast<double>(m) *
-        (UnitCost(devices_[pair[0]].spec.costs, deployment_->l) +
-         UnitCost(devices_[pair[1]].spec.costs, deployment_->l));
+        (UnitCost(fleet_[pair[0]].costs, deployment_->l) +
+         UnitCost(fleet_[pair[1]].costs, deployment_->l));
   }
   byzantine_tolerance_effective_ = pairs.size();
   SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
@@ -472,17 +395,17 @@ void FaultTolerantScecProtocol::ProvisionGuards() {
   if (obs::Tracer::Enabled() && !pairs.empty()) {
     obs::Tracer::Global().RecordSimInstant(
         "guards(" + std::to_string(pairs.size()) + ")", queue_.now(),
-        /*tid=*/devices_.size(), "fault");
+        /*tid=*/fleet_.size(), "fault");
   }
 }
 
 double FaultTolerantScecProtocol::ModelDeadlineFor(
     const Pending& pending) const {
   const Segment& seg = segments_[pending.segment];
-  const EdgeDevice& spec = devices_[pending.phys].spec;
+  const EdgeDevice& spec = fleet_[pending.phys];
   const double l = static_cast<double>(deployment_->l);
   const double v =
-      static_cast<double>(seg.scheme.row_counts[pending.local]);
+      static_cast<double>(seg.layout.scheme().row_counts[pending.local]);
   const double x_bits = l * options_.value_bytes * 8.0;
   const double response_bits = v * options_.value_bytes * 8.0;
   const double flops = v * (2.0 * l - 1.0);
@@ -581,7 +504,7 @@ void FaultTolerantScecProtocol::Dispatch(Pending* pending) {
   }
   SendMsg(kUserNode, DeviceNode(pending->phys), x_bytes,
           [actor, x]() { actor->OnQueryDelivered(x); },
-          /*abort_on_failure=*/false);
+          /*on_failure=*/nullptr);
 
   // Arm the hedge trigger once per pending, on the first dispatch: if the
   // device is still unresolved past its hedge threshold, speculate.
@@ -632,7 +555,7 @@ void FaultTolerantScecProtocol::Dispatch(Pending* pending) {
     if (fail_fast) {
       Resolve(pending, PendingOutcome::kFailed);
       ++recovery_.devices_evicted_timeout;
-      devices_[pending->phys].evicted = true;
+      evicted_[pending->phys] = true;
       if (obs::Tracer::Enabled()) {
         obs::Tracer::Global().RecordSimInstant("evict(timeout)", queue_.now(),
                                                /*tid=*/pending->phys, "fault");
@@ -716,7 +639,7 @@ void FaultTolerantScecProtocol::OnResponse(size_t segment, size_t local,
       // A corrupted response is Byzantine behaviour, not noise: evict
       // immediately instead of retrying.
       ++recovery_.devices_evicted_corrupt;
-      devices_[pending->phys].evicted = true;
+      evicted_[pending->phys] = true;
       if (obs::Tracer::Enabled()) {
         obs::Tracer::Global().RecordSimInstant("evict(corrupt)", queue_.now(),
                                                /*tid=*/pending->phys, "fault");
@@ -813,30 +736,21 @@ std::vector<size_t> FaultTolerantScecProtocol::RowsAtRisk(
   std::vector<bool> decodable(a_->rows(), false);
   for (const Segment& seg : segments_) {
     if (!seg.staged) continue;
-    const auto holder = HolderMap(seg.scheme);
-    const size_t r = seg.code.r();
-    for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-      const size_t mixed_dev = holder[r + p].first;
-      const size_t pad_dev = holder[p % r].first;
-      if (seg.responses[mixed_dev].has_value() &&
-          seg.responses[pad_dev].has_value()) {
-        decodable[seg.data_rows[p]] = true;
+    for (size_t p = 0; p < seg.layout.data_rows().size(); ++p) {
+      if (DecodeRow(seg.layout, p, seg.responses).has_value()) {
+        decodable[seg.layout.data_rows()[p]] = true;
       }
     }
   }
   // Rows whose decode within the pending's segment needs the straggler's
   // block (as the mixed-row holder or the pad holder) and have no verified
   // path yet.
-  const Segment& seg = segments_[pending.segment];
-  const auto holder = HolderMap(seg.scheme);
-  const size_t r = seg.code.r();
+  const CodedSegment& layout = segments_[pending.segment].layout;
   std::vector<size_t> at_risk;
-  for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-    if (decodable[seg.data_rows[p]]) continue;
-    const size_t mixed_dev = holder[r + p].first;
-    const size_t pad_dev = holder[p % r].first;
-    if (mixed_dev == pending.local || pad_dev == pending.local) {
-      at_risk.push_back(seg.data_rows[p]);
+  for (size_t p = 0; p < layout.data_rows().size(); ++p) {
+    const size_t global = layout.data_rows()[p];
+    if (!decodable[global] && layout.paths()[p].Uses(pending.local)) {
+      at_risk.push_back(global);
     }
   }
   return at_risk;
@@ -874,13 +788,13 @@ void FaultTolerantScecProtocol::MaybeHedge(Pending* pending) {
   // already-answered participants: speculative compute on a participant is
   // not cancellable once delivered and would queue ahead of its next
   // sub-query, so hedging onto the serving fleet slows every later query.
-  std::vector<bool> serving(devices_.size(), false);
+  std::vector<bool> serving(fleet_.size(), false);
   for (const Segment& seg : segments_) {
     if (!seg.staged) continue;
-    for (size_t phys : seg.phys) serving[phys] = true;
+    for (size_t phys : seg.layout.devices()) serving[phys] = true;
   }
   std::vector<size_t> idle;
-  for (size_t d = 0; d < devices_.size(); ++d) {
+  for (size_t d = 0; d < fleet_.size(); ++d) {
     if (!UsableDevice(d) || d == pending->phys || BusyInRound(d)) continue;
     idle.push_back(d);
   }
@@ -899,30 +813,22 @@ void FaultTolerantScecProtocol::MaybeHedge(Pending* pending) {
   }
   std::sort(idle.begin(), idle.end(), [&](size_t lhs, size_t rhs) {
     if (serving[lhs] != serving[rhs]) return !serving[lhs];  // spares first
-    const double lhs_cost = UnitCost(devices_[lhs].spec.costs, deployment_->l);
-    const double rhs_cost = UnitCost(devices_[rhs].spec.costs, deployment_->l);
+    const double lhs_cost = UnitCost(fleet_[lhs].costs, deployment_->l);
+    const double rhs_cost = UnitCost(fleet_[rhs].costs, deployment_->l);
     if (lhs_cost != rhs_cost) return lhs_cost < rhs_cost;
     return lhs < rhs;
   });
 
-  // Mini-segment: s data rows, s fresh pads, pad block on one device and
-  // mixed block on the other (Lemma 1 holds: V = s <= r = s).
+  // Mini-segment: the at-risk rows under fresh pads, pad block on one
+  // device and mixed block on the other.
   const size_t s = rows.size();
-  StructuredCode code(s, s);
-  LcecScheme scheme = SchemeFromRowCounts(s, s, {s, s});
-  const Status secure = CheckSchemeSecure(code, scheme);
-  SCEC_CHECK(secure.ok()) << secure.message();
-
-  Matrix<double> a_rows(s, deployment_->l);
-  for (size_t p = 0; p < s; ++p) a_rows.SetRow(p, a_->Row(rows[p]));
-  EncodedDeployment<double> encoded =
-      EncodeDeployment(code, scheme, a_rows, hedge_rng_);
+  CodedSegment layout = PairSegment(rows, idle[0], idle[1]);
+  EncodedDeployment<double> encoded = EncodeSegment(layout, *a_, hedge_rng_);
 
   const size_t seg_index = segments_.size();
-  AddSegment(rows, code, std::move(scheme), {idle[0], idle[1]},
-             std::move(encoded.shares));
+  AddSegment(std::move(layout), std::move(encoded.shares));
   pending_index_.push_back(std::vector<Pending*>(
-      segments_[seg_index].scheme.num_devices(), nullptr));
+      segments_[seg_index].layout.num_slots(), nullptr));
 
   ++hedges_this_query_;
   ++recovery_.hedges_dispatched;
@@ -940,7 +846,7 @@ void FaultTolerantScecProtocol::MaybeHedge(Pending* pending) {
   group.segment = seg_index;
   pending->hedge_group = group_index;
 
-  StageSegmentAsync(
+  recovery_.hedge_staging_bytes += StageSegmentAsync(
       seg_index, [this, group_index]() { DispatchHedge(group_index); },
       [this, group_index]() {
         HedgeGroup& aborted = hedge_groups_[group_index];
@@ -972,14 +878,13 @@ void FaultTolerantScecProtocol::DispatchHedge(size_t group_index) {
   group.dispatched = true;
   Segment& seg = segments_[group.segment];
   seg.staged = true;
-  for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
-    hedge_pendings_.emplace_back();
-    Pending& pending = hedge_pendings_.back();
-    pending.segment = group.segment;
-    pending.local = j;
-    pending.phys = seg.phys[j];
-    pending.is_hedge = true;
-    pending.hedge_group = group_index;
+  for (size_t j = 0; j < seg.layout.num_slots(); ++j) {
+    Pending& pending = hedge_pendings_.emplace_back(
+        Pending{.segment = group.segment,
+                .local = j,
+                .phys = seg.layout.devices()[j],
+                .is_hedge = true,
+                .hedge_group = group_index});
     group.hedges.push_back(&pending);
     pending_index_[group.segment][j] = &pending;
     ++round_unresolved_;
@@ -990,7 +895,7 @@ void FaultTolerantScecProtocol::DispatchHedge(size_t group_index) {
 void FaultTolerantScecProtocol::CollectRound(std::vector<Pending>* pendings) {
   pending_index_.assign(segments_.size(), {});
   for (size_t s = 0; s < segments_.size(); ++s) {
-    pending_index_[s].assign(segments_[s].scheme.num_devices(), nullptr);
+    pending_index_[s].assign(segments_[s].layout.num_slots(), nullptr);
   }
   for (Pending& pending : *pendings) {
     pending_index_[pending.segment][pending.local] = &pending;
@@ -1018,30 +923,20 @@ void FaultTolerantScecProtocol::CollectRound(std::vector<Pending>* pendings) {
   SCEC_CHECK_EQ(round_unresolved_, 0u);
   round_pendings_ = nullptr;
   pending_index_.clear();
+  if (hedges_this_query_ > 0) {
+    SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
+        << "hedge re-encode leaked data rows (cumulative ITS violated)";
+  }
 }
 
-std::vector<size_t> FaultTolerantScecProtocol::DecodeAvailable(
+std::vector<size_t> FaultTolerantScecProtocol::Decode(
     std::vector<std::optional<double>>* decoded) {
+  if (ft_.byzantine_tolerance > 0) return DecodeLocating(decoded);
   for (const Segment& seg : segments_) {
-    const auto holder = HolderMap(seg.scheme);
-    const size_t r = seg.code.r();
-    for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-      const size_t global = seg.data_rows[p];
-      if ((*decoded)[global].has_value()) continue;
-      const auto [mixed_dev, mixed_off] = holder[r + p];
-      const auto [pad_dev, pad_off] = holder[p % r];
-      const auto& mixed = seg.responses[mixed_dev];
-      const auto& pad = seg.responses[pad_dev];
-      if (!mixed.has_value() || !pad.has_value()) continue;
-      (*decoded)[global] = (*mixed)[mixed_off] - (*pad)[pad_off];
-      ++metrics_.decode_subtractions;
-    }
+    metrics_.decode_subtractions +=
+        DecodeSegment(seg.layout, seg.responses, decoded);
   }
-  std::vector<size_t> missing;
-  for (size_t g = 0; g < decoded->size(); ++g) {
-    if (!(*decoded)[g].has_value()) missing.push_back(g);
-  }
-  return missing;
+  return MissingRows(*decoded);
 }
 
 void FaultTolerantScecProtocol::FlagByzantine(size_t fleet_index) {
@@ -1081,32 +976,25 @@ std::vector<size_t> FaultTolerantScecProtocol::DecodeLocating(
   // contribute no path).
   std::vector<size_t> unit_rows;
   std::vector<DecodeUnit<double>> units;
+  std::vector<size_t> unit_of(a_->rows(), SIZE_MAX);  // global row -> unit
   for (const Segment& seg : segments_) {
     if (!seg.staged) continue;
-    const auto holder = HolderMap(seg.scheme);
-    const size_t r = seg.code.r();
-    for (size_t p = 0; p < seg.data_rows.size(); ++p) {
-      const size_t global = seg.data_rows[p];
+    const CodedSegment& layout = seg.layout;
+    for (size_t p = 0; p < layout.data_rows().size(); ++p) {
+      const size_t global = layout.data_rows()[p];
       if ((*decoded)[global].has_value()) continue;
-      const auto [mixed_dev, mixed_off] = holder[r + p];
-      const auto [pad_dev, pad_off] = holder[p % r];
-      const auto& mixed = seg.responses[mixed_dev];
-      const auto& pad = seg.responses[pad_dev];
-      if (!mixed.has_value() || !pad.has_value()) continue;
-      const auto it =
-          std::find(unit_rows.begin(), unit_rows.end(), global);
-      size_t u;
-      if (it == unit_rows.end()) {
+      const std::optional<double> value = DecodeRow(layout, p, seg.responses);
+      if (!value.has_value()) continue;
+      size_t& u = unit_of[global];
+      if (u == SIZE_MAX) {
         u = unit_rows.size();
         unit_rows.push_back(global);
         units.emplace_back();
-      } else {
-        u = static_cast<size_t>(it - unit_rows.begin());
       }
-      DecodeCandidate<double> candidate;
-      candidate.value = (*mixed)[mixed_off] - (*pad)[pad_off];
-      candidate.devices = {seg.phys[pad_dev], seg.phys[mixed_dev]};
-      units[u].candidates.push_back(std::move(candidate));
+      const RowPath& path = layout.paths()[p];
+      units[u].candidates.push_back(DecodeCandidate<double>{
+          *value, {layout.devices()[path.pad_slot],
+                   layout.devices()[path.mixed_slot]}});
     }
   }
 
@@ -1157,25 +1045,23 @@ std::vector<size_t> FaultTolerantScecProtocol::DecodeLocating(
     }
   }
 
-  std::vector<size_t> missing;
-  for (size_t g = 0; g < decoded->size(); ++g) {
-    if (!(*decoded)[g].has_value()) missing.push_back(g);
-  }
-  return missing;
+  return MissingRows(*decoded);
 }
 
 void FaultTolerantScecProtocol::RunCanaries() {
   if (!ft_.reputation.enabled) return;
   SCEC_CHECK(canary_probes_.empty());
-  for (size_t d = 0; d < devices_.size(); ++d) {
-    if (devices_[d].evicted || !reputation_.CanaryDue(d)) continue;
+  for (size_t d = 0; d < fleet_.size(); ++d) {
+    if (evicted_[d] || !reputation_.CanaryDue(d)) continue;
     // Re-use the device's existing staged share: the probe costs one query
     // round trip and zero staging, and its response never enters a decode.
     for (size_t s = 0; s < segments_.size(); ++s) {
       const Segment& seg = segments_[s];
       bool sent = false;
-      for (size_t j = 0; j < seg.phys.size(); ++j) {
-        if (seg.phys[j] != d || !seg.actors[j]->HasShare()) continue;
+      for (size_t j = 0; j < seg.layout.num_slots(); ++j) {
+        if (seg.layout.devices()[j] != d || !seg.actors[j]->HasShare()) {
+          continue;
+        }
         canary_probes_[{s, j}] = d;
         reputation_.NoteCanarySent(d);
         ++recovery_.canaries_sent;
@@ -1206,7 +1092,7 @@ void FaultTolerantScecProtocol::RunCanaries() {
         }
         SendMsg(kUserNode, DeviceNode(d), x_bytes,
                 [actor, x]() { actor->OnQueryDelivered(x); },
-                /*abort_on_failure=*/false);
+                /*on_failure=*/nullptr);
         sent = true;
         break;
       }
@@ -1247,7 +1133,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   }
 
   for (Segment& seg : segments_) {
-    seg.responses.assign(seg.scheme.num_devices(), std::nullopt);
+    seg.responses.assign(seg.layout.num_slots(), std::nullopt);
   }
 
   // Round 0: query every non-evicted holder across all staged segments
@@ -1260,8 +1146,8 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   std::vector<Pending> round;
   for (size_t s = 0; s < segments_.size(); ++s) {
     if (!segments_[s].staged) continue;
-    for (size_t j = 0; j < segments_[s].scheme.num_devices(); ++j) {
-      const size_t phys = segments_[s].phys[j];
+    for (size_t j = 0; j < segments_[s].layout.num_slots(); ++j) {
+      const size_t phys = segments_[s].layout.devices()[j];
       if (resuming && s == 0) {
         const auto it = resume_responses_.find(j);
         if (it != resume_responses_.end() &&
@@ -1278,12 +1164,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
           continue;
         }
       }
-      if (!UsableDevice(phys)) continue;
-      Pending pending;
-      pending.segment = s;
-      pending.local = j;
-      pending.phys = phys;
-      round.push_back(pending);
+      if (UsableDevice(phys)) round.push_back(Pending{s, j, phys});
     }
   }
   if (resuming) {
@@ -1299,15 +1180,9 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   double last_round_end = ft_.hedging ? round_settled_s_ : queue_.now();
   double last_round_settle = round_settled_s_;
   recovery_.first_attempt_completion_s = last_round_end - query_start;
-  if (hedges_this_query_ > 0) {
-    SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
-        << "hedge re-encode leaked data rows (cumulative ITS violated)";
-  }
 
   std::vector<std::optional<double>> decoded(a_->rows());
-  std::vector<size_t> lost = ft_.byzantine_tolerance > 0
-                                 ? DecodeLocating(&decoded)
-                                 : DecodeAvailable(&decoded);
+  std::vector<size_t> lost = Decode(&decoded);
 
   size_t rounds_this_query = 0;
   while (!lost.empty()) {
@@ -1323,96 +1198,56 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
         "fault");
     const SimTime round_start = queue_.now();
 
-    // Re-plan the lost rows with TA2 over the surviving fleet.
-    std::vector<size_t> survivor_phys;
-    DeviceFleet survivors;
-    for (size_t d = 0; d < devices_.size(); ++d) {
-      if (!UsableDevice(d)) continue;
-      survivor_phys.push_back(d);
-      survivors.Add(devices_[d].spec);
-    }
-    if (survivor_phys.size() < 2) {
-      current_x_ = nullptr;
-      return Infeasible("fewer than 2 devices survive; MCSCEC requires k >= 2");
-    }
-    McscecProblem problem;
-    problem.m = lost.size();
-    problem.l = deployment_->l;
-    problem.fleet = std::move(survivors);
-    auto planned = [&] {
+    // Re-plan the lost rows with TA2 over the surviving fleet, re-encode
+    // with FRESH pads (repair_rng_ never rewinds).
+    double plan_cost = 0.0;
+    Result<CodedSegment> planned = [&] {
       SCEC_TRACE_SPAN("recovery/replan", "fault");
-      return PlanMcscec(problem, TaAlgorithm::kTA2);
+      return PlanSegment(lost, deployment_->l, fleet_,
+                         [this](size_t d) { return UsableDevice(d); },
+                         TaAlgorithm::kTA2, &plan_cost);
     }();
     if (!planned.ok()) {
       current_x_ = nullptr;
       return planned.status();
     }
-    const Plan& plan = planned.value();
-    StructuredCode code(lost.size(), plan.allocation.r);
-    Status secure = CheckSchemeSecure(code, plan.scheme);
-    if (!secure.ok()) {
-      current_x_ = nullptr;
-      return secure;
-    }
-
-    // Re-encode with FRESH pads (repair_rng_ never rewinds); see the header
-    // for why pad reuse would break cumulative ITS.
-    Matrix<double> a_lost(lost.size(), deployment_->l);
-    for (size_t p = 0; p < lost.size(); ++p) {
-      a_lost.SetRow(p, a_->Row(lost[p]));
-    }
     EncodedDeployment<double> encoded = [&] {
       SCEC_TRACE_SPAN("recovery/re_encode", "fault");
-      return EncodeDeployment(code, plan.scheme, a_lost, repair_rng_);
+      return EncodeSegment(*planned, *a_, repair_rng_);
     }();
 
-    std::vector<size_t> phys;
-    phys.reserve(plan.participating.size());
-    for (size_t survivor_index : plan.participating) {
-      phys.push_back(survivor_phys[survivor_index]);
-    }
-
     const SimTime stage_start = queue_.now();
-    AddSegment(lost, code, plan.scheme, std::move(phys),
-               std::move(encoded.shares));
+    AddSegment(std::move(planned).value(), std::move(encoded.shares));
     StageSegment(segments_.size() - 1);
     recovery_.recovery_staging_seconds += queue_.now() - stage_start;
     if (obs::Tracer::Enabled()) {
       obs::Tracer::Global().RecordSimSpan("recovery_stage", stage_start,
                                           queue_.now() - stage_start,
-                                          /*tid=*/devices_.size(), "fault");
+                                          /*tid=*/fleet_.size(), "fault");
     }
     ++recovery_.recovery_rounds;
     recovery_.replanned_rows += lost.size();
-    recovery_.recovery_plan_cost += plan.allocation.total_cost;
+    recovery_.recovery_plan_cost += plan_cost;
 
     // Def. 2 must hold for every device's view ACROSS rounds, not just
     // within the new encoding. Exact-rank check; abort on any leak.
     SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
         << "recovery re-encode leaked data rows (cumulative ITS violated)";
 
-    Segment& seg = segments_.back();
+    const CodedSegment& layout = segments_.back().layout;
     std::vector<Pending> recovery_round;
-    for (size_t j = 0; j < seg.scheme.num_devices(); ++j) {
-      Pending pending;
-      pending.segment = segments_.size() - 1;
-      pending.local = j;
-      pending.phys = seg.phys[j];
-      recovery_round.push_back(pending);
+    for (size_t j = 0; j < layout.num_slots(); ++j) {
+      recovery_round.push_back(
+          Pending{segments_.size() - 1, j, layout.devices()[j]});
     }
     CollectRound(&recovery_round);
     last_round_end = ft_.hedging ? round_settled_s_ : queue_.now();
     last_round_settle = round_settled_s_;
-    if (hedges_this_query_ > 0) {
-      SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
-          << "hedge re-encode leaked data rows (cumulative ITS violated)";
-    }
-    lost = ft_.byzantine_tolerance > 0 ? DecodeLocating(&decoded)
-                                       : DecodeAvailable(&decoded);
+    lost = Decode(&decoded);
     if (obs::Tracer::Enabled()) {
       obs::Tracer::Global().RecordSimSpan(
           "recovery_round " + std::to_string(rounds_this_query), round_start,
-          queue_.now() - round_start, /*tid=*/devices_.size(), "fault");
+          queue_.now() - round_start, /*tid=*/fleet_.size(), "fault");
     }
   }
 
@@ -1423,7 +1258,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
     ResilienceMetrics::Get().byzantine_masked.Increment();
     if (obs::Tracer::Enabled()) {
       obs::Tracer::Global().RecordSimInstant("masked_query", queue_.now(),
-                                             /*tid=*/devices_.size(), "fault");
+                                             /*tid=*/fleet_.size(), "fault");
     }
     recovery::JournalEvent event;
     event.kind = recovery::JournalEventKind::kMaskedQuery;
@@ -1441,7 +1276,7 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimSpan("query", query_start,
                                         queue_.now() - query_start,
-                                        /*tid=*/devices_.size());
+                                        /*tid=*/fleet_.size());
   }
   metrics_.query_completion_time = recovery_.total_completion_s;
   metrics_.devices.clear();
@@ -1471,57 +1306,31 @@ Result<std::vector<double>> FaultTolerantScecProtocol::RunQuery(
   return result;
 }
 
-void FaultTolerantScecProtocol::RestorePriorSegment(
-    const recovery::JournalSegmentRecord& record) {
-  // Mirror of AddSegment's held-row bookkeeping for a segment a PREVIOUS
-  // incarnation staged. No actors, no shares, no staging: the devices still
-  // physically hold those coefficient rows, so the cumulative Def. 2 check
-  // must keep seeing them — forgetting a dead generation's pads is exactly
-  // how pad reuse would slip past the verifier.
-  SCEC_CHECK_GE(record.m, 1u);
-  SCEC_CHECK_GE(record.r, 1u);
-  SCEC_CHECK_LE(record.r, record.m);
-  StructuredCode code(record.m, record.r);
-  size_t start = 0;
-  for (size_t j = 0; j < record.row_counts.size(); ++j) {
-    SCEC_CHECK_LT(record.phys[j], devices_.size());
-    DeviceState& dev = devices_[record.phys[j]];
-    for (size_t row = 0; row < record.row_counts[j]; ++row) {
-      const CodedRowSpec spec = code.RowSpec(start + row);
-      ViewRow held;
-      if (spec.data_row.has_value()) {
-        SCEC_CHECK_LT(*spec.data_row, record.data_rows.size());
-        held.data_col = record.data_rows[*spec.data_row];
-      }
-      held.pad_col = pads_total_ + spec.random_row;
-      dev.held.push_back(held);
-    }
-    start += record.row_counts[j];
-  }
-  pads_total_ += record.r;
-  ++recovery_.restored_segments;
-  RecoveryInstruments::Get().restored_segments.Increment();
-}
-
 void FaultTolerantScecProtocol::RestoreFromReplay(
     const recovery::ReplayState& state) {
   SCEC_CHECK(staged_) << "RestoreFromReplay() requires Stage() first";
   SCEC_CHECK_GT(ft_.generation, 0u)
       << "generation 0 is the original coordinator; nothing to restore";
 
+  // A PREVIOUS incarnation staged these segments. No actors, no shares, no
+  // staging: the devices still physically hold those coefficient rows, so
+  // the cumulative Def. 2 check must keep seeing them — forgetting a dead
+  // generation's pads is exactly how pad reuse would slip past the verifier.
   for (const recovery::JournalSegmentRecord& record : state.prior_segments) {
-    RestorePriorSegment(record);
+    views_.Add(SegmentFromRecord(record));
+    ++recovery_.restored_segments;
+    RecoveryInstruments::Get().restored_segments.Increment();
   }
   for (const size_t device : state.evicted_devices) {
-    SCEC_CHECK_LT(device, devices_.size());
-    if (devices_[device].evicted) continue;
-    devices_[device].evicted = true;
+    SCEC_CHECK_LT(device, fleet_.size());
+    if (evicted_[device]) continue;
+    evicted_[device] = true;
     ++recovery_.restored_evictions;
     RecoveryInstruments::Get().restored_evictions.Increment();
   }
   if (ft_.reputation.enabled) {
     for (const size_t device : state.quarantined_devices) {
-      SCEC_CHECK_LT(device, devices_.size());
+      SCEC_CHECK_LT(device, fleet_.size());
       // Re-poison the tracker until the device is quarantined again (its
       // canary path back stays open, same as before the crash).
       for (int i = 0; i < 64 && reputation_.Usable(device); ++i) {
@@ -1550,16 +1359,8 @@ void FaultTolerantScecProtocol::RestoreFromReplay(
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimInstant(
         "restart(gen " + std::to_string(ft_.generation) + ")", queue_.now(),
-        /*tid=*/devices_.size(), "fault");
+        /*tid=*/fleet_.size(), "fault");
   }
-}
-
-SchemeSecurityReport FaultTolerantScecProtocol::VerifyCumulativeSecurity()
-    const {
-  std::vector<std::vector<ViewRow>> views;
-  views.reserve(devices_.size());
-  for (const DeviceState& dev : devices_) views.push_back(dev.held);
-  return VerifyCumulativeViews(views, a_->rows());
 }
 
 }  // namespace scec::sim

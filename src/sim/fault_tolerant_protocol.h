@@ -62,13 +62,13 @@
 //                The evict-and-replan path remains the fallback whenever
 //                the liars are not locatable (> t, or guard paths broken).
 //
-// Each encoding round is a `Segment`: a set of data rows, its own structured
-// code + scheme, and fresh actors mapped onto the surviving physical
-// devices. Hedge segments are staged asynchronously mid-round; recovery
-// segments synchronously between rounds. A query is answered by decoding
-// each data row from the first segment that yields it, so the protocol keeps
-// serving queries after evictions without touching rows that never left
-// healthy devices.
+// Each encoding round is a `Segment`: a core/segment.h CodedSegment (data
+// rows, structured code + scheme, fleet device per slot) plus fresh actors
+// on those devices. Hedge segments are staged asynchronously mid-round;
+// recovery segments synchronously between rounds. A query is answered by
+// decoding each data row from the first segment that yields it, so the
+// protocol keeps serving queries after evictions without touching rows that
+// never left healthy devices.
 
 #pragma once
 
@@ -86,6 +86,7 @@
 #include "common/retry.h"
 #include "common/retry_budget.h"
 #include "core/pipeline.h"
+#include "core/segment.h"
 #include "recovery/journal.h"
 #include "sim/actors.h"
 #include "sim/latency_estimator.h"
@@ -244,7 +245,9 @@ class FaultTolerantScecProtocol {
   // encoding rounds so far (see security_check.h). The protocol runs this
   // itself after every recovery round and hedged query; exposed so tests and
   // benches can assert `all_secure` end-to-end.
-  SchemeSecurityReport VerifyCumulativeSecurity() const;
+  SchemeSecurityReport VerifyCumulativeSecurity() const {
+    return views_.Verify();
+  }
 
   size_t num_segments() const { return segments_.size(); }
   size_t num_evicted() const;
@@ -266,31 +269,19 @@ class FaultTolerantScecProtocol {
  private:
   static constexpr size_t kNoHedgeGroup = static_cast<size_t>(-1);
 
-  // One encoding round: `data_rows[p]` is the global row of A encoded at
-  // data position p of this segment's structured code.
+  // One encoding round: its layout (slot j lives on fleet device
+  // layout.devices()[j]) plus the runtime state of its shares.
   struct Segment {
-    std::vector<size_t> data_rows;
-    StructuredCode code{1, 1};
-    LcecScheme scheme;
-    std::vector<size_t> phys;  // scheme device -> fleet index
+    CodedSegment layout;
     ResultVerifier<double> verifier;
     // Cloud-side copy of each device's B_j·T, shipped at staging time.
     std::vector<Matrix<double>> share_rows;
     std::vector<std::unique_ptr<EdgeDeviceActor>> actors;
     // Verified responses of the current query (scheme order).
-    std::vector<std::optional<std::vector<double>>> responses;
+    SlotResponses<double> responses;
     // False until every share of the segment reached its device. Hedge
     // segments stage asynchronously; an unstaged segment is never queried.
     bool staged = false;
-  };
-
-  struct DeviceState {
-    EdgeDevice spec;
-    bool evicted = false;
-    // Every coefficient row ever staged, over the extended basis
-    // [A_1..A_m | pad columns of every round]: data_col is the global row
-    // of A, pad_col the absolute pad index across all rounds.
-    std::vector<ViewRow> held;
   };
 
   // In-flight collection state for one (segment, device) of the current
@@ -321,24 +312,26 @@ class FaultTolerantScecProtocol {
   };
 
   void BuildTopology();
+  // `on_failure` runs if a lossy link exhausts its retransmits; query-path
+  // sends pass none and leave the loss to the deadline + retry layer.
   void SendMsg(NodeId from, NodeId to, uint64_t bytes,
-               EventQueue::Callback on_delivered, bool abort_on_failure);
-  void SendMsgEx(NodeId from, NodeId to, uint64_t bytes,
-                 EventQueue::Callback on_delivered,
-                 EventQueue::Callback on_failure);
+               EventQueue::Callback on_delivered,
+               EventQueue::Callback on_failure);
 
-  // Builds a segment (actors wired to OnResponse) from an encode result and
-  // stages its shares; appends the held coefficient rows to device states.
-  void AddSegment(std::vector<size_t> data_rows, StructuredCode code,
-                  LcecScheme scheme, std::vector<size_t> phys,
+  // Builds a segment (actors wired to OnResponse) from its layout and
+  // encoded shares, and adds its rows to the cumulative views.
+  void AddSegment(CodedSegment layout,
                   std::vector<DeviceShare<double>> shares);
+  // Ships the segment's shares and runs the event queue until they land.
   void StageSegment(size_t segment_index);
   // Ships the segment's shares without blocking the event loop; exactly one
   // of `on_staged` / `on_abort` fires (abort only under lossy links). Does
   // NOT flip `Segment::staged` — the on_staged callback decides, so a hedge
-  // superseded mid-staging never becomes a live segment.
-  void StageSegmentAsync(size_t segment_index, EventQueue::Callback on_staged,
-                         EventQueue::Callback on_abort);
+  // superseded mid-staging never becomes a live segment. Returns the bytes
+  // shipped.
+  uint64_t StageSegmentAsync(size_t segment_index,
+                             EventQueue::Callback on_staged,
+                             EventQueue::Callback on_abort);
 
   // Deadline from the device's link/compute model (PR 1 behaviour).
   double ModelDeadlineFor(const Pending& pending) const;
@@ -363,27 +356,28 @@ class FaultTolerantScecProtocol {
   bool BusyInRound(size_t fleet_index) const;
 
   // Runs one collection round (dispatch + deadlines + retries + hedges) over
-  // the given pendings; on return every pending is resolved.
+  // the given pendings; on return every pending is resolved and, if this
+  // query hedged, the cumulative views are re-audited.
   void CollectRound(std::vector<Pending>* pendings);
 
   // Decodes every row the current responses yield into `decoded` (rows
-  // already decoded are kept); returns the global rows still missing.
-  std::vector<size_t> DecodeAvailable(
-      std::vector<std::optional<double>>* decoded);
+  // already decoded are kept) — through DecodeLocating when masking is on —
+  // and returns the global rows still missing.
+  std::vector<size_t> Decode(std::vector<std::optional<double>>* decoded);
 
   // Byzantine-tolerant internals (byzantine_tolerance > 0).
   // Stages the guard segments onto spare pairs; sets the effective t.
   void ProvisionGuards();
   // Evicted or quarantined devices get no dispatches of any kind.
   bool UsableDevice(size_t fleet_index) const {
-    return !devices_[fleet_index].evicted && reputation_.Usable(fleet_index);
+    return !evicted_[fleet_index] && reputation_.Usable(fleet_index);
   }
   // Flags a digest-failed (or locator-implicated) device: quarantine via
   // the reputation tracker plus per-query flag bookkeeping.
   void FlagByzantine(size_t fleet_index);
   // Locator-based decode over all staged segments: exact values through the
   // error-locating decoder when ≤ t liars are locatable, per-row unanimous
-  // fallback otherwise. Same contract as DecodeAvailable.
+  // fallback otherwise. Same contract as Decode.
   std::vector<size_t> DecodeLocating(
       std::vector<std::optional<double>>* decoded);
   // Sends low-stakes canary probes to quarantined devices that are due one
@@ -393,9 +387,6 @@ class FaultTolerantScecProtocol {
   // Crash-recovery internals. JournalAppend fills the generation and
   // forwards to the attached journal (no-op when none is attached).
   void JournalAppend(recovery::JournalEvent event, bool committed);
-  // Re-accounts one prior-incarnation segment's held rows and pad columns
-  // (mirrors AddSegment's bookkeeping without actors or staging).
-  void RestorePriorSegment(const recovery::JournalSegmentRecord& record);
 
   const Deployment<double>* deployment_;
   const Matrix<double>* a_;
@@ -412,10 +403,13 @@ class FaultTolerantScecProtocol {
   ChaCha20Rng hedge_rng_;
   ChaCha20Rng guard_rng_;
 
-  std::vector<DeviceState> devices_;  // full fleet, by fleet index
+  DeviceFleet fleet_;                      // the full fleet
+  std::vector<bool> evicted_;              // per fleet device
   std::vector<LatencyEstimator> latency_;  // one per fleet device
   std::vector<Segment> segments_;
-  size_t pads_total_ = 0;  // pad columns allocated across all rounds
+  // Every row each fleet device ever held, across all rounds and — after
+  // RestoreFromReplay — across coordinator incarnations.
+  CumulativeViews views_;
 
   // Current-query routing: pending_index_[segment][local] -> Pending.
   std::vector<std::vector<Pending*>> pending_index_;

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "linalg/matrix_ops.h"
@@ -370,6 +373,103 @@ TEST(NetCoordinator, HedgeDuplicatesStragglerWithoutDoubleCount) {
             coordinator.stats().dispatches -
                 coordinator.stats().hedges_launched);
   EXPECT_EQ(coordinator.stats().evictions, 0u);
+}
+
+// Forwards everything to a SimTransport, except that StageShare call number
+// `fail_call` (0-based, counted over the transport's lifetime) fails without
+// reaching the device. Tallies the rows every successful staging shipped to
+// each device: what that device now holds.
+class FailingStageTransport : public Transport {
+ public:
+  explicit FailingStageTransport(SimTransport* inner)
+      : inner_(inner), staged_rows_(inner->num_devices(), 0) {}
+
+  void FailStageCall(size_t call) { fail_call_ = call; }
+  size_t stage_calls() const { return stage_calls_; }
+  size_t staged_rows(size_t device) const { return staged_rows_[device]; }
+
+  size_t num_devices() const override { return inner_->num_devices(); }
+  double Now() const override { return inner_->Now(); }
+  Status StageShare(size_t device, uint64_t share_id,
+                    const Matrix<double>& rows) override {
+    if (stage_calls_++ == fail_call_) {
+      return Unavailable("injected staging failure");
+    }
+    Status status = inner_->StageShare(device, share_id, rows);
+    if (status.ok()) staged_rows_[device] += rows.rows();
+    return status;
+  }
+  uint64_t SubmitQuery(size_t device, uint64_t share_id,
+                       const std::vector<double>& x, double deadline_s,
+                       double start_delay_s) override {
+    return inner_->SubmitQuery(device, share_id, x, deadline_s,
+                               start_delay_s);
+  }
+  uint64_t AddAlarm(double delay_s) override {
+    return inner_->AddAlarm(delay_s);
+  }
+  bool Cancel(uint64_t id) override { return inner_->Cancel(id); }
+  size_t PollInto(std::vector<Completion>* out, double max_wait_s) override {
+    return inner_->PollInto(out, max_wait_s);
+  }
+  const NetTransportStats& stats() const override { return inner_->stats(); }
+  Status Drain(double timeout_s) override { return inner_->Drain(timeout_s); }
+
+ private:
+  SimTransport* inner_;
+  size_t fail_call_ = SIZE_MAX;
+  size_t stage_calls_ = 0;
+  std::vector<size_t> staged_rows_;
+};
+
+TEST(NetCoordinator, FailedRecoveryStagingKeepsStagedRowsInCumulativeViews) {
+  const size_t k = 4, m = 8, l = 5;
+  std::vector<EdgeDevice> specs = MakeSpecs(k);
+  DeviceFleet fleet{specs};
+  Matrix<double> a = MakeMatrix(m, l);
+
+  SimTransport sim(specs, SimTransportOptions{});
+  FailingStageTransport transport(&sim);
+  NetCoordinatorOptions options = IdentityDriverOptions();
+  options.rpc_deadline_s = 0.05;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff_s = 0.01;
+  NetCoordinator coordinator(a, fleet, options);
+  ASSERT_TRUE(coordinator.Setup(&transport).ok());
+
+  // Device 2 goes silent, so the query replans its rows; staging slot 1 of
+  // that recovery segment fails after slot 0 already holds its share.
+  sim.SetFaultHook([](size_t device, uint64_t) {
+    return device == 2 ? SimFault::kSilent : SimFault::kHonest;
+  });
+  transport.FailStageCall(transport.stage_calls() + 1);
+
+  std::vector<double> x(l, 0.5);
+  Result<std::vector<double>> answer = coordinator.Query(x);
+  ASSERT_TRUE(answer.ok()) << answer.status().message();
+  std::vector<double> expected(m);
+  MatVecInto(a, std::span<const double>(x), std::span<double>(expected));
+  for (size_t p = 0; p < m; ++p) {
+    EXPECT_NEAR((*answer)[p], expected[p], 1e-9);
+  }
+  EXPECT_EQ(coordinator.stats().evictions, 2u);
+  const std::vector<std::string>& trace = coordinator.trace();
+  EXPECT_EQ(std::count_if(trace.begin(), trace.end(),
+                          [](const std::string& line) {
+                            return line.find("error=stage_failed") !=
+                                   std::string::npos;
+                          }),
+            1);
+
+  // Every row a device holds, including the rows of the half-staged
+  // segment, is in its cumulative view.
+  const SchemeSecurityReport report = coordinator.VerifyCumulativeSecurity();
+  EXPECT_TRUE(report.all_secure);
+  ASSERT_EQ(report.devices.size(), k);
+  for (size_t d = 0; d < k; ++d) {
+    EXPECT_EQ(report.devices[d].rows, transport.staged_rows(d))
+        << "device " << d;
+  }
 }
 
 }  // namespace

@@ -114,6 +114,12 @@ TEST(ServeCoordinator, BatchGroupingsIdenticalAcrossThreadCounts) {
     obs::MetricsRegistry metrics;
     ServeOptions options;
     options.batching.max_batch = 4;
+    // Batch-close timeouts learn from observed service time; a virtual
+    // model keeps that decision input independent of the wall clock (and
+    // so of the thread count and machine load).
+    options.service_model = [](size_t width) {
+      return 1e-3 + 1e-4 * static_cast<double>(width);
+    };
     options.pool = &pool;
     options.metrics = &metrics;
     ServeCoordinator<double> coordinator(3, DeployFnFor(worlds), options);
