@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "common/serde.h"
 
@@ -23,19 +24,25 @@ uint8_t ScalarTag<double>() { return kTagDouble; }
 template <>
 uint8_t ScalarTag<Gf61>() { return kTagGf61; }
 
-void WriteScalar(BinaryWriter& writer, double v) { writer.WriteDouble(v); }
-void WriteScalar(BinaryWriter& writer, Gf61 v) { writer.WriteU64(v.value()); }
-
-Status ReadScalar(BinaryReader& reader, double* v) {
-  return reader.ReadDouble(v);
+void WriteCells(BinaryWriter& writer, std::span<const double> cells) {
+  writer.WriteDoubles(cells);
 }
-Status ReadScalar(BinaryReader& reader, Gf61* v) {
-  uint64_t raw;
-  SCEC_RETURN_IF_ERROR(reader.ReadU64(&raw));
-  if (raw >= kMersenne61) {
-    return DecodeFailure("field element out of canonical range");
+void WriteCells(BinaryWriter& writer, std::span<const Gf61> cells) {
+  for (const Gf61 v : cells) writer.WriteU64(v.value());
+}
+
+Status ReadCells(BinaryReader& reader, std::span<double> cells) {
+  return reader.ReadDoubles(cells);
+}
+Status ReadCells(BinaryReader& reader, std::span<Gf61> cells) {
+  for (Gf61& v : cells) {
+    uint64_t raw = 0;
+    SCEC_RETURN_IF_ERROR(reader.ReadU64(&raw));
+    if (raw >= kMersenne61) {
+      return DecodeFailure("field element out of canonical range");
+    }
+    v = Gf61(raw);
   }
-  *v = Gf61(raw);
   return Status::Ok();
 }
 
@@ -43,7 +50,7 @@ template <typename T>
 void WriteMatrix(BinaryWriter& writer, const Matrix<T>& m) {
   writer.WriteU64(m.rows());
   writer.WriteU64(m.cols());
-  for (const T& v : m.Data()) WriteScalar(writer, v);
+  WriteCells(writer, m.Data());
 }
 
 template <typename T>
@@ -54,16 +61,21 @@ Status ReadMatrix(BinaryReader& reader, Matrix<T>* out) {
   if (cols != 0 && rows > kMaxCells / cols) {
     return DecodeFailure("matrix dimensions exceed limit");
   }
+  // Every cell is 8 bytes on disk: a matrix larger than what is left of
+  // the input is a truncated file, rejected before it is allocated.
+  if (rows * cols > reader.remaining() / 8) {
+    return DecodeFailure("unexpected end of stream");
+  }
   Matrix<T> m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  for (T& v : m.Data()) SCEC_RETURN_IF_ERROR(ReadScalar(reader, &v));
+  SCEC_RETURN_IF_ERROR(ReadCells(reader, m.Data()));
   *out = std::move(m);
   return Status::Ok();
 }
 
 template <typename T>
-Status SaveImpl(const Deployment<T>& deployment, std::ostream& os) {
-  BinaryWriter writer(os);
-  os.write(kMagic, sizeof(kMagic));
+void AppendImpl(const Deployment<T>& deployment, std::string* out) {
+  BinaryWriter writer(out);
+  writer.WriteBytes({kMagic, sizeof(kMagic)});
   writer.WriteU32(kDeploymentFormatVersion);
   writer.WriteU8(ScalarTag<T>());
 
@@ -86,16 +98,23 @@ Status SaveImpl(const Deployment<T>& deployment, std::ostream& os) {
     writer.WriteU64(share.device);
     WriteMatrix(writer, share.coded_rows);
   }
-  if (!writer.ok()) return Internal("stream write failed");
+}
+
+template <typename T>
+Status SaveImpl(const Deployment<T>& deployment, std::ostream& os) {
+  std::string bytes;
+  AppendImpl(deployment, &bytes);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (!os.good()) return Internal("stream write failed");
   return Status::Ok();
 }
 
 template <typename T>
-Result<Deployment<T>> LoadImpl(std::istream& is) {
-  BinaryReader reader(is);
-  char magic[4];
-  is.read(magic, sizeof(magic));
-  if (!is.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+Result<Deployment<T>> ParseImpl(std::string_view bytes) {
+  BinaryReader reader(bytes);
+  std::string_view magic;
+  if (!reader.ReadView(sizeof(kMagic), &magic).ok() ||
+      std::memcmp(magic.data(), kMagic, sizeof(kMagic)) != 0) {
     return DecodeFailure("bad magic: not an SCEC deployment file");
   }
   uint32_t version;
@@ -181,11 +200,28 @@ Status SaveDeployment(const Deployment<Gf61>& deployment, std::ostream& os) {
 }
 
 Result<Deployment<double>> LoadDeploymentDouble(std::istream& is) {
-  return LoadImpl<double>(is);
+  return ParseImpl<double>(ReadAll(is));
 }
 
 Result<Deployment<Gf61>> LoadDeploymentGf61(std::istream& is) {
-  return LoadImpl<Gf61>(is);
+  return ParseImpl<Gf61>(ReadAll(is));
+}
+
+void AppendDeployment(const Deployment<double>& deployment,
+                      std::string* out) {
+  AppendImpl(deployment, out);
+}
+
+void AppendDeployment(const Deployment<Gf61>& deployment, std::string* out) {
+  AppendImpl(deployment, out);
+}
+
+Result<Deployment<double>> ParseDeploymentDouble(std::string_view bytes) {
+  return ParseImpl<double>(bytes);
+}
+
+Result<Deployment<Gf61>> ParseDeploymentGf61(std::string_view bytes) {
+  return ParseImpl<Gf61>(bytes);
 }
 
 Status SaveDeploymentToFile(const Deployment<double>& deployment,

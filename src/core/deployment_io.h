@@ -17,6 +17,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "core/pipeline.h"
@@ -28,8 +29,16 @@ inline constexpr uint32_t kDeploymentFormatVersion = 1;
 Status SaveDeployment(const Deployment<double>& deployment, std::ostream& os);
 Status SaveDeployment(const Deployment<Gf61>& deployment, std::ostream& os);
 
+// The loaders read `is` to its end and parse the bytes in memory.
 Result<Deployment<double>> LoadDeploymentDouble(std::istream& is);
 Result<Deployment<Gf61>> LoadDeploymentGf61(std::istream& is);
+
+// In-memory forms, which the stream functions above wrap: append the
+// encoded deployment to `*out`; parse one from a byte view.
+void AppendDeployment(const Deployment<double>& deployment, std::string* out);
+void AppendDeployment(const Deployment<Gf61>& deployment, std::string* out);
+Result<Deployment<double>> ParseDeploymentDouble(std::string_view bytes);
+Result<Deployment<Gf61>> ParseDeploymentGf61(std::string_view bytes);
 
 // File-path conveniences.
 Status SaveDeploymentToFile(const Deployment<double>& deployment,

@@ -3,7 +3,6 @@
 #include "net/wire.h"
 
 #include <cstring>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/serde.h"
@@ -32,15 +31,15 @@ Status ProtocolError(std::string msg) {
   return Status(ErrorCode::kInvalidArgument, std::move(msg));
 }
 
-// Decodes a payload body through a BinaryReader and verifies the stream was
+// Decodes a payload body straight from the payload view and verifies it was
 // consumed exactly (trailing garbage is corruption, not padding).
 template <typename Fn>
 Status DecodeBody(std::string_view payload, Fn&& fn) {
-  std::istringstream is{std::string(payload)};
-  BinaryReader reader(is);
+  BinaryReader reader(payload);
   SCEC_RETURN_IF_ERROR(fn(reader));
-  is.peek();
-  if (!is.eof()) return ProtocolError("trailing bytes after message body");
+  if (reader.remaining() != 0) {
+    return ProtocolError("trailing bytes after message body");
+  }
   return Status::Ok();
 }
 
@@ -179,11 +178,11 @@ Status FrameReader::Feed(std::string_view bytes, std::vector<Frame>* out) {
 // Message bodies.
 
 std::string HelloMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  BinaryWriter writer(&out);
   writer.WriteU64(coordinator_id);
   writer.WriteU64(session_epoch);
-  return os.str();
+  return out;
 }
 
 Result<HelloMsg> HelloMsg::Decode(std::string_view payload) {
@@ -198,11 +197,11 @@ Result<HelloMsg> HelloMsg::Decode(std::string_view payload) {
 }
 
 std::string HelloAckMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  BinaryWriter writer(&out);
   writer.WriteU64(daemon_id);
   writer.WriteU64(shares_held);
-  return os.str();
+  return out;
 }
 
 Result<HelloAckMsg> HelloAckMsg::Decode(std::string_view payload) {
@@ -218,13 +217,14 @@ Result<HelloAckMsg> HelloAckMsg::Decode(std::string_view payload) {
 
 std::string ShareMsg::Encode() const {
   SCEC_CHECK_EQ(values.size(), static_cast<size_t>(rows) * cols);
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  out.reserve(8 + 4 + 4 + 4 + 8 * values.size());
+  BinaryWriter writer(&out);
   writer.WriteU64(share_id);
   writer.WriteU32(rows);
   writer.WriteU32(cols);
   writer.WriteDoubleVector(values);
-  return os.str();
+  return out;
 }
 
 Result<ShareMsg> ShareMsg::Decode(std::string_view payload) {
@@ -244,12 +244,12 @@ Result<ShareMsg> ShareMsg::Decode(std::string_view payload) {
 }
 
 std::string ShareAckMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  BinaryWriter writer(&out);
   writer.WriteU64(share_id);
   writer.WriteU8(ok);
   writer.WriteString(error);
-  return os.str();
+  return out;
 }
 
 Result<ShareAckMsg> ShareAckMsg::Decode(std::string_view payload) {
@@ -265,12 +265,13 @@ Result<ShareAckMsg> ShareAckMsg::Decode(std::string_view payload) {
 }
 
 std::string QueryMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  out.reserve(8 + 8 + 4 + 8 * x.size());
+  BinaryWriter writer(&out);
   writer.WriteU64(rpc_id);
   writer.WriteU64(share_id);
   writer.WriteDoubleVector(x);
-  return os.str();
+  return out;
 }
 
 Result<QueryMsg> QueryMsg::Decode(std::string_view payload) {
@@ -286,11 +287,12 @@ Result<QueryMsg> QueryMsg::Decode(std::string_view payload) {
 }
 
 std::string ResponseMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  out.reserve(8 + 4 + 8 * values.size());
+  BinaryWriter writer(&out);
   writer.WriteU64(rpc_id);
   writer.WriteDoubleVector(values);
-  return os.str();
+  return out;
 }
 
 Result<ResponseMsg> ResponseMsg::Decode(std::string_view payload) {
@@ -305,12 +307,12 @@ Result<ResponseMsg> ResponseMsg::Decode(std::string_view payload) {
 }
 
 std::string RpcErrorMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  BinaryWriter writer(&out);
   writer.WriteU64(rpc_id);
   writer.WriteU8(code);
   writer.WriteString(message);
-  return os.str();
+  return out;
 }
 
 Result<RpcErrorMsg> RpcErrorMsg::Decode(std::string_view payload) {
@@ -326,10 +328,10 @@ Result<RpcErrorMsg> RpcErrorMsg::Decode(std::string_view payload) {
 }
 
 std::string HeartbeatMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  BinaryWriter writer(&out);
   writer.WriteU64(seq);
-  return os.str();
+  return out;
 }
 
 Result<HeartbeatMsg> HeartbeatMsg::Decode(std::string_view payload) {
@@ -342,10 +344,10 @@ Result<HeartbeatMsg> HeartbeatMsg::Decode(std::string_view payload) {
 }
 
 std::string CancelMsg::Encode() const {
-  std::ostringstream os;
-  BinaryWriter writer(os);
+  std::string out;
+  BinaryWriter writer(&out);
   writer.WriteU64(rpc_id);
-  return os.str();
+  return out;
 }
 
 Result<CancelMsg> CancelMsg::Decode(std::string_view payload) {

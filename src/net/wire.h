@@ -23,9 +23,14 @@
 // buffers report kNeedMore rather than faulting, so a streaming reader can
 // accumulate bytes safely. Tested byte-by-byte in tests/test_net_wire.cpp.
 //
-// Payload bodies reuse the BinaryWriter/BinaryReader encoding from
-// common/serde.h (fixed-width little-endian, length-prefixed vectors with
-// allocation bounds against hostile inputs).
+// Payload bodies use the buffer-backed BinaryWriter/BinaryReader of
+// common/serde.h: fixed-width little-endian fields and u32-count-prefixed
+// vectors. Each Encode writes its body into one string; each Decode reads
+// straight from the payload view, checks every count against its limit and
+// against the bytes left before allocating, and rejects a body it does not
+// consume exactly (trailing bytes are corruption, not padding). Tested with
+// hostile bodies behind valid CRCs in tests/test_net_wire.cpp and pinned
+// byte for byte in tests/test_format_golden.cpp.
 
 #pragma once
 

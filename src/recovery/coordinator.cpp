@@ -3,7 +3,6 @@
 #include "recovery/coordinator.h"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "common/check.h"
@@ -71,18 +70,15 @@ Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Start(
   SCEC_CHECK(snapshot_out != nullptr);
   SCEC_CHECK(journal_os != nullptr);
 
-  std::ostringstream sealed_os;
-  SCEC_RETURN_IF_ERROR(SaveSealedDeployment(deployment, options.sealing_key,
-                                            options.seal_salt, sealed_os));
-  *snapshot_out = sealed_os.str();
+  *snapshot_out =
+      SealDeployment(deployment, options.sealing_key, options.seal_salt);
   const uint64_t snapshot_crc =
       Crc32(snapshot_out->data(), snapshot_out->size());
 
   // Serve from the unsealed copy of the snapshot, not the caller's object:
   // if the coordinator can answer queries, the durable bytes provably hold
   // the same deployment a restart would recover.
-  std::istringstream sealed_is(*snapshot_out);
-  auto unsealed = LoadSealedDeploymentDouble(sealed_is, options.sealing_key);
+  auto unsealed = UnsealDeploymentDouble(*snapshot_out, options.sealing_key);
   if (!unsealed.ok()) return unsealed.status();
 
   auto coordinator =
@@ -119,8 +115,7 @@ Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Restart(
         "journal is not bound to this snapshot (CRC mismatch)");
   }
 
-  std::istringstream sealed_is(snapshot);
-  auto unsealed = LoadSealedDeploymentDouble(sealed_is, options.sealing_key);
+  auto unsealed = UnsealDeploymentDouble(snapshot, options.sealing_key);
   if (!unsealed.ok()) return unsealed.status();
 
   SCEC_ASSIGN_OR_RETURN(ReplayState state, BuildReplayState(replay));

@@ -3,7 +3,6 @@
 #include "recovery/journal.h"
 
 #include <cstring>
-#include <sstream>
 
 #include "common/check.h"
 #include "common/serde.h"
@@ -13,6 +12,9 @@
 
 namespace scec::recovery {
 namespace {
+
+// Every record is framed as u32 payload length | u32 CRC-32 | payload.
+constexpr size_t kRecordHeaderLen = 8;
 
 struct JournalInstruments {
   obs::Counter& appends =
@@ -141,28 +143,31 @@ QueryJournal::QueryJournal(std::ostream* os, uint64_t snapshot_crc,
   if (write_header) {
     // The header is written through directly: a journal whose header never
     // reached the disk carries no recoverable state anyway.
-    BinaryWriter writer(*os_);
-    os_->write(kJournalMagic, sizeof(kJournalMagic));
+    std::string header;
+    BinaryWriter writer(&header);
+    writer.WriteBytes({kJournalMagic, sizeof(kJournalMagic)});
     writer.WriteU32(kJournalFormatVersion);
     writer.WriteU64(snapshot_crc);
+    os_->write(header.data(), static_cast<std::streamsize>(header.size()));
     os_->flush();
     SCEC_CHECK(os_->good());
   }
 }
 
 void QueryJournal::Append(const JournalEvent& event) {
-  std::ostringstream payload_os;
-  BinaryWriter payload_writer(payload_os);
-  SerializeEvent(event, payload_writer);
-  const std::string payload = payload_os.str();
-  SCEC_CHECK_LE(payload.size(), kMaxJournalRecordLen);
-
-  std::ostringstream frame_os;
-  BinaryWriter frame(frame_os);
-  frame.WriteU32(static_cast<uint32_t>(payload.size()));
-  frame.WriteU32(Crc32(payload.data(), payload.size()));
-  frame_os << payload;
-  pending_ += frame_os.str();
+  // The record is framed in place: reserve the length+CRC header, encode
+  // the event straight after it, then patch the header over the payload.
+  const size_t frame_start = pending_.size();
+  BinaryWriter writer(&pending_);
+  writer.WriteU32(0);  // payload length
+  writer.WriteU32(0);  // payload CRC-32
+  SerializeEvent(event, writer);
+  const size_t payload_start = frame_start + kRecordHeaderLen;
+  const size_t payload_len = pending_.size() - payload_start;
+  SCEC_CHECK_LE(payload_len, kMaxJournalRecordLen);
+  writer.PatchU32(frame_start, static_cast<uint32_t>(payload_len));
+  writer.PatchU32(frame_start + 4,
+                  Crc32(pending_.data() + payload_start, payload_len));
   ++buffered_events_;
   ++events_appended_;
   JournalInstruments::Get().appends.Increment();
@@ -217,40 +222,43 @@ Result<JournalReplay> LoadJournal(const std::string& bytes) {
   }
   JournalReplay replay;
   replay.total_bytes = bytes.size();
-  std::memcpy(&replay.version, bytes.data() + 4, sizeof(uint32_t));
+  BinaryReader header(std::string_view(bytes).substr(sizeof(kJournalMagic)));
+  SCEC_RETURN_IF_ERROR(header.ReadU32(&replay.version));
   if (replay.version != kJournalFormatVersion) {
     return DecodeFailure("unsupported journal version " +
                          std::to_string(replay.version));
   }
-  std::memcpy(&replay.snapshot_crc, bytes.data() + 8, sizeof(uint64_t));
+  SCEC_RETURN_IF_ERROR(header.ReadU64(&replay.snapshot_crc));
 
-  size_t offset = kHeaderLen;
-  while (offset < bytes.size()) {
-    if (bytes.size() - offset < 8) break;  // torn frame header
+  // Each record is parsed from a view of `bytes`; the first damaged one
+  // (torn frame, bad CRC, or a body that does not decode to exactly its
+  // length) ends the valid prefix.
+  replay.valid_bytes = kHeaderLen;
+  BinaryReader frames(std::string_view(bytes).substr(kHeaderLen));
+  while (frames.remaining() > 0) {
     uint32_t len = 0;
     uint32_t crc = 0;
-    std::memcpy(&len, bytes.data() + offset, sizeof(uint32_t));
-    std::memcpy(&crc, bytes.data() + offset + 4, sizeof(uint32_t));
-    if (len > kMaxJournalRecordLen || bytes.size() - offset - 8 < len) break;
-    const char* payload = bytes.data() + offset + 8;
-    if (Crc32(payload, len) != crc) break;
-    std::istringstream payload_is(std::string(payload, len));
-    BinaryReader reader(payload_is);
+    std::string_view payload;
+    if (!frames.ReadU32(&len).ok() || !frames.ReadU32(&crc).ok() ||
+        len > kMaxJournalRecordLen || !frames.ReadView(len, &payload).ok() ||
+        Crc32(payload.data(), payload.size()) != crc) {
+      break;
+    }
+    BinaryReader reader(payload);
     JournalEvent event;
-    if (!DeserializeEvent(reader, &event).ok()) break;
+    if (!DeserializeEvent(reader, &event).ok() || reader.remaining() != 0) {
+      break;
+    }
     replay.events.push_back(std::move(event));
-    offset += 8 + len;
+    replay.valid_bytes = kHeaderLen + frames.position();
   }
-  replay.valid_bytes = offset <= bytes.size() ? offset : bytes.size();
   replay.torn_tail = replay.valid_bytes < bytes.size();
   if (replay.torn_tail) JournalInstruments::Get().torn_tails.Increment();
   return replay;
 }
 
 Result<JournalReplay> LoadJournal(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  return LoadJournal(buf.str());
+  return LoadJournal(ReadAll(is));
 }
 
 Result<ReplayState> BuildReplayState(const JournalReplay& replay) {

@@ -8,12 +8,17 @@
 // dispatch, accepted response, eviction, masking round, query result).
 // Records are buffered and written in group commits: a batch either reaches
 // the stream whole or not at all, so a crash can lose the buffered tail but
-// can never leave a half-written record the reader trusts. LoadJournal
-// recovers the longest valid prefix of a torn or bit-flipped stream;
-// BuildReplayState folds that prefix into everything a restarted
-// coordinator needs — completed query results, the in-flight query and its
-// already-paid-for responses, evictions, quarantines, provisioned segments,
-// and per-generation double-entry cost tallies.
+// can never leave a half-written record the reader trusts. Append frames
+// each record in place in the batch buffer (header reserved, event encoded
+// after it, length and CRC patched over the payload), and the buffer keeps
+// its capacity across commits. LoadJournal parses every record from a view
+// of the input and recovers the longest valid prefix of a torn or
+// bit-flipped stream; a record whose body does not decode to exactly its
+// framed length ends the prefix like a bad CRC does. BuildReplayState
+// folds that prefix into everything a restarted coordinator needs —
+// completed query results, the in-flight query and its already-paid-for
+// responses, evictions, quarantines, provisioned segments, and
+// per-generation double-entry cost tallies.
 
 #pragma once
 
@@ -92,8 +97,8 @@ enum class CrashDecision : uint8_t {
 
 using CrashProbe = std::function<CrashDecision(const JournalEvent&)>;
 
-// Append-side journal with group commit. Append() serialises into an
-// in-memory batch; Commit() writes the whole batch to the stream at once.
+// Append-side journal with group commit. Append() serialises straight into
+// an in-memory batch; Commit() writes the whole batch to the stream at once.
 // The destructor deliberately does NOT commit: a coordinator that dies with
 // a buffered tail loses it, exactly like a real process kill.
 class QueryJournal {
@@ -146,7 +151,7 @@ struct JournalReplay {
 };
 
 // A bad header (magic/version) is an error; a damaged record merely ends
-// the valid prefix.
+// the valid prefix. The stream form reads `is` once, to its end.
 Result<JournalReplay> LoadJournal(const std::string& bytes);
 Result<JournalReplay> LoadJournal(std::istream& is);
 

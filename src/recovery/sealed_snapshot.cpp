@@ -2,11 +2,9 @@
 
 #include "recovery/sealed_snapshot.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 #include "common/rng.h"
 #include "common/serde.h"
@@ -35,59 +33,72 @@ ChaCha20Rng SealKeystream(uint64_t sealing_key, uint64_t salt) {
   return ChaCha20Rng(key, nonce);
 }
 
-void XorSeal(std::string* bytes, uint64_t sealing_key, uint64_t salt) {
+// XORs `len` bytes in place with the keystream, eight bytes per keystream
+// word, lowest byte first.
+void XorSeal(char* bytes, size_t len, uint64_t sealing_key, uint64_t salt) {
   ChaCha20Rng stream = SealKeystream(sealing_key, salt);
   size_t i = 0;
-  while (i < bytes->size()) {
+  for (; i + 8 <= len; i += 8) {
+    const uint64_t pad = serde_internal::ToLittle(stream.NextUint64());
+    uint64_t word = 0;
+    std::memcpy(&word, bytes + i, sizeof(word));
+    word ^= pad;
+    std::memcpy(bytes + i, &word, sizeof(word));
+  }
+  if (i < len) {
     uint64_t word = stream.NextUint64();
-    const size_t n = std::min<size_t>(8, bytes->size() - i);
-    for (size_t b = 0; b < n; ++b) {
-      (*bytes)[i + b] ^= static_cast<char>(word & 0xFFu);
+    for (; i < len; ++i) {
+      bytes[i] ^= static_cast<char>(word & 0xFFu);
       word >>= 8;
     }
-    i += n;
   }
 }
 
-void AppendU32(std::string* bytes, uint32_t v) {
-  for (int b = 0; b < 4; ++b) {
-    bytes->push_back(static_cast<char>((v >> (8 * b)) & 0xFFu));
-  }
+// magic | u32 version | u64 salt | u32 outer CRC | u64 payload length
+constexpr size_t kCrcOffset = 4 + 4 + 8;
+constexpr size_t kLenOffset = kCrcOffset + 4;
+constexpr size_t kHeaderLen = kLenOffset + 8;
+
+template <typename T>
+std::string SealImpl(const Deployment<T>& deployment, uint64_t sealing_key,
+                     uint64_t salt) {
+  std::string out;
+  BinaryWriter writer(&out);
+  writer.WriteBytes({kSealedSnapshotMagic, sizeof(kSealedSnapshotMagic)});
+  writer.WriteU32(kSealedSnapshotVersion);
+  writer.WriteU64(salt);
+  writer.WriteU32(0);  // outer CRC, patched once the payload is sealed
+  writer.WriteU64(0);  // payload length, likewise
+  AppendDeployment(deployment, &out);
+  // Inner CRC over the plaintext: after unsealing, this is the proof the
+  // sealing key was right (a wrong key yields uniformly garbled bytes).
+  writer.WriteU32(Crc32(out.data() + kHeaderLen, out.size() - kHeaderLen));
+  const size_t payload_len = out.size() - kHeaderLen;
+  XorSeal(out.data() + kHeaderLen, payload_len, sealing_key, salt);
+  writer.PatchU32(kCrcOffset, Crc32(out.data() + kHeaderLen, payload_len));
+  writer.PatchU64(kLenOffset, payload_len);
+  return out;
 }
 
 template <typename T>
 Status SaveSealedImpl(const Deployment<T>& deployment, uint64_t sealing_key,
                       uint64_t salt, std::ostream& os) {
-  std::ostringstream plain_os;
-  SCEC_RETURN_IF_ERROR(SaveDeployment(deployment, plain_os));
-  std::string payload = plain_os.str();
-  // Inner CRC over the plaintext: after unsealing, this is the proof the
-  // sealing key was right (a wrong key yields uniformly garbled bytes).
-  AppendU32(&payload, Crc32(payload.data(), payload.size()));
-  XorSeal(&payload, sealing_key, salt);
-
-  BinaryWriter writer(os);
-  os.write(kSealedSnapshotMagic, sizeof(kSealedSnapshotMagic));
-  writer.WriteU32(kSealedSnapshotVersion);
-  writer.WriteU64(salt);
-  writer.WriteU32(Crc32(payload.data(), payload.size()));
-  writer.WriteU64(payload.size());
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  const std::string sealed = SealImpl(deployment, sealing_key, salt);
+  os.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
   os.flush();
   if (!os.good()) return Internal("sealed snapshot stream write failed");
   return Status::Ok();
 }
 
-template <typename T, typename LoadFn>
-Result<Deployment<T>> LoadSealedImpl(std::istream& is, uint64_t sealing_key,
-                                     LoadFn load_plain) {
-  char magic[4] = {};
-  is.read(magic, sizeof(magic));
-  if (is.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kSealedSnapshotMagic, sizeof(magic)) != 0) {
+template <typename T, typename ParseFn>
+Result<Deployment<T>> UnsealImpl(std::string_view sealed, uint64_t sealing_key,
+                                 ParseFn parse_plain) {
+  BinaryReader reader(sealed);
+  std::string_view magic;
+  if (!reader.ReadView(sizeof(kSealedSnapshotMagic), &magic).ok() ||
+      std::memcmp(magic.data(), kSealedSnapshotMagic, magic.size()) != 0) {
     return DecodeFailure("bad magic: not a sealed SCEC snapshot");
   }
-  BinaryReader reader(is);
   uint32_t version = 0;
   SCEC_RETURN_IF_ERROR(reader.ReadU32(&version));
   if (version != kSealedSnapshotVersion) {
@@ -103,26 +114,26 @@ Result<Deployment<T>> LoadSealedImpl(std::istream& is, uint64_t sealing_key,
   if (payload_len < 4 || payload_len > kMaxSealedPayloadBytes) {
     return DecodeFailure("sealed snapshot payload length out of range");
   }
-  std::string payload(payload_len, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_len));
-  if (static_cast<uint64_t>(is.gcount()) != payload_len) {
+  std::string_view sealed_payload;
+  if (!reader.ReadView(payload_len, &sealed_payload).ok()) {
     return DecodeFailure("sealed snapshot truncated");
   }
-  if (Crc32(payload.data(), payload.size()) != stored_crc) {
+  if (Crc32(sealed_payload.data(), sealed_payload.size()) != stored_crc) {
     return DecodeFailure("sealed snapshot checksum mismatch");
   }
-  XorSeal(&payload, sealing_key, salt);
-  const size_t plain_len = payload.size() - 4;
+  // The one copy: unsealing needs writable bytes.
+  std::string payload(sealed_payload);
+  XorSeal(payload.data(), payload.size(), sealing_key, salt);
+  const std::string_view plain = std::string_view(payload).substr(
+      0, payload.size() - 4);
   uint32_t inner_crc = 0;
-  for (int b = 3; b >= 0; --b) {
-    inner_crc = (inner_crc << 8) |
-                static_cast<unsigned char>(payload[plain_len + b]);
-  }
-  if (Crc32(payload.data(), plain_len) != inner_crc) {
+  SCEC_RETURN_IF_ERROR(
+      BinaryReader(std::string_view(payload).substr(plain.size()))
+          .ReadU32(&inner_crc));
+  if (Crc32(plain.data(), plain.size()) != inner_crc) {
     return InvalidArgument("sealing key mismatch or corrupted snapshot");
   }
-  std::istringstream plain_is(payload.substr(0, plain_len));
-  return load_plain(plain_is);
+  return parse_plain(plain);
 }
 
 }  // namespace
@@ -139,19 +150,34 @@ Status SaveSealedDeployment(const Deployment<Gf61>& deployment,
   return SaveSealedImpl(deployment, sealing_key, salt, os);
 }
 
+std::string SealDeployment(const Deployment<double>& deployment,
+                           uint64_t sealing_key, uint64_t salt) {
+  return SealImpl(deployment, sealing_key, salt);
+}
+
+std::string SealDeployment(const Deployment<Gf61>& deployment,
+                           uint64_t sealing_key, uint64_t salt) {
+  return SealImpl(deployment, sealing_key, salt);
+}
+
+Result<Deployment<double>> UnsealDeploymentDouble(std::string_view sealed,
+                                                  uint64_t sealing_key) {
+  return UnsealImpl<double>(sealed, sealing_key, ParseDeploymentDouble);
+}
+
+Result<Deployment<Gf61>> UnsealDeploymentGf61(std::string_view sealed,
+                                              uint64_t sealing_key) {
+  return UnsealImpl<Gf61>(sealed, sealing_key, ParseDeploymentGf61);
+}
+
 Result<Deployment<double>> LoadSealedDeploymentDouble(std::istream& is,
                                                       uint64_t sealing_key) {
-  return LoadSealedImpl<double>(
-      is, sealing_key, [](std::istream& plain) {
-        return LoadDeploymentDouble(plain);
-      });
+  return UnsealDeploymentDouble(ReadAll(is), sealing_key);
 }
 
 Result<Deployment<Gf61>> LoadSealedDeploymentGf61(std::istream& is,
                                                   uint64_t sealing_key) {
-  return LoadSealedImpl<Gf61>(is, sealing_key, [](std::istream& plain) {
-    return LoadDeploymentGf61(plain);
-  });
+  return UnsealDeploymentGf61(ReadAll(is), sealing_key);
 }
 
 Status SaveSealedDeploymentToFile(const Deployment<double>& deployment,

@@ -25,6 +25,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/error.h"
 #include "core/pipeline.h"
@@ -43,10 +44,24 @@ Status SaveSealedDeployment(const Deployment<Gf61>& deployment,
                             uint64_t sealing_key, uint64_t salt,
                             std::ostream& os);
 
+// The loaders read `is` to its end and unseal the bytes in memory.
 Result<Deployment<double>> LoadSealedDeploymentDouble(std::istream& is,
                                                       uint64_t sealing_key);
 Result<Deployment<Gf61>> LoadSealedDeploymentGf61(std::istream& is,
                                                   uint64_t sealing_key);
+
+// In-memory forms, which the stream functions above wrap. Sealing encodes
+// the deployment straight into the returned snapshot and seals it there;
+// unsealing makes one writable copy of the payload and parses the
+// plaintext from it.
+std::string SealDeployment(const Deployment<double>& deployment,
+                           uint64_t sealing_key, uint64_t salt);
+std::string SealDeployment(const Deployment<Gf61>& deployment,
+                           uint64_t sealing_key, uint64_t salt);
+Result<Deployment<double>> UnsealDeploymentDouble(std::string_view sealed,
+                                                  uint64_t sealing_key);
+Result<Deployment<Gf61>> UnsealDeploymentGf61(std::string_view sealed,
+                                              uint64_t sealing_key);
 
 // File-path conveniences.
 Status SaveSealedDeploymentToFile(const Deployment<double>& deployment,

@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "hostile_bytes.h"
+#include "recovery/crc32.h"
 
 namespace scec::recovery {
 namespace {
@@ -275,6 +279,96 @@ TEST(QueryJournal, RestartedStreamsConcatenateIntoOneJournal) {
   EXPECT_EQ(static_cast<int>(replay->events[2].kind),
             static_cast<int>(JournalEventKind::kRestart));
   EXPECT_EQ(replay->events[2].generation, 1u);
+}
+
+// The committed frame (length | CRC | payload) of one event.
+std::string RecordFrame(const JournalEvent& event) {
+  std::ostringstream os;
+  QueryJournal journal(&os, 0, 1, /*write_header=*/false);
+  journal.Append(event);
+  return os.str();
+}
+
+std::string Reframe(const std::string& payload) {
+  std::string frame(8, '\0');
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  std::memcpy(frame.data(), &len, 4);
+  std::memcpy(frame.data() + 4, &crc, 4);
+  return frame + payload;
+}
+
+// Offsets of the u32 count prefixes in an event's payload: values, then
+// the segment record's row_counts, phys and data_rows.
+std::vector<size_t> CountOffsets(const JournalEvent& event) {
+  size_t offset = 1 + 4 + 6 * 8;  // kind, generation, six u64 fields
+  std::vector<size_t> offsets = {offset};
+  offset += 4 + 8 * event.values.size() + 1;  // values, record flag
+  if (event.segment_record.has_value()) {
+    const JournalSegmentRecord& rec = *event.segment_record;
+    offset += 3 * 8;  // index, m, r
+    offsets.push_back(offset);
+    offset += 4 + 8 * rec.row_counts.size();
+    offsets.push_back(offset);
+    offset += 4 + 8 * rec.phys.size();
+    offsets.push_back(offset);
+  }
+  return offsets;
+}
+
+// Hostile record bodies behind a recomputed CRC reach DeserializeEvent.
+// Loading never fails past the header and never keeps a partial event:
+// either the damaged record ends the valid prefix exactly where it starts,
+// or it decoded whole and re-encodes to exactly its bytes. A changed count
+// can realign into another well-formed record (row_counts {3, 3} read as
+// {3} shifts the rest into a longer phys), but truncations and trailing
+// bytes are always rejected, and folding the survivors returns a typed
+// Status.
+TEST(QueryJournal, HostileRecordBodiesBehindValidCrcFailTyped) {
+  const std::vector<JournalEvent> events = AllKindsFixture();
+  std::ostringstream header_os;
+  { QueryJournal journal(&header_os, 0x4242ull); }
+  const std::string header = header_os.str();
+  std::vector<std::string> frames;
+  for (const JournalEvent& event : events) {
+    frames.push_back(RecordFrame(event));
+  }
+
+  uint64_t seed = 0x10ADull;
+  for (size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i) + " (" +
+                 JournalEventKindName(events[i].kind) + ")");
+    std::string prefix = header;
+    for (size_t k = 0; k < i; ++k) prefix += frames[k];
+    std::string suffix;
+    for (size_t k = i + 1; k < frames.size(); ++k) suffix += frames[k];
+
+    const std::string payload = frames[i].substr(8);
+    for (const auto& variant : testutil::HostileVariants(
+             payload, CountOffsets(events[i]), seed++)) {
+      const std::string stream = prefix + Reframe(variant.bytes) + suffix;
+      const auto replay = LoadJournal(stream);
+      ASSERT_TRUE(replay.ok()) << replay.status();
+      ASSERT_GE(replay->events.size(), i);
+      for (size_t k = 0; k < i; ++k) {
+        ExpectSameEvent(replay->events[k], events[k]);
+      }
+      if (replay->events.size() == i) {
+        EXPECT_TRUE(replay->torn_tail);
+        EXPECT_EQ(replay->valid_bytes, prefix.size());
+      } else {
+        EXPECT_NE(variant.mutation, testutil::Mutation::kTruncation);
+        EXPECT_NE(variant.mutation, testutil::Mutation::kTrailing);
+        ASSERT_EQ(replay->events.size(), events.size());
+        EXPECT_FALSE(replay->torn_tail);
+        EXPECT_EQ(RecordFrame(replay->events[i]).substr(8), variant.bytes);
+      }
+      const auto state = BuildReplayState(*replay);
+      if (!state.ok()) {
+        EXPECT_EQ(state.status().code(), ErrorCode::kDecodeFailure);
+      }
+    }
+  }
 }
 
 TEST(BuildReplayState, FoldsCompletedInFlightAndStandings) {

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "hostile_bytes.h"
+
 namespace scec::net {
 namespace {
 
@@ -223,6 +225,129 @@ TEST(NetWire, UnknownTypeAndBadVersionRejected) {
     std::string bad = frame;
     bad[5] = char(200);  // unknown type
     EXPECT_EQ(DecodeFrame(bad).progress, DecodeProgress::kError);
+  }
+}
+
+// A CRC-valid frame whose body claims 2^26 - 1 doubles in 20 bytes is a
+// truncated body: every vector-carrying message rejects it with a typed
+// Status (the reader checks the count against the bytes left before it
+// allocates; test_serde pins the allocation bound itself).
+TEST(NetWire, HugeVectorCountInCrcValidFrameIsRejected) {
+  const std::string huge_count("\xFF\xFF\xFF\x03", 4);  // 2^26 - 1
+  const std::string query_body = std::string(16, '\x01') + huge_count;
+  const std::string response_body = std::string(8, '\x01') + huge_count;
+  const std::string share_body =
+      std::string(8, '\x01') + std::string("\x00\x20\x00\x00", 4) +
+      std::string("\xFF\x07\x00\x00", 4) + huge_count;  // 8192 x 2047
+  ASSERT_EQ(query_body.size(), 20u);
+
+  FrameReader reader;
+  std::vector<Frame> frames;
+  ASSERT_TRUE(reader.Feed(EncodeFrame(WireType::kQuery, query_body), &frames)
+                  .ok());
+  ASSERT_TRUE(
+      reader.Feed(EncodeFrame(WireType::kResponse, response_body), &frames)
+          .ok());
+  ASSERT_TRUE(reader.Feed(EncodeFrame(WireType::kShare, share_body), &frames)
+                  .ok());
+  ASSERT_EQ(frames.size(), 3u);
+  const Result<QueryMsg> query = QueryMsg::Decode(frames[0].payload);
+  const Result<ResponseMsg> response = ResponseMsg::Decode(frames[1].payload);
+  const Result<ShareMsg> share = ShareMsg::Decode(frames[2].payload);
+  EXPECT_EQ(query.status().code(), ErrorCode::kDecodeFailure);
+  EXPECT_EQ(response.status().code(), ErrorCode::kDecodeFailure);
+  EXPECT_EQ(share.status().code(), ErrorCode::kDecodeFailure);
+}
+
+template <typename Msg>
+Result<std::string> DecodeAndReencode(std::string_view payload) {
+  Result<Msg> decoded = Msg::Decode(payload);
+  if (!decoded.ok()) return decoded.status();
+  return decoded->Encode();
+}
+
+struct HostileBodyCase {
+  const char* name;
+  WireType type;
+  std::string body;
+  std::vector<size_t> count_offsets;  // u32 length prefixes in `body`
+  Result<std::string> (*reencode)(std::string_view);
+};
+
+std::vector<HostileBodyCase> HostileBodyCases() {
+  ShareMsg share;
+  share.share_id = 4;
+  share.rows = 2;
+  share.cols = 3;
+  share.values = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
+  ShareAckMsg share_ack;
+  share_ack.share_id = 4;
+  share_ack.ok = 0;
+  share_ack.error = "share store full";
+  QueryMsg query;
+  query.rpc_id = 7;
+  query.share_id = 4;
+  query.x = {0.5, -0.5, 0.25};
+  ResponseMsg response;
+  response.rpc_id = 7;
+  response.values = {1.0, -1.0};
+  RpcErrorMsg rpc_error;
+  rpc_error.rpc_id = 7;
+  rpc_error.code = 3;
+  rpc_error.message = "unknown share";
+  return {
+      {"hello", WireType::kHello, HelloMsg{1, 2}.Encode(), {},
+       DecodeAndReencode<HelloMsg>},
+      {"hello_ack", WireType::kHelloAck, HelloAckMsg{3, 4}.Encode(), {},
+       DecodeAndReencode<HelloAckMsg>},
+      {"share", WireType::kShare, share.Encode(), {16},
+       DecodeAndReencode<ShareMsg>},
+      {"share_ack", WireType::kShareAck, share_ack.Encode(), {9},
+       DecodeAndReencode<ShareAckMsg>},
+      {"query", WireType::kQuery, query.Encode(), {16},
+       DecodeAndReencode<QueryMsg>},
+      {"response", WireType::kResponse, response.Encode(), {8},
+       DecodeAndReencode<ResponseMsg>},
+      {"rpc_error", WireType::kRpcError, rpc_error.Encode(), {9},
+       DecodeAndReencode<RpcErrorMsg>},
+      {"heartbeat", WireType::kHeartbeat, HeartbeatMsg{5}.Encode(), {},
+       DecodeAndReencode<HeartbeatMsg>},
+      {"cancel", WireType::kCancel, CancelMsg{6}.Encode(), {},
+       DecodeAndReencode<CancelMsg>},
+  };
+}
+
+// Hostile bodies behind a valid CRC reach the body decoder. Each decode
+// returns a typed Status; a body that is accepted is exactly the encoding
+// of what was decoded (no bytes skipped, none invented). Every body ends in
+// its only length-prefixed field, so every changed count is rejected, as
+// are truncations and trailing bytes.
+TEST(NetWire, HostileBodiesBehindValidCrcFailTyped) {
+  uint64_t seed = 0x5EED0001ull;
+  for (const HostileBodyCase& c : HostileBodyCases()) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(c.reencode(c.body).ok());
+    size_t rejected = 0;
+    for (const auto& variant :
+         testutil::HostileVariants(c.body, c.count_offsets, seed++)) {
+      FrameReader reader;
+      std::vector<Frame> frames;
+      ASSERT_TRUE(reader.Feed(EncodeFrame(c.type, variant.bytes), &frames)
+                      .ok());
+      ASSERT_EQ(frames.size(), 1u);
+      ASSERT_EQ(frames[0].payload, variant.bytes);
+      const Result<std::string> back = c.reencode(frames[0].payload);
+      if (back.ok()) {
+        EXPECT_EQ(variant.mutation, testutil::Mutation::kRandom);
+        EXPECT_EQ(*back, variant.bytes);
+      } else {
+        ++rejected;
+        EXPECT_TRUE(back.status().code() == ErrorCode::kDecodeFailure ||
+                    back.status().code() == ErrorCode::kInvalidArgument)
+            << back.status();
+      }
+    }
+    EXPECT_GT(rejected, c.body.size());  // at least every truncation
   }
 }
 
