@@ -7,6 +7,8 @@
 //     the library's delayed-reduction MatVec and against a local per-MAC
 //     naive kernel (the pre-batching implementation, kept here as the
 //     baseline the ≥4× target is measured against).
+//   * MatVecInto<double> (runtime-dispatched row-block kernel) vs the naive
+//     loop, at n=1024 and at device-share shapes.
 //   * Parallel Deploy scaling across pool sizes at k=16 devices.
 //   * Steady-state QueryInto (zero allocations) vs allocating Query.
 
@@ -108,6 +110,9 @@ void BM_MatVecBatchGf61(benchmark::State& state) {
 void BM_MatVecNaiveLoopDouble(benchmark::State& state) {
   RunMatVecNaiveLoop<double>(state);
 }
+void BM_MatVecLibraryLoopDouble(benchmark::State& state) {
+  RunMatVecLibraryLoop<double>(state);
+}
 void BM_MatVecBatchDouble(benchmark::State& state) {
   RunMatVecBatch<double>(state);
 }
@@ -115,7 +120,40 @@ BENCHMARK(BM_MatVecNaiveLoopGf61)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_MatVecLibraryLoopGf61)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_MatVecBatchGf61)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_MatVecNaiveLoopDouble)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MatVecLibraryLoopDouble)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_MatVecBatchDouble)->Arg(4)->Arg(16)->Arg(64);
+
+// --- one double mat-vec at a device-share shape (rows × cols) --------------
+// The naive loop against the library's dispatched MatVecInto (the row-block
+// vector kernel), one query at a time as scecd serves it. 205×1024 is the
+// largest share of the repository benchmark's net_loopback deployment.
+template <bool kLibrary>
+void RunShareMatVecDouble(benchmark::State& state) {
+  const size_t rows = static_cast<size_t>(state.range(0));
+  const size_t cols = static_cast<size_t>(state.range(1));
+  const auto a = BenchMatrix<double>(rows, cols, 1);
+  const auto x = BenchMatrix<double>(cols, 1, 2);
+  std::vector<double> y(rows);
+  for (auto _ : state) {
+    if constexpr (kLibrary) {
+      scec::MatVecInto(a, x.Data(), std::span<double>(y));
+    } else {
+      NaiveMatVecInto(a, x.Data(), std::span<double>(y));
+    }
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows * cols));
+}
+void BM_ShareMatVecNaiveDouble(benchmark::State& state) {
+  RunShareMatVecDouble<false>(state);
+}
+void BM_ShareMatVecLibraryDouble(benchmark::State& state) {
+  RunShareMatVecDouble<true>(state);
+}
+BENCHMARK(BM_ShareMatVecNaiveDouble)->Args({205, 1024})->Args({64, 64});
+BENCHMARK(BM_ShareMatVecLibraryDouble)->Args({205, 1024})->Args({64, 64});
 
 // --- batched kernel with a device-level pool -------------------------------
 void BM_MatVecBatchGf61Pooled(benchmark::State& state) {

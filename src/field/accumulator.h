@@ -21,9 +21,11 @@
 //     (… mod 2^61) + ⌊… / 2^61⌋       (< 2^61 + 2^7  < 2^62),
 //   and each fold preserves the value mod P because 2^61 ≡ 1 (mod P).
 //
-// The generic fallback reduces per MAC (fields) or is the plain FMA chain
-// (double) — for double the accumulation order is exactly that of the naive
-// loop, so results stay bit-identical there too.
+// The generic fallback reduces per MAC (fields) or, for double, is the naive
+// loop's chain: product rounded, then sum rounded, k ascending (the library
+// builds with -ffp-contract=off, so the two are never fused into an FMA).
+// MatVecInto<double> does not use it: its row-block kernel
+// (batch_kernels.cpp) runs that same sequence in one SIMD lane per row.
 
 #pragma once
 
@@ -49,7 +51,8 @@ inline void FoldMersenne61(unsigned __int128& acc) {
 
 // Generic fallback: per-MAC arithmetic in the scalar type itself. For exact
 // fields this is the naive reduction path; for double it is the canonical
-// k-ascending accumulation the scalar MatVec uses.
+// k-ascending accumulation that Dot uses and that every MatVecInto<double>
+// tier reproduces bit for bit.
 template <typename T>
 class DotAccumulator {
  public:

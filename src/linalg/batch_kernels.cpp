@@ -1,9 +1,11 @@
 // SPDX-License-Identifier: MIT
 //
-// GF(2^61−1) matrix–panel kernels. Three implementations behind one
-// runtime dispatch, all producing the exact canonical value of the per-MAC
-// scalar path (modular arithmetic is exact, so accumulation order cannot
-// change the result):
+// Runtime-dispatched kernels. The double mat-vec tiers sit at the end of
+// this file (contract and bit-identity argument in batch_kernels.h); the
+// rest are the GF(2^61−1) matrix–panel kernels. Three implementations
+// behind one runtime dispatch, all producing the exact canonical value of
+// the per-MAC scalar path (modular arithmetic is exact, so accumulation
+// order cannot change the result):
 //
 //   * scalar: unsigned __int128 accumulators with delayed Mersenne
 //     reduction (folded every kGf61FoldInterval terms; overflow proof in
@@ -81,9 +83,9 @@
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
-#define SCEC_GF61_AVX512 1
+#define SCEC_X86_KERNELS 1
 #else
-#define SCEC_GF61_AVX512 0
+#define SCEC_X86_KERNELS 0
 #endif
 
 namespace scec::kernel_internal {
@@ -134,7 +136,7 @@ void PanelRowsGf61Scalar(const Elem* adata, const Elem* xdata, Elem* odata,
   }
 }
 
-#if SCEC_GF61_AVX512
+#if SCEC_X86_KERNELS
 
 // GCC 12's avx512fintrin.h trips -Wmaybe-uninitialized on the _mm512_undefined
 // helpers inlined into these kernels; the warning is spurious.
@@ -526,9 +528,183 @@ bool Gf61UseIfma() {
   return use_ifma;
 }
 
-#endif  // SCEC_GF61_AVX512
+#endif  // SCEC_X86_KERNELS
+
+// ---------------------------------------------------------------------------
+// Double mat-vec tiers (contract in batch_kernels.h).
+
+// The naive loop over the `n` consecutive rows of `a` (row stride `cols`)
+// from column k_begin on: row r starts from init[r], or from 0.0 when init
+// is null, adds a[r][k] * x[k] for k ascending and is stored to y[r]. The
+// scalar tier is this loop from column 0; the vector tiers finish their
+// blocks' tail columns and their rows past the last full block with it.
+void MatVecF64NaiveRows(const double* a, size_t n, size_t cols,
+                        const double* x, const double* init, size_t k_begin,
+                        double* y) {
+  for (size_t r = 0; r < n; ++r) {
+    const double* arow = a + r * cols;
+    double acc = init == nullptr ? 0.0 : init[r];
+    for (size_t k = k_begin; k < cols; ++k) acc += arow[k] * x[k];
+    y[r] = acc;
+  }
+}
+
+void MatVecF64Scalar(const double* a, size_t rows, size_t cols,
+                     const double* x, double* y) {
+  MatVecF64NaiveRows(a, rows, cols, x, nullptr, 0, y);
+}
+
+#if SCEC_X86_KERNELS
+
+// Same spurious GCC 12 intrinsic-header warnings as the Gf61 kernels above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+
+// Transposes the 8×8 tile held one row per register (c[r] lane j = row r,
+// column j) so that c[j] lane r = row r, column j.
+__attribute__((target("avx512f"), always_inline)) inline
+void Transpose8x8(__m512d (&c)[8]) {
+  // Pairs of rows interleaved: t0 = 00 10 02 12 04 14 06 16, t1 = 01 11 …
+  const __m512d t0 = _mm512_unpacklo_pd(c[0], c[1]);
+  const __m512d t1 = _mm512_unpackhi_pd(c[0], c[1]);
+  const __m512d t2 = _mm512_unpacklo_pd(c[2], c[3]);
+  const __m512d t3 = _mm512_unpackhi_pd(c[2], c[3]);
+  const __m512d t4 = _mm512_unpacklo_pd(c[4], c[5]);
+  const __m512d t5 = _mm512_unpackhi_pd(c[4], c[5]);
+  const __m512d t6 = _mm512_unpacklo_pd(c[6], c[7]);
+  const __m512d t7 = _mm512_unpackhi_pd(c[6], c[7]);
+  // 128-bit lanes even/odd: u0 = 00 10 04 14 20 30 24 34, u2 = 02 12 06 16 …
+  const __m512d u0 = _mm512_shuffle_f64x2(t0, t2, 0x88);
+  const __m512d u1 = _mm512_shuffle_f64x2(t1, t3, 0x88);
+  const __m512d u2 = _mm512_shuffle_f64x2(t0, t2, 0xDD);
+  const __m512d u3 = _mm512_shuffle_f64x2(t1, t3, 0xDD);
+  const __m512d u4 = _mm512_shuffle_f64x2(t4, t6, 0x88);
+  const __m512d u5 = _mm512_shuffle_f64x2(t5, t7, 0x88);
+  const __m512d u6 = _mm512_shuffle_f64x2(t4, t6, 0xDD);
+  const __m512d u7 = _mm512_shuffle_f64x2(t5, t7, 0xDD);
+  // Once more: c0 = 00 10 20 30 40 50 60 70, c4 = 04 14 … 74.
+  c[0] = _mm512_shuffle_f64x2(u0, u4, 0x88);
+  c[1] = _mm512_shuffle_f64x2(u1, u5, 0x88);
+  c[2] = _mm512_shuffle_f64x2(u2, u6, 0x88);
+  c[3] = _mm512_shuffle_f64x2(u3, u7, 0x88);
+  c[4] = _mm512_shuffle_f64x2(u0, u4, 0xDD);
+  c[5] = _mm512_shuffle_f64x2(u1, u5, 0xDD);
+  c[6] = _mm512_shuffle_f64x2(u2, u6, 0xDD);
+  c[7] = _mm512_shuffle_f64x2(u3, u7, 0xDD);
+}
+
+__attribute__((target("avx512f")))
+void MatVecF64Avx512(const double* a, size_t rows, size_t cols,
+                     const double* x, double* y) {
+  const size_t tiled_cols = cols - cols % 8;
+  size_t i0 = 0;
+  for (; i0 + 8 <= rows; i0 += 8) {
+    const double* block = a + i0 * cols;
+    __m512d acc = _mm512_setzero_pd();
+    for (size_t k0 = 0; k0 < tiled_cols; k0 += 8) {
+      __m512d c[8];
+#pragma GCC unroll 8
+      for (size_t r = 0; r < 8; ++r) {
+        c[r] = _mm512_loadu_pd(block + r * cols + k0);
+      }
+      Transpose8x8(c);
+      // Separate multiply and add: each lane rounds the product, then the
+      // sum, exactly as the naive loop does.
+#pragma GCC unroll 8
+      for (size_t k = 0; k < 8; ++k) {
+        acc = _mm512_add_pd(acc,
+                            _mm512_mul_pd(c[k], _mm512_set1_pd(x[k0 + k])));
+      }
+    }
+    alignas(64) double lane_acc[8];
+    _mm512_store_pd(lane_acc, acc);
+    MatVecF64NaiveRows(block, 8, cols, x, lane_acc, tiled_cols, y + i0);
+  }
+  MatVecF64NaiveRows(a + i0 * cols, rows - i0, cols, x, nullptr, 0, y + i0);
+}
+
+// Transposes the 4×4 tile held one row per register.
+__attribute__((target("avx2"), always_inline)) inline
+void Transpose4x4(__m256d (&c)[4]) {
+  const __m256d t0 = _mm256_unpacklo_pd(c[0], c[1]);  // 00 10 02 12
+  const __m256d t1 = _mm256_unpackhi_pd(c[0], c[1]);  // 01 11 03 13
+  const __m256d t2 = _mm256_unpacklo_pd(c[2], c[3]);  // 20 30 22 32
+  const __m256d t3 = _mm256_unpackhi_pd(c[2], c[3]);  // 21 31 23 33
+  c[0] = _mm256_permute2f128_pd(t0, t2, 0x20);        // 00 10 20 30
+  c[1] = _mm256_permute2f128_pd(t1, t3, 0x20);        // 01 11 21 31
+  c[2] = _mm256_permute2f128_pd(t0, t2, 0x31);        // 02 12 22 32
+  c[3] = _mm256_permute2f128_pd(t1, t3, 0x31);        // 03 13 23 33
+}
+
+__attribute__((target("avx2")))
+void MatVecF64Avx2(const double* a, size_t rows, size_t cols,
+                   const double* x, double* y) {
+  const size_t tiled_cols = cols - cols % 4;
+  size_t i0 = 0;
+  for (; i0 + 4 <= rows; i0 += 4) {
+    const double* block = a + i0 * cols;
+    __m256d acc = _mm256_setzero_pd();
+    for (size_t k0 = 0; k0 < tiled_cols; k0 += 4) {
+      __m256d c[4];
+#pragma GCC unroll 4
+      for (size_t r = 0; r < 4; ++r) {
+        c[r] = _mm256_loadu_pd(block + r * cols + k0);
+      }
+      Transpose4x4(c);
+#pragma GCC unroll 4
+      for (size_t k = 0; k < 4; ++k) {
+        acc = _mm256_add_pd(acc,
+                            _mm256_mul_pd(c[k], _mm256_set1_pd(x[k0 + k])));
+      }
+    }
+    alignas(32) double lane_acc[4];
+    _mm256_store_pd(lane_acc, acc);
+    MatVecF64NaiveRows(block, 4, cols, x, lane_acc, tiled_cols, y + i0);
+  }
+  MatVecF64NaiveRows(a + i0 * cols, rows - i0, cols, x, nullptr, 0, y + i0);
+}
+
+#pragma GCC diagnostic pop
+
+#endif  // SCEC_X86_KERNELS
 
 }  // namespace
+
+std::span<const F64MatVecTier> F64MatVecTiers() {
+  static const F64MatVecTier tiers[] = {
+#if SCEC_X86_KERNELS
+      {"avx512", MatVecF64Avx512, __builtin_cpu_supports("avx512f") != 0},
+      {"avx2", MatVecF64Avx2, __builtin_cpu_supports("avx2") != 0},
+#endif
+      {"scalar", MatVecF64Scalar, true},
+  };
+  return tiers;
+}
+
+const F64MatVecTier& SelectedF64MatVecTier() {
+  static const F64MatVecTier& selected = []() -> const F64MatVecTier& {
+    const std::span<const F64MatVecTier> tiers = F64MatVecTiers();
+    const F64MatVecTier* pick = &tiers.back();
+    for (const F64MatVecTier& tier : tiers) {
+      if (tier.supported) {
+        pick = &tier;
+        break;
+      }
+    }
+    obs::MetricsRegistry::Global()
+        .GetGauge("scec_f64_matvec_tier", {{"tier", pick->name}})
+        .Set(1.0);
+    SCEC_LOG(kInfo) << "f64 matvec kernel tier: " << pick->name;
+    return *pick;
+  }();
+  return selected;
+}
+
+void MatVecF64(const double* a, size_t rows, size_t cols, const double* x,
+               double* y) {
+  SelectedF64MatVecTier().fn(a, rows, cols, x, y);
+}
 
 void PanelRowsGf61(const Matrix<Elem>& a, const Matrix<Elem>& x,
                    std::span<Elem> out, size_t row_begin, size_t row_end) {
@@ -540,7 +716,7 @@ void PanelRowsGf61(const Matrix<Elem>& a, const Matrix<Elem>& x,
   const Elem* adata = a.Data().data();
   const Elem* xdata = x.Data().data();
   Elem* odata = out.data();
-#if SCEC_GF61_AVX512
+#if SCEC_X86_KERNELS
   if (b >= 8 && Gf61Avx512Available()) {
     // Split X into limb planes once per call — it is reused by every row,
     // so the O(l·b) split amortises to nothing. A's rows are limb-split
@@ -580,7 +756,7 @@ namespace scec {
 const Gf61KernelReport& Gf61KernelTier() {
   static const Gf61KernelReport report = [] {
     Gf61KernelReport r;
-#if SCEC_GF61_AVX512
+#if SCEC_X86_KERNELS
     if (kernel_internal::Gf61Avx512Available()) {
       if (kernel_internal::Gf61IfmaAvailable()) {
         const auto& times = kernel_internal::Gf61CalibrationTimes();

@@ -103,6 +103,50 @@ void PanelRows(const Matrix<T>& a, const Matrix<T>& x, std::span<T> out,
   }
 }
 
+// Double mat-vec y = A·x over a row-major rows×cols A: the body of
+// MatVecInto<double>, i.e. the device compute of every double query
+// (scecd, SimTransport, the simulator's actors, QueryInto). Every tier
+// returns, for every row, the bits of the naive loop
+//
+//   acc = 0.0;  for k ascending: acc = acc + (a[i][k] * x[k])
+//
+// with the product rounded before the add, so the tier never changes a
+// result. The vector tiers run that loop in one lane per row:
+//
+//   * "avx512": blocks of 8 rows. Each 8×8 tile is loaded one row per
+//     register and transposed in registers, so register k holds column k
+//     of the 8 rows; then one vmulpd by broadcast x[k] and one vaddpd into
+//     the accumulator per k, k ascending — each lane performs exactly its
+//     row's naive operation sequence;
+//   * "avx2": the same with 4-row blocks and 4×4 tiles;
+//   * "scalar": the naive loop.
+//
+// Columns past the last full tile are finished per lane in scalar k order,
+// rows past the last full block by the scalar loop. The whole body lives
+// in batch_kernels.cpp, so a caller's compile flags never reach it, and the
+// library builds with -ffp-contract=off (src/CMakeLists.txt): a fused
+// multiply-add rounds once where the naive loop rounds twice.
+using MatVecF64Fn = void (*)(const double* a, size_t rows, size_t cols,
+                             const double* x, double* y);
+struct F64MatVecTier {
+  const char* name;  // "avx512" | "avx2" | "scalar"
+  MatVecF64Fn fn;
+  bool supported;  // this host can run it
+};
+
+// Every tier compiled into this build, widest first; "scalar" is last and
+// always supported.
+std::span<const F64MatVecTier> F64MatVecTiers();
+
+// The widest supported tier. The first call publishes it to the global
+// metrics registry (scec_f64_matvec_tier{tier}) and logs one kInfo line, so
+// benchmark telemetry records which kernel produced its numbers.
+const F64MatVecTier& SelectedF64MatVecTier();
+
+// Runs the selected tier.
+void MatVecF64(const double* a, size_t rows, size_t cols, const double* x,
+               double* y);
+
 }  // namespace kernel_internal
 
 // out = a·x written into a caller-owned row-major buffer of

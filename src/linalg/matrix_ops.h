@@ -6,29 +6,39 @@
 #pragma once
 
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/check.h"
 #include "field/accumulator.h"
 #include "field/field_traits.h"
+#include "linalg/batch_kernels.h"
 #include "linalg/matrix.h"
 
 namespace scec {
 
 // y = M * x written into a caller-owned buffer: the allocation-free form the
-// steady-state query path uses (QueryInto, the simulator's device actors).
-// Uses the delayed-reduction accumulator — exact for fields, and for doubles
-// the accumulation order matches the naive k-ascending loop bit for bit.
+// steady-state query path uses (QueryInto, scecd, the simulator's device
+// actors). Fields use the delayed-reduction accumulator, which is exact.
+// Doubles run the runtime-dispatched row-block kernel
+// (kernel_internal::MatVecF64 in batch_kernels.h): each SIMD lane carries one
+// row through the naive k-ascending loop's multiply-then-add sequence, so
+// every tier is bit-identical to that loop.
 template <typename T>
 void MatVecInto(const Matrix<T>& m, std::span<const T> x, std::span<T> y) {
   SCEC_CHECK_EQ(m.cols(), x.size());
   SCEC_CHECK_EQ(m.rows(), y.size());
-  const size_t cols = m.cols();
-  for (size_t row = 0; row < m.rows(); ++row) {
-    DotAccumulator<T> acc;
-    auto mrow = m.Row(row);
-    for (size_t col = 0; col < cols; ++col) acc.MulAdd(mrow[col], x[col]);
-    y[row] = acc.Value();
+  if constexpr (std::is_same_v<T, double>) {
+    kernel_internal::MatVecF64(m.Data().data(), m.rows(), m.cols(), x.data(),
+                               y.data());
+  } else {
+    const size_t cols = m.cols();
+    for (size_t row = 0; row < m.rows(); ++row) {
+      DotAccumulator<T> acc;
+      auto mrow = m.Row(row);
+      for (size_t col = 0; col < cols; ++col) acc.MulAdd(mrow[col], x[col]);
+      y[row] = acc.Value();
+    }
   }
 }
 

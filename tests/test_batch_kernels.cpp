@@ -1,29 +1,44 @@
 // SPDX-License-Identifier: MIT
 //
-// The delayed-reduction accumulator and the batched panel kernels must agree
-// *exactly* (bit for bit) with the naive scalar path — random inputs,
-// adversarial all-(P−1) inputs, every scalar type, every thread count.
+// The delayed-reduction accumulator, the double mat-vec tiers and the batched
+// panel kernels must agree *exactly* (bit for bit) with the naive scalar path
+// — random inputs, adversarial all-(P−1) and hard floating-point inputs,
+// every scalar type, every thread count.
 
 #include "linalg/batch_kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
 #include "field/accumulator.h"
 #include "linalg/matrix_ops.h"
+#include "obs/metrics.h"
 
 namespace scec {
 namespace {
 
 // The naive per-MAC reduction path the accumulator must match: one modular
-// multiply and one modular add per term, reduced immediately.
+// multiply and one modular add per term, reduced immediately. For double,
+// each product is stored through a volatile before the add, so it is rounded
+// on its own whatever the compiler's -ffp-contract setting: this reference
+// never becomes a fused multiply-add, even where the code under test would.
 template <typename T>
 T NaiveDot(std::span<const T> a, std::span<const T> b) {
   T acc = FieldTraits<T>::Zero();
-  for (size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
+  for (size_t i = 0; i < a.size(); ++i) {
+    if constexpr (std::is_same_v<T, double>) {
+      volatile double product = a[i] * b[i];
+      acc += product;
+    } else {
+      acc += a[i] * b[i];
+    }
+  }
   return acc;
 }
 
@@ -103,6 +118,133 @@ TEST(MatVecInto, MatchesNaiveMatVecForAllScalarTypes) {
   check(Gf61{}, 17, 130);
   check(Gf256{}, 9, 70);
   check(double{}, 13, 90);
+}
+
+// Doubles that stress rounding: signed zeros, magnitudes whose products
+// overflow or underflow, subnormals, and (in HardDoubleMatrix) ± pairs that
+// cancel. About a quarter are ordinary values in [-1, 1).
+double HardDouble(ChaCha20Rng& rng) {
+  static constexpr double kPool[] = {
+      0.0,     -0.0,     1e300,   -1e300,  1e-300, -1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      -std::numeric_limits<double>::min() / 7.0,
+      1.0,     -1.0,     0.1,     -3.0,    1e16,   -1e-16};
+  constexpr size_t kPoolSize = sizeof(kPool) / sizeof(kPool[0]);
+  const uint64_t pick = rng.NextBelow(kPoolSize + kPoolSize / 3);
+  return pick < kPoolSize ? kPool[pick] : FieldTraits<double>::Random(rng);
+}
+
+// Each row alternates a value and its negation in odd columns, so partial
+// sums cancel exactly and land on signed zeros.
+Matrix<double> HardDoubleMatrix(size_t rows, size_t cols, ChaCha20Rng& rng) {
+  Matrix<double> m(rows, cols);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t c = 0; c < cols; ++c) {
+      m(r, c) = (c % 2 == 1 && rng.NextBelow(2) == 0) ? -m(r, c - 1)
+                                                      : HardDouble(rng);
+    }
+  }
+  return m;
+}
+
+// Runs `matvec(m, x, y)` over every shape in the differential grid and
+// compares its bytes to the naive loop. y is an odd-offset subspan of a
+// larger buffer, as QueryInto writes each device's rows into a slice of the
+// stacked response; the guard values around it must stay untouched.
+template <typename MatVecFn>
+void ExpectBitIdenticalToNaiveLoop(MatVecFn matvec) {
+  constexpr double kGuard = -12345.6789;
+  ChaCha20Rng rng(2024);
+  for (size_t rows : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 205u}) {
+    for (size_t cols : {0u, 1u, 3u, 7u, 8u, 9u, 77u, 1024u}) {
+      const Matrix<double> m = HardDoubleMatrix(rows, cols, rng);
+      std::vector<double> x(cols);
+      for (size_t k = 0; k < cols; ++k) {
+        // Pair x[k] with x[k-1] so the matrix's ± pairs cancel in the sum.
+        x[k] = (k % 2 == 1 && rng.NextBelow(2) == 0) ? x[k - 1]
+                                                     : HardDouble(rng);
+      }
+      const std::vector<double> expected =
+          NaiveMatVec(m, std::span<const double>(x));
+      std::vector<double> buffer(rows + 4, kGuard);
+      const std::span<double> y = std::span<double>(buffer).subspan(1, rows);
+      matvec(m, std::span<const double>(x), y);
+      for (size_t i = 0; i < rows; ++i) {
+        ASSERT_EQ(std::memcmp(&y[i], &expected[i], sizeof(double)), 0)
+            << "rows=" << rows << " cols=" << cols << " row=" << i << ": "
+            << y[i] << " vs naive " << expected[i];
+      }
+      EXPECT_EQ(buffer.front(), kGuard);
+      for (size_t i = rows + 1; i < buffer.size(); ++i) {
+        EXPECT_EQ(buffer[i], kGuard) << "rows=" << rows << " cols=" << cols;
+      }
+    }
+  }
+}
+
+TEST(MatVecInto, DoubleBitIdenticalToNaiveLoopOnHardValues) {
+  ExpectBitIdenticalToNaiveLoop([](const Matrix<double>& m,
+                                   std::span<const double> x,
+                                   std::span<double> y) {
+    MatVecInto(m, x, y);
+  });
+}
+
+// Each tier entry point directly, so a tier the dispatch does not pick on
+// this host is still checked wherever the host can run it.
+class F64MatVecTierTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(F64MatVecTierTest, BitIdenticalToNaiveLoop) {
+  const kernel_internal::F64MatVecTier* tier = nullptr;
+  for (const auto& t : kernel_internal::F64MatVecTiers()) {
+    if (GetParam() == t.name) tier = &t;
+  }
+  if (tier == nullptr || !tier->supported) {
+    GTEST_SKIP() << "double mat-vec tier '" << GetParam()
+                 << "' is not available on this host";
+  }
+  ExpectBitIdenticalToNaiveLoop([tier](const Matrix<double>& m,
+                                       std::span<const double> x,
+                                       std::span<double> y) {
+    tier->fn(m.Data().data(), m.rows(), m.cols(), x.data(), y.data());
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, F64MatVecTierTest,
+                         ::testing::Values("avx512", "avx2", "scalar"),
+                         [](const auto& info) { return info.param; });
+
+TEST(F64MatVecTier, DispatchPicksWidestSupportedTierAndPublishesIt) {
+  const Matrix<double> m{{2.0, 3.0}};
+  const std::vector<double> x{5.0, 7.0};
+  EXPECT_EQ(MatVec(m, std::span<const double>(x)), std::vector<double>{31.0});
+
+  const auto tiers = kernel_internal::F64MatVecTiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_STREQ(tiers.back().name, "scalar");
+  EXPECT_TRUE(tiers.back().supported);
+  const kernel_internal::F64MatVecTier& selected =
+      kernel_internal::SelectedF64MatVecTier();
+  for (const auto& tier : tiers) {
+    if (tier.supported) {
+      EXPECT_EQ(&tier, &selected) << "widest supported tier: " << tier.name;
+      break;
+    }
+  }
+
+  // Exactly one tier gauge, labelled with the selected tier and set to 1.
+  size_t gauges = 0;
+  for (const auto& series : obs::MetricsRegistry::Global().Snapshot()) {
+    if (series.name != "scec_f64_matvec_tier") continue;
+    ++gauges;
+    ASSERT_NE(series.gauge, nullptr);
+    EXPECT_EQ(series.labels,
+              (obs::LabelSet{{"tier", std::string(selected.name)}}));
+    EXPECT_EQ(series.gauge->value(), 1.0);
+  }
+  EXPECT_EQ(gauges, 1u);
 }
 
 template <typename T>

@@ -226,6 +226,34 @@ TYPED_TEST(PipelineBatchTest, VerifiedBatchRejectsCorruptedPanelNamingDevice) {
       << verified.status();
 }
 
+#if SCEC_ALLOC_COUNTER
+// Serves 16 queries through QueryInto after one warm-up call (the first call
+// may touch lazily initialised state: metric series, the double mat-vec tier
+// selection) and returns how many heap allocations those 16 made.
+template <typename T>
+size_t SteadyStateQueryAllocations(const Deployment<T>& deployment) {
+  QueryWorkspace<T> ws = MakeQueryWorkspace(deployment);
+  ChaCha20Rng xrng(99);
+  std::vector<std::vector<T>> queries;
+  for (int q = 0; q < 16; ++q) {
+    queries.push_back(RandomVector<T>(deployment.l, xrng));
+  }
+  QueryInto(deployment, std::span<const T>(queries[0]), ws);
+
+  g_alloc_count.store(0);
+  g_count_allocs.store(true);
+  T sink = FieldTraits<T>::Zero();
+  for (const auto& x : queries) {
+    const auto ax = QueryInto(deployment, std::span<const T>(x), ws);
+    sink += ax[0];
+  }
+  g_count_allocs.store(false);
+  // Keep the decoded values observable so the loop cannot be elided.
+  EXPECT_EQ(sink == sink, true);
+  return g_alloc_count.load();
+}
+#endif
+
 TEST(PipelineBatch, SteadyStateQueryIntoDoesNotAllocate) {
 #if !SCEC_ALLOC_COUNTER
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
@@ -233,29 +261,19 @@ TEST(PipelineBatch, SteadyStateQueryIntoDoesNotAllocate) {
   Matrix<Gf61> a;
   const auto deployment = MakeDeployment<Gf61>(40, 8, 10, 30, &a);
   ASSERT_TRUE(deployment.ok()) << deployment.status();
+  EXPECT_EQ(SteadyStateQueryAllocations(*deployment), 0u)
+      << "steady-state QueryInto<Gf61> allocated on the heap";
 
-  QueryWorkspace<Gf61> ws = MakeQueryWorkspace(*deployment);
-  ChaCha20Rng xrng(99);
-  std::vector<std::vector<Gf61>> queries;
-  for (int q = 0; q < 16; ++q) {
-    queries.push_back(RandomVector<Gf61>(deployment->l, xrng));
+  // Double shares of at least 8 rows, so every device's MatVecInto runs the
+  // dispatched vector tier on full row blocks, not only its scalar tail.
+  Matrix<double> ad;
+  const auto fdeployment = MakeDeployment<double>(96, 40, 6, 31, &ad);
+  ASSERT_TRUE(fdeployment.ok()) << fdeployment.status();
+  for (const auto& share : fdeployment->shares) {
+    ASSERT_GE(share.coded_rows.rows(), 8u);
   }
-  // Warm-up (first call may touch lazily initialised state).
-  QueryInto(*deployment, std::span<const Gf61>(queries[0]), ws);
-
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
-  Gf61 sink = Gf61::Zero();
-  for (const auto& x : queries) {
-    const auto ax = QueryInto(*deployment, std::span<const Gf61>(x), ws);
-    sink += ax[0];
-  }
-  g_count_allocs.store(false);
-
-  EXPECT_EQ(g_alloc_count.load(), 0u)
-      << "steady-state QueryInto allocated on the heap";
-  // Keep the decoded values observable so the loop cannot be elided.
-  EXPECT_EQ(sink == sink, true);
+  EXPECT_EQ(SteadyStateQueryAllocations(*fdeployment), 0u)
+      << "steady-state QueryInto<double> allocated on the heap";
 #endif
 }
 
