@@ -29,15 +29,12 @@ struct DeviceShare {
   Matrix<T> coded_rows;     // B_j · T, V(B_j) × l
 };
 
-// Generates r uniformly random pad rows of width l.
+// Generates r uniformly random pad rows of width l: row-major, each element
+// FieldTraits<T>::Random(rng) in turn, with the keystream drawn in bulk.
 template <typename T>
 Matrix<T> GeneratePadRows(size_t r, size_t l, ChaCha20Rng& rng) {
   Matrix<T> pads(r, l);
-  for (size_t row = 0; row < r; ++row) {
-    for (size_t col = 0; col < l; ++col) {
-      pads(row, col) = FieldTraits<T>::Random(rng);
-    }
-  }
+  FieldTraits<T>::FillRandom(rng, pads.Data());
   return pads;
 }
 

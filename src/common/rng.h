@@ -20,11 +20,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
 
 namespace scec {
+
+// The largest 64-bit draw ChaCha20Rng::NextBelow(bound) accepts: the last
+// value of the top whole multiple of `bound`, so an accepted draw mod bound
+// is uniform. Precondition: bound > 0.
+constexpr uint64_t UnbiasedDrawLimit(uint64_t bound) {
+  return std::numeric_limits<uint64_t>::max() -
+         (std::numeric_limits<uint64_t>::max() % bound + 1) % bound;
+}
 
 // SplitMix64 (Steele, Lea, Flood 2014). Used to expand one 64-bit seed into
 // independent state words for the other generators.
@@ -160,10 +169,47 @@ class Xoshiro256StarStar {
   bool has_cached_ = false;
 };
 
+namespace chacha_internal {
+
+// Writes `blocks` consecutive ChaCha20 keystream blocks, 16 native-order
+// words each, block-major, to `out` (unaligned is fine). `input` is the
+// 16-word state; word 12 is the first block's counter and block b uses
+// counter input[12] + b (mod 2^32 — ChaCha20Rng never reads a block whose
+// counter wrapped).
+using ChaCha20BlocksFn = void (*)(const uint32_t* input, void* out);
+struct ChaCha20Tier {
+  const char* name;  // "avx512" | "avx2" | "scalar"
+  size_t blocks;     // blocks per call: 16 | 8 | 1
+  ChaCha20BlocksFn fn;
+  bool supported;    // this host can run it
+};
+
+// Every tier compiled into this build, widest first; "scalar" is last and
+// always supported. Each produces the RFC 8439 block function's words.
+std::span<const ChaCha20Tier> ChaCha20Tiers();
+
+// The widest supported tier; ChaCha20Rng uses it unless told otherwise.
+const ChaCha20Tier& SelectedChaCha20Tier();
+
+}  // namespace chacha_internal
+
 // ChaCha20 keystream generator (RFC 8439 block function), exposed as a PRNG.
 // Deterministic given (key, nonce); used for the secrecy-carrying random
 // vectors so that the pads are cryptographically strong yet reproducible in
 // tests.
+//
+// The stream is block 0 (or `initial_counter`), then the following blocks,
+// each block's 16 words in order; NextUint64 is two words, low first. The
+// words are generated a refill at a time — 16 blocks per call on AVX-512, 8
+// on AVX2, 1 otherwise — into an internal buffer, and bulk draws
+// (FillUint64, XorKeystream) generate whole refills straight into the
+// caller's memory. The refill width never changes the stream.
+//
+// The block counter is 32 bits, as in RFC 8439: after block 2^32 - 1 the
+// keystream, and every pad drawn from it, would repeat. A draw that needs
+// block 2^32 fails with SCEC_CHECK instead. A refill never generates past
+// block 2^32 - 1, so the check trips on the first word that would come from
+// block 2^32, not on blocks generated ahead of need.
 class ChaCha20Rng {
  public:
   using result_type = uint64_t;
@@ -172,7 +218,13 @@ class ChaCha20Rng {
   // SplitMix64. For production deployments a caller can supply raw key/nonce.
   explicit ChaCha20Rng(uint64_t seed);
   ChaCha20Rng(const std::array<uint32_t, 8>& key,
-              const std::array<uint32_t, 3>& nonce);
+              const std::array<uint32_t, 3>& nonce,
+              uint32_t initial_counter = 0);
+  // The same stream, generated by `tier` (tests and benchmarks; the tier
+  // must be supported on this host).
+  ChaCha20Rng(const std::array<uint32_t, 8>& key,
+              const std::array<uint32_t, 3>& nonce, uint32_t initial_counter,
+              const chacha_internal::ChaCha20Tier& tier);
 
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() {
@@ -181,24 +233,65 @@ class ChaCha20Rng {
 
   result_type operator()() { return NextUint64(); }
 
-  uint32_t NextUint32();
-  uint64_t NextUint64();
+  uint32_t NextUint32() {
+    if (pos_ == end_) Refill();
+    return buffer_[pos_++];
+  }
+  uint64_t NextUint64() {
+    if (end_ - pos_ >= 2) {
+      const uint64_t lo = buffer_[pos_];
+      const uint64_t hi = buffer_[pos_ + 1];
+      pos_ += 2;
+      return (hi << 32) | lo;
+    }
+    const uint64_t lo = NextUint32();
+    const uint64_t hi = NextUint32();
+    return (hi << 32) | lo;
+  }
 
-  // Uniform value in [0, bound) via rejection sampling (unbiased).
-  uint64_t NextBelow(uint64_t bound);
+  // Uniform value in [0, bound) via rejection sampling (unbiased): draws
+  // above UnbiasedDrawLimit(bound) are skipped. Inline, so a constant bound
+  // folds the limit and the reduction.
+  uint64_t NextBelow(uint64_t bound) {
+    SCEC_CHECK_GT(bound, 0u);
+    if (bound == 1) return 0;
+    const uint64_t limit = UnbiasedDrawLimit(bound);
+    uint64_t draw;
+    do {
+      draw = NextUint64();
+    } while (draw > limit);
+    return draw % bound;
+  }
 
   // Uniform double in [0, 1).
   double NextDouble() {
     return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
   }
 
- private:
-  void GenerateBlock();
+  // out[i] = the i-th of the next out.size() NextUint64 draws.
+  void FillUint64(std::span<uint64_t> out);
 
-  std::array<uint32_t, 16> input_;   // ChaCha state template
-  std::array<uint32_t, 16> block_;   // current keystream block
-  size_t block_pos_ = 16;            // next word to consume (16 = exhausted)
-  uint32_t counter_ = 0;
+  // XORs `bytes` with the next keystream bytes: RFC 8439's byte order, each
+  // word least significant byte first. Advances the stream by
+  // ceil(bytes.size() / 4) words.
+  void XorKeystream(std::span<char> bytes);
+
+ private:
+  static constexpr size_t kMaxRefillBlocks = 16;
+  static constexpr uint64_t kBlockLimit = uint64_t{1} << 32;
+
+  // Generates the next refill into buffer_ (SCEC_CHECK: block 2^32 would
+  // be needed).
+  void Refill();
+  // Copies the next `words` stream words to `out` (native order).
+  void FillWords(void* out, size_t words);
+
+  std::array<uint32_t, 16> input_;  // ChaCha state template
+  const chacha_internal::ChaCha20Tier* tier_;
+  uint64_t next_block_;  // counter of the next block to generate, <= 2^32
+  size_t pos_ = 0;       // next word of buffer_ to hand out
+  size_t end_ = 0;       // words of buffer_ generated
+  alignas(64) std::array<uint32_t, 16 * kMaxRefillBlocks> buffer_;
 };
 
 // Fills `out` with `count` uniform draws below `bound` using `rng`.

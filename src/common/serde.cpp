@@ -134,10 +134,18 @@ Status BinaryReader::ReadSizeVector(std::vector<size_t>* v,
 
 Status BinaryReader::ReadDoubleVector(std::vector<double>* v,
                                       uint32_t max_len) {
+  std::string_view bytes;
+  SCEC_RETURN_IF_ERROR(ReadDoubleVectorView(&bytes, max_len));
+  v->resize(bytes.size() / 8);
+  LoadWords(bytes.data(), std::span<double>(*v));
+  return Status::Ok();
+}
+
+Status BinaryReader::ReadDoubleVectorView(std::string_view* v,
+                                          uint32_t max_len) {
   uint32_t len = 0;
   SCEC_RETURN_IF_ERROR(ReadCount(&len, max_len, 8, "vector"));
-  v->resize(len);
-  return ReadDoubles(*v);
+  return ReadView(8 * static_cast<size_t>(len), v);
 }
 
 std::string ReadAll(std::istream& is) {

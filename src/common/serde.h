@@ -111,6 +111,12 @@ class BinaryReader {
   Status ReadU64Vector(std::vector<uint64_t>* v, uint32_t max_len = 1u << 26);
   Status ReadSizeVector(std::vector<size_t>* v, uint32_t max_len = 1u << 26);
   Status ReadDoubleVector(std::vector<double>* v, uint32_t max_len = 1u << 26);
+  // The u32 count and the raw little-endian doubles of a double vector,
+  // checked as ReadDoubleVector checks them, left in place as a view of
+  // count × 8 bytes (the caller copies them straight to their destination
+  // with ReadDoubles).
+  Status ReadDoubleVectorView(std::string_view* v,
+                              uint32_t max_len = 1u << 26);
 
   size_t remaining() const { return bytes_.size() - pos_; }
   size_t position() const { return pos_; }

@@ -9,10 +9,14 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 
+#include "common/rng.h"
 #include "field/gf256.h"
 #include "field/gf_prime.h"
 
@@ -20,6 +24,29 @@ namespace scec {
 
 template <typename T>
 struct FieldTraits;
+
+// 64-bit draws FillRandom takes from the generator at a time (2 KiB of
+// stack).
+inline constexpr size_t kRandomFillChunk = 256;
+
+// out[i] = from_draw(d_i), where d_0, d_1, ... are the next 64-bit draws
+// that are <= limit, taken in bulk; a draw above the limit is skipped, as
+// NextBelow's rejection loop skips it.
+template <typename Rng, typename Scalar, typename FromDraw>
+void FillFromDraws(Rng& rng, std::span<Scalar> out, uint64_t limit,
+                   FromDraw from_draw) {
+  uint64_t draws[kRandomFillChunk];
+  size_t i = 0;
+  while (i < out.size()) {
+    // As many draws as elements still needed: a skipped draw only means
+    // one more draw next time round.
+    const size_t n = std::min(out.size() - i, kRandomFillChunk);
+    rng.FillUint64(std::span<uint64_t>(draws, n));
+    for (size_t k = 0; k < n; ++k) {
+      if (draws[k] <= limit) out[i++] = from_draw(draws[k]);
+    }
+  }
+}
 
 template <uint64_t P>
 struct FieldTraits<GfElem<P>> {
@@ -36,6 +63,12 @@ struct FieldTraits<GfElem<P>> {
   template <typename Rng>
   static Scalar Random(Rng& rng) {
     return Scalar(rng.NextBelow(P));
+  }
+  // out[i] = Random(rng) for each i in order, with the draws taken in bulk.
+  template <typename Rng>
+  static void FillRandom(Rng& rng, std::span<Scalar> out) {
+    FillFromDraws(rng, out, UnbiasedDrawLimit(P),
+                  [](uint64_t draw) { return Scalar(draw); });
   }
   // Uniformly random *nonzero* element.
   template <typename Rng>
@@ -58,6 +91,14 @@ struct FieldTraits<Gf256> {
   static Scalar Random(Rng& rng) {
     return Scalar(static_cast<uint8_t>(rng.NextBelow(256)));
   }
+  // out[i] = Random(rng) for each i in order: NextBelow(256) never rejects,
+  // so each element is the low byte of one 64-bit draw.
+  template <typename Rng>
+  static void FillRandom(Rng& rng, std::span<Scalar> out) {
+    FillFromDraws(rng, out, UnbiasedDrawLimit(256), [](uint64_t draw) {
+      return Scalar(static_cast<uint8_t>(draw & 0xFFu));
+    });
+  }
   template <typename Rng>
   static Scalar RandomNonZero(Rng& rng) {
     return Scalar(static_cast<uint8_t>(1 + rng.NextBelow(255)));
@@ -79,8 +120,16 @@ struct FieldTraits<double> {
   template <typename Rng>
   static Scalar Random(Rng& rng) {
     // Uniform in [-1, 1): a generic dense scalar for numeric tests.
-    return 2.0 * (static_cast<double>(rng.NextUint64() >> 11) * 0x1.0p-53) -
-           1.0;
+    return FromDraw(rng.NextUint64());
+  }
+  // out[i] = Random(rng) for each i in order, with the draws taken in bulk.
+  template <typename Rng>
+  static void FillRandom(Rng& rng, std::span<Scalar> out) {
+    FillFromDraws(rng, out, UINT64_MAX, FromDraw);
+  }
+  // The top 53 bits of a 64-bit draw, scaled to [-1, 1).
+  static Scalar FromDraw(uint64_t draw) {
+    return 2.0 * (static_cast<double>(draw >> 11) * 0x1.0p-53) - 1.0;
   }
   template <typename Rng>
   static Scalar RandomNonZero(Rng& rng) {

@@ -52,6 +52,18 @@ constexpr uint64_t MulMod(uint64_t a, uint64_t b) {
   }
 }
 
+// Reduces any 64-bit value mod P; for the Mersenne prime a fold,
+// x = (x mod 2^61) + (x div 2^61) (mod 2^61 - 1), and one subtraction.
+template <uint64_t P>
+constexpr uint64_t ReduceMod(uint64_t v) {
+  if constexpr (P == kMersenne61) {
+    const uint64_t folded = (v & kMersenne61) + (v >> 61);  // < 2^61 + 8
+    return folded >= kMersenne61 ? folded - kMersenne61 : folded;
+  } else {
+    return v % P;
+  }
+}
+
 }  // namespace internal
 
 // An element of GF(P). P must be prime (not checked at compile time beyond
@@ -67,7 +79,8 @@ class GfElem {
 
   constexpr GfElem() = default;
   // Reduces arbitrary residues into the canonical range [0, P).
-  constexpr explicit GfElem(uint64_t value) : value_(value % P) {}
+  constexpr explicit GfElem(uint64_t value)
+      : value_(internal::ReduceMod<P>(value)) {}
 
   static constexpr GfElem Zero() { return GfElem(); }
   static constexpr GfElem One() { return GfElem(1); }

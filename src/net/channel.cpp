@@ -172,8 +172,14 @@ void RpcChannel::HandleSocketClosed(NetError error,
 }
 
 void RpcChannel::HandleData(std::string_view bytes) {
-  std::vector<Frame> frames;
-  Status status = reader_.Feed(bytes, &frames);
+  Status status =
+      reader_.Feed(bytes, [this](WireType type, std::string_view payload) {
+        ++stats_.frames_received;
+        HandleFrame(type, payload);
+        // A frame handler may have torn the channel down (protocol
+        // violation); the reader itself lives until the next Connect.
+        return socket_ != nullptr;
+      });
   if (!status.ok()) {
     // Corrupt stream: tear the connection down and reconnect — a typed
     // kConnReset, never a crash.
@@ -183,21 +189,14 @@ void RpcChannel::HandleData(std::string_view bytes) {
     NetMetrics::Get().conn_resets.Increment();
     ScheduleReconnect(NetError::kConnReset,
                       "wire corruption: " + status.message());
-    return;
-  }
-  for (Frame& frame : frames) {
-    ++stats_.frames_received;
-    HandleFrame(std::move(frame));
-    // A frame handler may have torn the channel down (protocol violation).
-    if (socket_ == nullptr) return;
   }
 }
 
-void RpcChannel::HandleFrame(Frame frame) {
-  switch (frame.type) {
+void RpcChannel::HandleFrame(WireType type, std::string_view payload) {
+  switch (type) {
     case WireType::kHelloAck: {
       if (state_ != ChannelState::kHandshaking) return;  // stale
-      Result<HelloAckMsg> ack = HelloAckMsg::Decode(frame.payload);
+      Result<HelloAckMsg> ack = HelloAckMsg::Decode(payload);
       if (!ack.ok()) {
         socket_->Close();
         socket_.reset();
@@ -218,10 +217,10 @@ void RpcChannel::HandleFrame(Frame frame) {
                                          [this]() { HeartbeatTick(); });
       // Flush frames queued while disconnected.
       while (!pending_.empty() && state_ == ChannelState::kReady) {
-        auto [type, payload] = std::move(pending_.front());
+        std::string frame = std::move(pending_.front());
         pending_.pop_front();
         ++stats_.frames_sent;
-        socket_->Send(EncodeFrame(type, payload));
+        socket_->Send(std::move(frame));
       }
       // A Send above can fail synchronously and kick off a reconnect; only
       // report readiness if the channel is still actually READY.
@@ -236,7 +235,7 @@ void RpcChannel::HandleFrame(Frame frame) {
       NetMetrics::Get().heartbeats_ok.Increment();
       return;
     default:
-      callbacks_.on_frame(std::move(frame));
+      callbacks_.on_frame(type, payload);
       return;
   }
 }
@@ -267,13 +266,17 @@ void RpcChannel::HeartbeatTick() {
 }
 
 bool RpcChannel::SendFrame(WireType type, std::string payload) {
+  return SendEncoded(EncodeFrame(type, payload));
+}
+
+bool RpcChannel::SendEncoded(std::string frame) {
   if (state_ == ChannelState::kDown) return false;
   if (state_ != ChannelState::kReady) {
-    pending_.emplace_back(type, std::move(payload));
+    pending_.push_back(std::move(frame));
     return true;
   }
   ++stats_.frames_sent;
-  socket_->Send(EncodeFrame(type, payload));
+  socket_->Send(std::move(frame));
   return true;
 }
 

@@ -33,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/retry.h"
@@ -85,8 +86,9 @@ class RpcChannel {
  public:
   struct Callbacks {
     // Every application frame (responses, rpc errors, share acks, drain
-    // acks). HELLO_ACK and HEARTBEAT_ACK are consumed internally.
-    std::function<void(Frame)> on_frame;
+    // acks). HELLO_ACK and HEARTBEAT_ACK are consumed internally. The
+    // payload views the receive buffer and is valid only during the call.
+    std::function<void(WireType, std::string_view payload)> on_frame;
     // Connection lost: kConnReset (reset/EOF/protocol error) or
     // kPartitioned (heartbeat miss threshold). Fired before reconnecting,
     // so the owner can fail in-flight RPCs with the typed error.
@@ -108,6 +110,9 @@ class RpcChannel {
   // Sends (or queues, while not kReady) one frame. Returns false iff the
   // channel is permanently down.
   bool SendFrame(WireType type, std::string payload);
+  // The same for a frame already encoded (EncodeFrame, EncodeShareFrame):
+  // the bytes move to the socket without another copy.
+  bool SendEncoded(std::string frame);
 
   // Immediate teardown without callbacks (owner-initiated shutdown).
   void Shutdown();
@@ -119,7 +124,7 @@ class RpcChannel {
  private:
   void Connect();
   void ScheduleReconnect(NetError reason, const std::string& detail);
-  void HandleFrame(Frame frame);
+  void HandleFrame(WireType type, std::string_view payload);
   void HandleData(std::string_view bytes);
   void HandleSocketClosed(NetError error, const std::string& detail);
   void HeartbeatTick();
@@ -134,7 +139,7 @@ class RpcChannel {
   ChannelState state_ = ChannelState::kIdle;
   std::unique_ptr<BufferedSocket> socket_;
   FrameReader reader_;
-  std::deque<std::pair<WireType, std::string>> pending_;
+  std::deque<std::string> pending_;  // encoded frames awaiting kReady
 
   size_t reconnect_attempts_ = 0;  // consecutive failures since last kReady
   uint64_t heartbeat_seq_ = 0;

@@ -4,11 +4,11 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <span>
 #include <utility>
 
 #include "common/check.h"
+#include "common/serde.h"
 #include "linalg/matrix_ops.h"
 #include "obs/metrics.h"
 
@@ -92,20 +92,20 @@ void ScecDaemon::HandleAccept() {
     raw->socket = std::make_unique<BufferedSocket>(&loop_, *fd);
     connections_[*fd] = std::move(conn);
     raw->socket->Start(
-        [this, raw, fd = raw->fd](std::string_view bytes) {
-          std::vector<Frame> frames;
-          Status status = raw->reader.Feed(bytes, &frames);
+        [this, raw](std::string_view bytes) {
+          Status status = raw->reader.Feed(
+              bytes, [this, raw](WireType type, std::string_view payload) {
+                const int key = raw->fd;
+                HandleFrame(raw, type, payload);
+                // HandleFrame may close the connection (its destruction is
+                // deferred, so the reader outlives this call) — re-check by
+                // key, never through `raw`.
+                return connections_.find(key) != connections_.end();
+              });
           if (!status.ok()) {
             // Corrupt stream: poison THIS connection only.
             ScecdMetrics::Get().protocol_errors.Increment();
             CloseConnection(raw);
-            return;
-          }
-          for (Frame& frame : frames) {
-            HandleFrame(raw, std::move(frame));
-            // HandleFrame may close (and free) the connection — re-check by
-            // key, never through `raw`.
-            if (connections_.find(fd) == connections_.end()) return;
           }
         },
         [this, raw](NetError, const std::string&) { CloseConnection(raw); });
@@ -151,10 +151,11 @@ void ScecDaemon::AnswerQuery(Connection* conn, QueryMsg query) {
   conn->socket->Send(EncodeFrame(WireType::kResponse, response.Encode()));
 }
 
-void ScecDaemon::HandleFrame(Connection* conn, Frame frame) {
-  switch (frame.type) {
+void ScecDaemon::HandleFrame(Connection* conn, WireType type,
+                             std::string_view payload) {
+  switch (type) {
     case WireType::kHello: {
-      Result<HelloMsg> hello = HelloMsg::Decode(frame.payload);
+      Result<HelloMsg> hello = HelloMsg::Decode(payload);
       if (!hello.ok()) {
         CloseConnection(conn);
         return;
@@ -166,7 +167,7 @@ void ScecDaemon::HandleFrame(Connection* conn, Frame frame) {
       return;
     }
     case WireType::kShare: {
-      Result<ShareMsg> share = ShareMsg::Decode(frame.payload);
+      Result<ShareBodyView> share = ParseShareBody(payload);
       ShareAckMsg ack;
       if (!share.ok()) {
         // Typed refusal: the coordinator sees a failed staging, the daemon
@@ -176,10 +177,14 @@ void ScecDaemon::HandleFrame(Connection* conn, Frame frame) {
         conn->socket->Send(EncodeFrame(WireType::kShareAck, ack.Encode()));
         return;
       }
-      Matrix<double> rows(share->rows, share->cols);
-      std::copy(share->values.begin(), share->values.end(),
-                rows.Data().begin());
-      shares_[share->share_id] = std::move(rows);
+      // The values' one copy: frame buffer straight into the matrix. A
+      // restaged share id (a restarted coordinator numbers its shares
+      // afresh) overwrites the matrix it replaces when the shape matches.
+      Matrix<double>& rows = shares_[share->share_id];
+      if (rows.rows() != share->rows || rows.cols() != share->cols) {
+        rows = Matrix<double>(share->rows, share->cols);
+      }
+      SCEC_CHECK(BinaryReader(share->values).ReadDoubles(rows.Data()).ok());
       shares_held_.store(shares_.size());
       ScecdMetrics::Get().shares.Increment();
       ack.share_id = share->share_id;
@@ -187,7 +192,7 @@ void ScecDaemon::HandleFrame(Connection* conn, Frame frame) {
       return;
     }
     case WireType::kQuery: {
-      Result<QueryMsg> query = QueryMsg::Decode(frame.payload);
+      Result<QueryMsg> query = QueryMsg::Decode(payload);
       if (!query.ok()) {
         CloseConnection(conn);
         return;
@@ -214,8 +219,7 @@ void ScecDaemon::HandleFrame(Connection* conn, Frame frame) {
     }
     case WireType::kHeartbeat: {
       // Echo the sequence so the coordinator's miss counter resets.
-      conn->socket->Send(
-          EncodeFrame(WireType::kHeartbeatAck, frame.payload));
+      conn->socket->Send(EncodeFrame(WireType::kHeartbeatAck, payload));
       return;
     }
     case WireType::kCancel:

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -69,7 +70,7 @@ class ScecDaemon {
   struct Connection;
 
   void HandleAccept();
-  void HandleFrame(Connection* conn, Frame frame);
+  void HandleFrame(Connection* conn, WireType type, std::string_view payload);
   void CloseConnection(Connection* conn);
   void AnswerQuery(Connection* conn, QueryMsg query);
 

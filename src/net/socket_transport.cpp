@@ -61,7 +61,9 @@ SocketTransport::SocketTransport(std::vector<uint16_t> ports,
     channel_options.reconnect_jitter_seed =
         options_.channel.reconnect_jitter_seed ^ (0x9E3779B9ULL * (d + 1));
     RpcChannel::Callbacks callbacks;
-    callbacks.on_frame = [this, d](Frame frame) { HandleFrame(d, frame); };
+    callbacks.on_frame = [this, d](WireType type, std::string_view payload) {
+      HandleFrame(d, type, payload);
+    };
     callbacks.on_down = [this, d](NetError error, const std::string&) {
       FailDeviceRpcs(d, error);
     };
@@ -114,22 +116,21 @@ Status SocketTransport::StageShare(size_t device, uint64_t share_id,
   waiter->device = device;
   std::future<Status> future = waiter->promise.get_future();
 
-  ShareMsg msg;
-  msg.share_id = share_id;
-  msg.rows = static_cast<uint32_t>(rows.rows());
-  msg.cols = static_cast<uint32_t>(rows.cols());
-  msg.values.assign(rows.Data().begin(), rows.Data().end());
-  std::string payload = msg.Encode();
+  // The values' one copy on this side: matrix rows straight into the frame,
+  // built here on the caller's thread and moved to the loop thread.
+  std::string frame = EncodeShareFrame(
+      share_id, static_cast<uint32_t>(rows.rows()),
+      static_cast<uint32_t>(rows.cols()), rows.Data());
 
   loop_.Post([this, device, share_id, waiter,
-              payload = std::move(payload)]() mutable {
+              frame = std::move(frame)]() mutable {
     if (device_gone_[device]) {
       waiter->promise.set_value(
           ToStatus(NetError::kPartitioned, "device unreachable"));
       return;
     }
     stage_waiters_[share_id] = waiter;
-    channels_[device]->SendFrame(WireType::kShare, std::move(payload));
+    channels_[device]->SendEncoded(std::move(frame));
   });
 
   const auto timeout =
@@ -268,10 +269,11 @@ bool SocketTransport::Cancel(uint64_t id) {
   return true;
 }
 
-void SocketTransport::HandleFrame(size_t device, Frame frame) {
-  switch (frame.type) {
+void SocketTransport::HandleFrame(size_t device, WireType type,
+                                  std::string_view payload) {
+  switch (type) {
     case WireType::kResponse: {
-      Result<ResponseMsg> response = ResponseMsg::Decode(frame.payload);
+      Result<ResponseMsg> response = ResponseMsg::Decode(payload);
       if (!response.ok()) return;
       auto it = rpcs_.find(response->rpc_id);
       if (it == rpcs_.end()) {
@@ -299,7 +301,7 @@ void SocketTransport::HandleFrame(size_t device, Frame frame) {
       return;
     }
     case WireType::kRpcError: {
-      Result<RpcErrorMsg> error = RpcErrorMsg::Decode(frame.payload);
+      Result<RpcErrorMsg> error = RpcErrorMsg::Decode(payload);
       if (!error.ok()) return;
       auto it = rpcs_.find(error->rpc_id);
       if (it == rpcs_.end()) return;
@@ -316,7 +318,7 @@ void SocketTransport::HandleFrame(size_t device, Frame frame) {
       return;
     }
     case WireType::kShareAck: {
-      Result<ShareAckMsg> ack = ShareAckMsg::Decode(frame.payload);
+      Result<ShareAckMsg> ack = ShareAckMsg::Decode(payload);
       if (!ack.ok()) return;
       auto it = stage_waiters_.find(ack->share_id);
       if (it == stage_waiters_.end()) return;
@@ -327,9 +329,14 @@ void SocketTransport::HandleFrame(size_t device, Frame frame) {
                        : ToStatus(NetError::kProtocol, ack->error));
       return;
     }
-    case WireType::kDrainAck:
-      drain_acks_.fetch_add(1);
+    case WireType::kDrainAck: {
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        ++drain_acks_;
+      }
+      drain_cv_.notify_all();
       return;
+    }
     default:
       return;  // unexpected frame type from a daemon: ignore
   }
@@ -390,7 +397,10 @@ size_t SocketTransport::PollInto(std::vector<Completion>* out,
 }
 
 Status SocketTransport::Drain(double timeout_s) {
-  drain_acks_.store(0);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    drain_acks_ = 0;
+  }
   size_t expected = 0;
   std::promise<size_t> sent_promise;
   std::future<size_t> sent = sent_promise.get_future();
@@ -405,14 +415,12 @@ Status SocketTransport::Drain(double timeout_s) {
     sent_promise.set_value(count);
   });
   expected = sent.get();
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::duration<double>(timeout_s));
-  while (drain_acks_.load() < expected &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (drain_acks_.load() < expected) {
+  // Wakes on the last DRAIN_ACK, not on a polling tick.
+  std::unique_lock<std::mutex> lock(mutex_);
+  const bool all_acked = drain_cv_.wait_for(
+      lock, std::chrono::duration<double>(timeout_s),
+      [this, expected]() { return drain_acks_ >= expected; });
+  if (!all_acked) {
     return ToStatus(NetError::kTimeout, "drain acks incomplete");
   }
   return Status::Ok();

@@ -27,6 +27,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -75,7 +76,7 @@ class SocketTransport : public Transport {
   // Loop-thread helpers.
   void DispatchOnLoop(uint64_t rpc_id, size_t device, uint64_t share_id,
                       std::vector<double> x, double deadline_s);
-  void HandleFrame(size_t device, Frame frame);
+  void HandleFrame(size_t device, WireType type, std::string_view payload);
   void FailDeviceRpcs(size_t device, NetError error);
   void PushCompletion(Completion completion);
 
@@ -92,13 +93,14 @@ class SocketTransport : public Transport {
   std::unordered_map<uint64_t, Rpc> rpcs_;
   struct StageWaiter;
   std::unordered_map<uint64_t, std::shared_ptr<StageWaiter>> stage_waiters_;
-  std::atomic<uint64_t> drain_acks_{0};
 
   // Shared completion queue.
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Completion> completions_;
   NetTransportStats stats_;  // mutated on the loop thread under mutex_
+  uint64_t drain_acks_ = 0;  // under mutex_; Drain waits on drain_cv_
+  std::condition_variable drain_cv_;
 };
 
 }  // namespace scec::net

@@ -2,6 +2,7 @@
 
 #include "net/wire.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/check.h"
@@ -13,9 +14,14 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'N', 'E', 'T'};
 
-void PutU32(std::string* out, uint32_t v) {
+// A frame header's length is a claim until the bytes arrive, so FrameReader
+// commits at most max(this, 2 × bytes received) to a cut frame, and drops a
+// buffer above it once its frame is handed out.
+constexpr size_t kFrameReserveLimit = size_t{1} << 20;
+
+void PutU32(char* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
 }
 
@@ -68,21 +74,98 @@ bool IsKnownWireType(uint8_t raw) {
          raw <= static_cast<uint8_t>(WireType::kDrainAck);
 }
 
+namespace {
+
+// Builds a frame in place, for bodies written straight from their source:
+// BeginFrame appends a header placeholder to *out and returns the frame's
+// offset; the caller appends the payload; FinishFrame then writes the
+// header — type, payload length, payload CRC and header CRC.
+size_t BeginFrame(std::string* out) {
+  const size_t start = out->size();
+  out->append(kFrameHeaderSize, '\0');
+  return start;
+}
+
+void FinishFrame(WireType type, size_t frame_start, std::string* out) {
+  SCEC_CHECK_GE(out->size(), frame_start + kFrameHeaderSize);
+  const size_t payload_len = out->size() - frame_start - kFrameHeaderSize;
+  SCEC_CHECK_LE(payload_len, static_cast<size_t>(kMaxPayloadLen));
+  char* header = out->data() + frame_start;
+  std::memcpy(header, kMagic, sizeof(kMagic));
+  header[4] = static_cast<char>(kWireVersion);
+  header[5] = static_cast<char>(type);
+  header[6] = 0;  // reserved
+  header[7] = 0;
+  PutU32(header + 8, static_cast<uint32_t>(payload_len));
+  PutU32(header + 12,
+         recovery::Crc32(header + kFrameHeaderSize, payload_len));
+  PutU32(header + 16, recovery::Crc32(header, 16));
+}
+
+}  // namespace
+
 std::string EncodeFrame(WireType type, std::string_view payload) {
   SCEC_CHECK_LE(payload.size(), static_cast<size_t>(kMaxPayloadLen));
   std::string out;
   out.reserve(kFrameHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  out.push_back(static_cast<char>(kWireVersion));
-  out.push_back(static_cast<char>(type));
-  out.push_back(0);  // reserved
-  out.push_back(0);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, recovery::Crc32(payload.data(), payload.size()));
-  PutU32(&out, recovery::Crc32(out.data(), 16));
+  const size_t start = BeginFrame(&out);
   out.append(payload.data(), payload.size());
+  FinishFrame(type, start, &out);
   return out;
 }
+
+namespace {
+
+struct FrameHeader {
+  WireType type = WireType::kHeartbeat;
+  uint32_t payload_len = 0;
+  uint32_t payload_crc = 0;
+  size_t frame_size() const { return kFrameHeaderSize + payload_len; }
+};
+
+// Validates the kFrameHeaderSize header bytes at the head of `buffer`.
+// The header CRC is checked first: it covers magic/version/type/reserved/
+// length/payload-CRC, so any flipped header byte (including the length,
+// which must not be trusted before validating) is caught here.
+Status ParseFrameHeader(std::string_view buffer, FrameHeader* header) {
+  SCEC_CHECK_GE(buffer.size(), kFrameHeaderSize);
+  if (recovery::Crc32(buffer.data(), 16) != GetU32(buffer.data() + 16)) {
+    return ProtocolError("frame header checksum mismatch");
+  }
+  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
+    return ProtocolError("bad frame magic");
+  }
+  const uint8_t version = static_cast<uint8_t>(buffer[4]);
+  if (version != kWireVersion) {
+    return ProtocolError("unsupported wire version " +
+                         std::to_string(version));
+  }
+  const uint8_t raw_type = static_cast<uint8_t>(buffer[5]);
+  if (!IsKnownWireType(raw_type)) {
+    return ProtocolError("unknown frame type " + std::to_string(raw_type));
+  }
+  if (buffer[6] != 0 || buffer[7] != 0) {
+    return ProtocolError("nonzero reserved bytes");
+  }
+  const uint32_t payload_len = GetU32(buffer.data() + 8);
+  if (payload_len > kMaxPayloadLen) {
+    return ProtocolError("frame payload length " +
+                         std::to_string(payload_len) + " exceeds limit");
+  }
+  header->type = static_cast<WireType>(raw_type);
+  header->payload_len = payload_len;
+  header->payload_crc = GetU32(buffer.data() + 12);
+  return Status::Ok();
+}
+
+Status CheckPayload(const FrameHeader& header, std::string_view payload) {
+  if (recovery::Crc32(payload.data(), payload.size()) != header.payload_crc) {
+    return ProtocolError("frame payload checksum mismatch");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 DecodeResult DecodeFrame(std::string_view buffer) {
   DecodeResult result;
@@ -90,88 +173,102 @@ DecodeResult DecodeFrame(std::string_view buffer) {
     result.progress = DecodeProgress::kNeedMore;
     return result;
   }
-  // Header CRC first: it covers magic/version/type/reserved/length/payload-
-  // CRC, so any flipped header byte (including the length, which we must not
-  // trust before validating) is caught here.
-  const uint32_t header_crc = GetU32(buffer.data() + 16);
-  if (recovery::Crc32(buffer.data(), 16) != header_crc) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("frame header checksum mismatch");
-    return result;
-  }
-  if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("bad frame magic");
-    return result;
-  }
-  const uint8_t version = static_cast<uint8_t>(buffer[4]);
-  if (version != kWireVersion) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("unsupported wire version " +
-                                  std::to_string(version));
-    return result;
-  }
-  const uint8_t raw_type = static_cast<uint8_t>(buffer[5]);
-  if (!IsKnownWireType(raw_type)) {
-    result.progress = DecodeProgress::kError;
-    result.status =
-        ProtocolError("unknown frame type " + std::to_string(raw_type));
-    return result;
-  }
-  if (buffer[6] != 0 || buffer[7] != 0) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("nonzero reserved bytes");
-    return result;
-  }
-  const uint32_t payload_len = GetU32(buffer.data() + 8);
-  if (payload_len > kMaxPayloadLen) {
-    result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("frame payload length " +
-                                  std::to_string(payload_len) +
-                                  " exceeds limit");
-    return result;
-  }
-  if (buffer.size() < kFrameHeaderSize + payload_len) {
+  FrameHeader header;
+  result.status = ParseFrameHeader(buffer, &header);
+  if (result.status.ok() && buffer.size() < header.frame_size()) {
     result.progress = DecodeProgress::kNeedMore;
     return result;
   }
   const std::string_view payload =
-      buffer.substr(kFrameHeaderSize, payload_len);
-  const uint32_t payload_crc = GetU32(buffer.data() + 12);
-  if (recovery::Crc32(payload.data(), payload.size()) != payload_crc) {
+      buffer.substr(kFrameHeaderSize, header.payload_len);
+  if (result.status.ok()) result.status = CheckPayload(header, payload);
+  if (!result.status.ok()) {
     result.progress = DecodeProgress::kError;
-    result.status = ProtocolError("frame payload checksum mismatch");
     return result;
   }
   result.progress = DecodeProgress::kFrame;
-  result.frame.type = static_cast<WireType>(raw_type);
+  result.frame.type = header.type;
   result.frame.payload.assign(payload.data(), payload.size());
-  result.consumed = kFrameHeaderSize + payload_len;
+  result.consumed = header.frame_size();
   return result;
 }
 
-Status FrameReader::Feed(std::string_view bytes, std::vector<Frame>* out) {
-  SCEC_CHECK(out != nullptr);
+Status FrameReader::Poison(Status status) {
+  poisoned_ = true;
+  std::string().swap(buffer_);
+  return status;
+}
+
+void FrameReader::Buffer(std::string_view bytes, size_t frame_size) {
+  const size_t needed = buffer_.size() + bytes.size();
+  if (needed > buffer_.capacity()) {
+    buffer_.reserve(
+        std::min(frame_size, std::max(kFrameReserveLimit, 2 * needed)));
+  }
+  buffer_.append(bytes.data(), bytes.size());
+}
+
+Status FrameReader::Feed(std::string_view bytes,
+                         const FrameHandler& on_frame) {
   if (poisoned_) {
     return Status(ErrorCode::kFailedPrecondition,
                   "frame reader poisoned by earlier corruption");
   }
-  buffer_.append(bytes.data(), bytes.size());
-  size_t offset = 0;
-  while (true) {
-    DecodeResult result =
-        DecodeFrame(std::string_view(buffer_).substr(offset));
-    if (result.progress == DecodeProgress::kError) {
-      poisoned_ = true;
-      buffer_.clear();
-      return result.status;
+  FrameHeader header;
+  // 1. Complete the frame whose prefix an earlier Feed left buffered.
+  if (!buffer_.empty()) {
+    if (buffer_.size() < kFrameHeaderSize) {
+      const size_t take =
+          std::min(kFrameHeaderSize - buffer_.size(), bytes.size());
+      buffer_.append(bytes.data(), take);
+      bytes.remove_prefix(take);
+      if (buffer_.size() < kFrameHeaderSize) return Status::Ok();
     }
-    if (result.progress == DecodeProgress::kNeedMore) break;
-    out->push_back(std::move(result.frame));
-    offset += result.consumed;
+    Status status = ParseFrameHeader(buffer_, &header);
+    if (!status.ok()) return Poison(std::move(status));
+    const size_t take =
+        std::min(header.frame_size() - buffer_.size(), bytes.size());
+    Buffer(bytes.substr(0, take), header.frame_size());
+    bytes.remove_prefix(take);
+    if (buffer_.size() < header.frame_size()) return Status::Ok();
+    const std::string_view payload =
+        std::string_view(buffer_).substr(kFrameHeaderSize);
+    status = CheckPayload(header, payload);
+    if (!status.ok()) return Poison(std::move(status));
+    const bool more = on_frame(header.type, payload);
+    if (buffer_.capacity() > kFrameReserveLimit) {
+      std::string().swap(buffer_);
+    } else {
+      buffer_.clear();
+    }
+    if (!more) return Poison(Status::Ok());
   }
-  buffer_.erase(0, offset);
+  // 2. Whole frames straight from the fed bytes.
+  while (bytes.size() >= kFrameHeaderSize) {
+    Status status = ParseFrameHeader(bytes, &header);
+    if (!status.ok()) return Poison(std::move(status));
+    if (bytes.size() < header.frame_size()) {
+      // 3. A cut frame: keep its prefix.
+      Buffer(bytes, header.frame_size());
+      return Status::Ok();
+    }
+    const std::string_view payload =
+        bytes.substr(kFrameHeaderSize, header.payload_len);
+    status = CheckPayload(header, payload);
+    if (!status.ok()) return Poison(std::move(status));
+    if (!on_frame(header.type, payload)) return Poison(Status::Ok());
+    bytes.remove_prefix(header.frame_size());
+  }
+  buffer_.append(bytes.data(), bytes.size());
   return Status::Ok();
+}
+
+Status FrameReader::Feed(std::string_view bytes, std::vector<Frame>* out) {
+  SCEC_CHECK(out != nullptr);
+  return Feed(bytes, [out](WireType type, std::string_view payload) {
+    out->push_back(Frame{type, std::string(payload)});
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -215,31 +312,65 @@ Result<HelloAckMsg> HelloAckMsg::Decode(std::string_view payload) {
   return msg;
 }
 
-std::string ShareMsg::Encode() const {
+namespace {
+
+// share_id u64 | rows u32 | cols u32 | value count u32 | values.
+constexpr size_t kShareBodyFixedBytes = 8 + 4 + 4 + 4;
+
+void AppendShareBody(uint64_t share_id, uint32_t rows, uint32_t cols,
+                     std::span<const double> values, std::string* out) {
   SCEC_CHECK_EQ(values.size(), static_cast<size_t>(rows) * cols);
-  std::string out;
-  out.reserve(8 + 4 + 4 + 4 + 8 * values.size());
-  BinaryWriter writer(&out);
+  BinaryWriter writer(out);
   writer.WriteU64(share_id);
   writer.WriteU32(rows);
   writer.WriteU32(cols);
   writer.WriteDoubleVector(values);
+}
+
+}  // namespace
+
+std::string EncodeShareFrame(uint64_t share_id, uint32_t rows, uint32_t cols,
+                             std::span<const double> values) {
+  std::string out;
+  out.reserve(kFrameHeaderSize + kShareBodyFixedBytes + 8 * values.size());
+  const size_t start = BeginFrame(&out);
+  AppendShareBody(share_id, rows, cols, values, &out);
+  FinishFrame(WireType::kShare, start, &out);
   return out;
 }
 
-Result<ShareMsg> ShareMsg::Decode(std::string_view payload) {
-  ShareMsg msg;
-  Status status = DecodeBody(payload, [&msg](BinaryReader& reader) {
-    SCEC_RETURN_IF_ERROR(reader.ReadU64(&msg.share_id));
-    SCEC_RETURN_IF_ERROR(reader.ReadU32(&msg.rows));
-    SCEC_RETURN_IF_ERROR(reader.ReadU32(&msg.cols));
-    SCEC_RETURN_IF_ERROR(reader.ReadDoubleVector(&msg.values));
-    if (msg.values.size() != static_cast<size_t>(msg.rows) * msg.cols) {
+Result<ShareBodyView> ParseShareBody(std::string_view payload) {
+  ShareBodyView view;
+  Status status = DecodeBody(payload, [&view](BinaryReader& reader) {
+    SCEC_RETURN_IF_ERROR(reader.ReadU64(&view.share_id));
+    SCEC_RETURN_IF_ERROR(reader.ReadU32(&view.rows));
+    SCEC_RETURN_IF_ERROR(reader.ReadU32(&view.cols));
+    SCEC_RETURN_IF_ERROR(reader.ReadDoubleVectorView(&view.values));
+    if (view.values.size() / 8 != static_cast<size_t>(view.rows) * view.cols) {
       return ProtocolError("share dimensions disagree with value count");
     }
     return Status::Ok();
   });
   if (!status.ok()) return status;
+  return view;
+}
+
+std::string ShareMsg::Encode() const {
+  std::string out;
+  out.reserve(kShareBodyFixedBytes + 8 * values.size());
+  AppendShareBody(share_id, rows, cols, values, &out);
+  return out;
+}
+
+Result<ShareMsg> ShareMsg::Decode(std::string_view payload) {
+  Result<ShareBodyView> view = ParseShareBody(payload);
+  if (!view.ok()) return view.status();
+  ShareMsg msg;
+  msg.share_id = view->share_id;
+  msg.rows = view->rows;
+  msg.cols = view->cols;
+  msg.values.resize(view->values.size() / 8);
+  SCEC_CHECK(BinaryReader(view->values).ReadDoubles(msg.values).ok());
   return msg;
 }
 

@@ -31,10 +31,19 @@
 // consume exactly (trailing bytes are corruption, not padding). Tested with
 // hostile bodies behind valid CRCs in tests/test_net_wire.cpp and pinned
 // byte for byte in tests/test_format_golden.cpp.
+//
+// Share staging moves each value byte through user space once per side:
+// EncodeShareFrame writes the SHARE frame straight from the matrix rows
+// (header reserved, body written, length and both CRCs patched in), and the
+// daemon's FrameReader assembles the frame in one buffer, hands it out as a
+// view, and ParseShareBody lets the daemon copy the values straight into its
+// matrix.
 
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -96,17 +105,39 @@ struct DecodeResult {
 DecodeResult DecodeFrame(std::string_view buffer);
 
 // Streaming frame extractor: append raw socket bytes, pull whole frames.
+//
+// Whole frames inside the fed bytes are handed out where they lie. Only a
+// frame cut by the end of the fed bytes is copied into a buffer. A header's
+// length is not trusted before its bytes arrive: the buffer holds at most
+// max(1 MiB, twice the bytes received), never more than the frame, so a
+// frame of up to 2 MiB is re-copied at most once. A buffer above 1 MiB is
+// freed once its frame is handed out, so an idle connection holds at most
+// 1 MiB.
 class FrameReader {
  public:
-  // Appends bytes, then decodes as many complete frames as available into
-  // `out` (appended). Returns a non-OK Status on the first corrupt frame;
-  // the reader is then poisoned and the connection should be closed.
+  // Called once per whole, checksum-verified frame, in stream order.
+  // `payload` points into the fed bytes or the reader's buffer and is valid
+  // only during the call. Returning false stops the feed: the rest of the
+  // bytes are dropped and the reader accepts no more (the caller is tearing
+  // the connection down).
+  using FrameHandler = std::function<bool(WireType, std::string_view)>;
+
+  // Consumes `bytes`, calling `on_frame` for every frame completed. Returns
+  // a non-OK Status on the first corrupt frame; the reader is then poisoned
+  // and the connection should be closed.
+  Status Feed(std::string_view bytes, const FrameHandler& on_frame);
+
+  // As above, appending an owning copy of each frame to `out`.
   Status Feed(std::string_view bytes, std::vector<Frame>* out);
 
   size_t buffered_bytes() const { return buffer_.size(); }
 
  private:
-  std::string buffer_;
+  Status Poison(Status status);
+  // Appends `bytes` of a cut frame of `frame_size` bytes to buffer_.
+  void Buffer(std::string_view bytes, size_t frame_size);
+
+  std::string buffer_;  // the prefix of one frame cut by a Feed boundary
   bool poisoned_ = false;
 };
 
@@ -136,6 +167,22 @@ struct ShareMsg {
   std::string Encode() const;
   static Result<ShareMsg> Decode(std::string_view payload);
 };
+
+// The whole SHARE frame, written once, straight from `values`: equal to
+// EncodeFrame(kShare, ShareMsg{share_id, rows, cols, values}.Encode()).
+std::string EncodeShareFrame(uint64_t share_id, uint32_t rows, uint32_t cols,
+                             std::span<const double> values);
+
+// A SHARE body validated exactly as ShareMsg::Decode validates it, with the
+// values left in place: `values` views rows × cols little-endian doubles in
+// the payload, for BinaryReader::ReadDoubles into the caller's storage.
+struct ShareBodyView {
+  uint64_t share_id = 0;
+  uint32_t rows = 0;
+  uint32_t cols = 0;
+  std::string_view values;
+};
+Result<ShareBodyView> ParseShareBody(std::string_view payload);
 
 struct ShareAckMsg {
   uint64_t share_id = 0;

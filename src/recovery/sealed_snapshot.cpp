@@ -5,6 +5,7 @@
 #include <array>
 #include <cstring>
 #include <fstream>
+#include <span>
 
 #include "common/rng.h"
 #include "common/serde.h"
@@ -33,25 +34,10 @@ ChaCha20Rng SealKeystream(uint64_t sealing_key, uint64_t salt) {
   return ChaCha20Rng(key, nonce);
 }
 
-// XORs `len` bytes in place with the keystream, eight bytes per keystream
-// word, lowest byte first.
+// XORs `len` bytes in place with the keystream: byte i with keystream
+// byte i, each keystream word lowest byte first.
 void XorSeal(char* bytes, size_t len, uint64_t sealing_key, uint64_t salt) {
-  ChaCha20Rng stream = SealKeystream(sealing_key, salt);
-  size_t i = 0;
-  for (; i + 8 <= len; i += 8) {
-    const uint64_t pad = serde_internal::ToLittle(stream.NextUint64());
-    uint64_t word = 0;
-    std::memcpy(&word, bytes + i, sizeof(word));
-    word ^= pad;
-    std::memcpy(bytes + i, &word, sizeof(word));
-  }
-  if (i < len) {
-    uint64_t word = stream.NextUint64();
-    for (; i < len; ++i) {
-      bytes[i] ^= static_cast<char>(word & 0xFFu);
-      word >>= 8;
-    }
-  }
+  SealKeystream(sealing_key, salt).XorKeystream(std::span<char>(bytes, len));
 }
 
 // magic | u32 version | u64 salt | u32 outer CRC | u64 payload length

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <type_traits>
 
 #include "linalg/elimination.h"
 #include "linalg/matrix_ops.h"
@@ -24,6 +26,77 @@ LcecScheme CanonicalScheme(size_t m, size_t r) {
     remaining -= take;
   }
   return scheme;
+}
+
+// FNV-1a over each pad element's bytes (double bits, Gf61 value, Gf256
+// byte) for two consecutive GeneratePadRows calls, then over the next
+// stream word, so the pin covers the values and where the stream stops.
+template <typename T>
+uint64_t PadStreamHash(size_t r, size_t l, uint64_t seed) {
+  ChaCha20Rng rng(seed);
+  uint64_t h = 0xCBF29CE484222325ull;
+  const auto mix = [&h](const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001B3ull;
+    }
+  };
+  for (int rep = 0; rep < 2; ++rep) {
+    const Matrix<T> pads = GeneratePadRows<T>(r, l, rng);
+    for (const T& v : pads.Data()) {
+      if constexpr (std::is_same_v<T, double>) {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        mix(&bits, 8);
+      } else if constexpr (std::is_same_v<T, Gf256>) {
+        const uint8_t byte = v.value();
+        mix(&byte, 1);
+      } else {
+        const uint64_t value = v.value();
+        mix(&value, 8);
+      }
+    }
+  }
+  const uint32_t next = rng.NextUint32();
+  mix(&next, 4);
+  return h;
+}
+
+TEST(Encoder, PadStreamIsPinnedAtFixedSeeds) {
+  // Recorded with the one-block-at-a-time generator and per-element draws
+  // that preceded the bulk keystream: pads must not change with it.
+  struct Pin {
+    size_t r, l;
+    uint64_t seed, f64, gf61, gf256;
+  };
+  const Pin pins[] = {
+      {1, 1, 0x1ull, 0x8FF98696500BDA1Dull, 0xB25CA19AD8ACD254ull,
+       0x802538909B1534C4ull},
+      {1, 1, 0x5ECull, 0x50BC556513F1E332ull, 0x6E7955196F27FFC2ull,
+       0x9952F864FA6969C0ull},
+      {1, 1, 0xDEADBEEFull, 0x45A75049C30AF26Eull, 0x0E0CA5E8BA834DB8ull,
+       0x804926AD236BA32Cull},
+      {3, 7, 0x1ull, 0xC026E5A996FEC204ull, 0xFE59BC8AD4A0F802ull,
+       0xADE006D2E4A43691ull},
+      {3, 7, 0x5ECull, 0xDE14E57663BDDE07ull, 0xAE34534A845CC0F1ull,
+       0xAC4F5940ADB47733ull},
+      {3, 7, 0xDEADBEEFull, 0xA0416F4238672F7Bull, 0x376FF2BDF040CB0Eull,
+       0x57902A42C0AD94C9ull},
+      {205, 1024, 0x1ull, 0x2A56F62329F6C4D4ull, 0xC49EC80DAAE1DAB0ull,
+       0x534F927E2AB3BF1Cull},
+      {205, 1024, 0x5ECull, 0x2A16E8DF46DED017ull, 0x038FD968F6A3337Full,
+       0xE118B9157976D737ull},
+      {205, 1024, 0xDEADBEEFull, 0x371936164503DFC6ull, 0x1447331290EFAC80ull,
+       0x6A856423D78A4175ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << pin.r << "x" << pin.l << " seed "
+                                      << pin.seed);
+    EXPECT_EQ(PadStreamHash<double>(pin.r, pin.l, pin.seed), pin.f64);
+    EXPECT_EQ(PadStreamHash<Gf61>(pin.r, pin.l, pin.seed), pin.gf61);
+    EXPECT_EQ(PadStreamHash<Gf256>(pin.r, pin.l, pin.seed), pin.gf256);
+  }
 }
 
 TEST(Encoder, PadRowsAreDeterministicPerSeed) {

@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "common/rng.h"
+#include "field/field_traits.h"
 
 namespace scec {
 namespace {
@@ -138,6 +143,55 @@ TEST(Gf5, ExhaustiveInverseTable) {
 
 TEST(GfDeathTest, InverseOfZeroAborts) {
   EXPECT_DEATH(Gf61::Zero().Inverse(), "inverse of zero");
+}
+
+// Replays a scripted list of 64-bit draws (the rejection branch is reached
+// with probability 8/2^64 per real draw, so it is scripted here).
+struct ScriptedRng {
+  std::vector<uint64_t> draws;
+  size_t next = 0;
+  uint64_t NextUint64() { return draws.at(next++); }
+  void FillUint64(std::span<uint64_t> out) {
+    for (uint64_t& v : out) v = NextUint64();
+  }
+  uint64_t NextBelow(uint64_t bound) {
+    const uint64_t limit = UINT64_MAX - (UINT64_MAX % bound + 1) % bound;
+    uint64_t draw;
+    do {
+      draw = NextUint64();
+    } while (draw > limit);
+    return draw % bound;
+  }
+};
+
+TEST(Gf61Random, SameDrawsAndValuesAsNextBelow) {
+  ChaCha20Rng a(0x61), b(0x61);
+  Xoshiro256StarStar c(0x61), d(0x61);
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(FieldTraits<Gf61>::Random(a).value(), b.NextBelow(kMersenne61));
+    ASSERT_EQ(FieldTraits<Gf61>::Random(c).value(), d.NextBelow(kMersenne61));
+  }
+  EXPECT_EQ(a.NextUint64(), b.NextUint64());  // same stream position
+  EXPECT_EQ(UnbiasedDrawLimit(kMersenne61), UINT64_MAX - 8);
+}
+
+TEST(Gf61Random, RejectedDrawsAreSkippedOneAtATimeAndInBulk) {
+  const uint64_t limit = UnbiasedDrawLimit(kMersenne61);
+  // Edge values around every fold boundary, and draws above the limit.
+  const std::vector<uint64_t> script = {
+      0,         kMersenne61 - 1, kMersenne61, kMersenne61 + 1,
+      UINT64_MAX, limit,          limit + 1,   2 * kMersenne61,
+      limit - 1, UINT64_MAX - 1,  7 * kMersenne61 + 3, 5};
+  ScriptedRng one{script}, bulk{script}, below{script};
+  std::vector<Gf61> filled(8);
+  FieldTraits<Gf61>::FillRandom(bulk, std::span<Gf61>(filled));
+  for (size_t i = 0; i < filled.size(); ++i) {
+    const uint64_t expect = below.NextBelow(kMersenne61);
+    EXPECT_EQ(FieldTraits<Gf61>::Random(one).value(), expect) << i;
+    EXPECT_EQ(filled[i].value(), expect) << i;
+  }
+  EXPECT_EQ(one.next, below.next);
+  EXPECT_EQ(bulk.next, below.next);
 }
 
 }  // namespace

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace scec {
@@ -180,6 +183,223 @@ TEST(ChaCha20, DoubleInUnitInterval) {
     const double d = rng.NextDouble();
     EXPECT_GE(d, 0.0);
     EXPECT_LT(d, 1.0);
+  }
+}
+
+// RFC 8439's test key 00 01 02 ... 1f as little-endian words.
+std::array<uint32_t, 8> RfcKey() {
+  std::array<uint32_t, 8> key;
+  for (uint32_t i = 0; i < 8; ++i) {
+    key[i] = (4 * i) | ((4 * i + 1) << 8) | ((4 * i + 2) << 16) |
+             ((4 * i + 3) << 24);
+  }
+  return key;
+}
+
+// The keystream as the scalar block function defines it, one block at a
+// time: the reference every tier and every draw shape is checked against.
+class ReferenceStream {
+ public:
+  ReferenceStream(const std::array<uint32_t, 8>& key,
+                  const std::array<uint32_t, 3>& nonce, uint32_t counter)
+      : counter_(counter) {
+    const uint32_t constants[4] = {0x61707865u, 0x3320646Eu, 0x79622D32u,
+                                   0x6B206574u};
+    for (size_t i = 0; i < 4; ++i) input_[i] = constants[i];
+    for (size_t i = 0; i < 8; ++i) input_[4 + i] = key[i];
+    for (size_t i = 0; i < 3; ++i) input_[13 + i] = nonce[i];
+  }
+  uint32_t NextUint32() {
+    if (pos_ == 16) {
+      input_[12] = counter_++;
+      chacha_internal::ChaCha20Tiers().back().fn(input_.data(), block_.data());
+      pos_ = 0;
+    }
+    return block_[pos_++];
+  }
+  uint64_t NextUint64() {
+    const uint64_t lo = NextUint32();
+    return lo | (uint64_t{NextUint32()} << 32);
+  }
+  uint64_t NextBelow(uint64_t bound) {
+    if (bound == 1) return 0;  // no draw, as in ChaCha20Rng
+    const uint64_t limit = UINT64_MAX - (UINT64_MAX % bound + 1) % bound;
+    uint64_t draw;
+    do {
+      draw = NextUint64();
+    } while (draw > limit);
+    return draw % bound;
+  }
+
+ private:
+  std::array<uint32_t, 16> input_{};
+  std::array<uint32_t, 16> block_{};
+  size_t pos_ = 16;
+  uint32_t counter_;
+};
+
+class ChaCha20TierTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  const chacha_internal::ChaCha20Tier* Tier() {
+    for (const auto& tier : chacha_internal::ChaCha20Tiers()) {
+      if (GetParam() == tier.name && tier.supported) return &tier;
+    }
+    return nullptr;
+  }
+};
+
+#define SKIP_UNLESS_SUPPORTED(tier)                                     \
+  if ((tier) == nullptr) {                                              \
+    GTEST_SKIP() << "ChaCha20 tier '" << GetParam()                     \
+                 << "' is not available on this host";                 \
+  }
+
+TEST_P(ChaCha20TierTest, MatchesScalarBlockFunctionAcrossRefills) {
+  const chacha_internal::ChaCha20Tier* tier = Tier();
+  SKIP_UNLESS_SUPPORTED(tier);
+  const std::array<uint32_t, 8> key = RfcKey();
+  const std::array<uint32_t, 3> nonce = {0x01020304u, 0xA5A5A5A5u, 7u};
+  for (uint32_t counter : {0u, 1u, 5u, 1000u}) {
+    ChaCha20Rng rng(key, nonce, counter, *tier);
+    ReferenceStream ref(key, nonce, counter);
+    // Interleave every draw shape with odd lengths, so draws straddle the
+    // refill boundaries of every tier width and word parity.
+    Xoshiro256StarStar shape(counter + 1);
+    for (int step = 0; step < 600; ++step) {
+      switch (shape.NextBelow(5)) {
+        case 0:
+          ASSERT_EQ(rng.NextUint32(), ref.NextUint32()) << "step " << step;
+          break;
+        case 1:
+          ASSERT_EQ(rng.NextUint64(), ref.NextUint64()) << "step " << step;
+          break;
+        case 2: {
+          const uint64_t bound = 1 + shape.NextBelow(1000);
+          ASSERT_EQ(rng.NextBelow(bound), ref.NextBelow(bound))
+              << "step " << step;
+          break;
+        }
+        case 3: {
+          std::vector<uint64_t> bulk(shape.NextBelow(700));
+          rng.FillUint64(bulk);
+          for (size_t i = 0; i < bulk.size(); ++i) {
+            ASSERT_EQ(bulk[i], ref.NextUint64()) << "step " << step;
+          }
+          break;
+        }
+        default: {
+          std::vector<char> bytes(shape.NextBelow(3000), 0);
+          rng.XorKeystream(bytes);
+          for (size_t i = 0; i < bytes.size(); i += 4) {
+            const uint32_t word = ref.NextUint32();
+            for (size_t b = 0; b < 4 && i + b < bytes.size(); ++b) {
+              ASSERT_EQ(static_cast<unsigned char>(bytes[i + b]),
+                        (word >> (8 * b)) & 0xFFu)
+                  << "step " << step;
+            }
+          }
+          break;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(ChaCha20TierTest, Rfc8439CipherVectorAtCounterOne) {
+  const chacha_internal::ChaCha20Tier* tier = Tier();
+  SKIP_UNLESS_SUPPORTED(tier);
+  // RFC 8439 §2.4.2: key 00..1f, nonce 00:00:00:00:00:00:00:4a:00:00:00:00,
+  // initial counter 1.
+  const std::string plaintext =
+      "Ladies and Gentlemen of the class of '99: If I could offer you only "
+      "one tip for the future, sunscreen would be it.";
+  const unsigned char ciphertext[114] = {
+      0x6e, 0x2e, 0x35, 0x9a, 0x25, 0x68, 0xf9, 0x80, 0x41, 0xba, 0x07, 0x28,
+      0xdd, 0x0d, 0x69, 0x81, 0xe9, 0x7e, 0x7a, 0xec, 0x1d, 0x43, 0x60, 0xc2,
+      0x0a, 0x27, 0xaf, 0xcc, 0xfd, 0x9f, 0xae, 0x0b, 0xf9, 0x1b, 0x65, 0xc5,
+      0x52, 0x47, 0x33, 0xab, 0x8f, 0x59, 0x3d, 0xab, 0xcd, 0x62, 0xb3, 0x57,
+      0x16, 0x39, 0xd6, 0x24, 0xe6, 0x51, 0x52, 0xab, 0x8f, 0x53, 0x0c, 0x35,
+      0x9f, 0x08, 0x61, 0xd8, 0x07, 0xca, 0x0d, 0xbf, 0x50, 0x0d, 0x6a, 0x61,
+      0x56, 0xa3, 0x8e, 0x08, 0x8a, 0x22, 0xb6, 0x5e, 0x52, 0xbc, 0x51, 0x4d,
+      0x16, 0xcc, 0xf8, 0x06, 0x81, 0x8c, 0xe9, 0x1a, 0xb7, 0x79, 0x37, 0x36,
+      0x5a, 0xf9, 0x0b, 0xbf, 0x74, 0xa3, 0x5b, 0xe6, 0xb4, 0x0b, 0x8e, 0xed,
+      0xf2, 0x78, 0x5e, 0x42, 0x87, 0x4d};
+  ASSERT_EQ(plaintext.size(), sizeof(ciphertext));
+  const std::array<uint32_t, 3> nonce = {0x00000000u, 0x4a000000u, 0u};
+  ChaCha20Rng rng(RfcKey(), nonce, 1, *tier);
+  std::string bytes = plaintext;
+  rng.XorKeystream(bytes);
+  EXPECT_EQ(0, std::memcmp(bytes.data(), ciphertext, sizeof(ciphertext)));
+  // The same keystream drawn as words: its first word serialises to
+  // 22 4f 51 f3.
+  ChaCha20Rng words(RfcKey(), nonce, 1, *tier);
+  EXPECT_EQ(words.NextUint32(), 0xf3514f22u);
+}
+
+TEST_P(ChaCha20TierTest, LastBlocksBeforeTheCounterLimitAreDrawable) {
+  const chacha_internal::ChaCha20Tier* tier = Tier();
+  SKIP_UNLESS_SUPPORTED(tier);
+  const std::array<uint32_t, 8> key = RfcKey();
+  const std::array<uint32_t, 3> nonce = {1u, 2u, 3u};
+  // Fewer blocks left than one refill of any tier, exactly one refill of
+  // the widest, and more than one refill: every block up to 2^32 - 1 comes
+  // out, however the refills fall.
+  for (uint32_t left : {1u, 3u, 16u, 20u}) {
+    ChaCha20Rng rng(key, nonce, static_cast<uint32_t>(-left), *tier);
+    ReferenceStream ref(key, nonce, static_cast<uint32_t>(-left));
+    for (uint32_t i = 0; i < 16 * left; ++i) {
+      ASSERT_EQ(rng.NextUint32(), ref.NextUint32())
+          << "left=" << left << " word " << i;
+    }
+    ChaCha20Rng bulk(key, nonce, static_cast<uint32_t>(-left), *tier);
+    std::vector<uint64_t> draws(8 * left);
+    bulk.FillUint64(draws);
+    ReferenceStream bulk_ref(key, nonce, static_cast<uint32_t>(-left));
+    for (uint64_t draw : draws) ASSERT_EQ(draw, bulk_ref.NextUint64());
+  }
+}
+
+TEST_P(ChaCha20TierTest, DrawFromBlockTwoToThe32Fails) {
+  const chacha_internal::ChaCha20Tier* tier = Tier();
+  SKIP_UNLESS_SUPPORTED(tier);
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::array<uint32_t, 8> key = RfcKey();
+  const std::array<uint32_t, 3> nonce = {1u, 2u, 3u};
+  for (uint32_t left : {1u, 3u, 20u}) {
+    EXPECT_DEATH(
+        {
+          ChaCha20Rng rng(key, nonce, static_cast<uint32_t>(-left), *tier);
+          for (uint32_t i = 0; i < 16 * left; ++i) rng.NextUint32();
+          rng.NextUint32();
+        },
+        "block counter exhausted")
+        << "left=" << left;
+    EXPECT_DEATH(
+        {
+          ChaCha20Rng rng(key, nonce, static_cast<uint32_t>(-left), *tier);
+          std::vector<uint64_t> draws(8 * left + 1);
+          rng.FillUint64(draws);
+        },
+        "block counter exhausted")
+        << "left=" << left;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, ChaCha20TierTest,
+                         ::testing::Values("avx512", "avx2", "scalar"),
+                         [](const auto& info) { return info.param; });
+
+TEST(ChaCha20Tier, DispatchPicksWidestSupportedTier) {
+  const auto tiers = chacha_internal::ChaCha20Tiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_STREQ(tiers.back().name, "scalar");
+  EXPECT_TRUE(tiers.back().supported);
+  for (const auto& tier : tiers) {
+    if (tier.supported) {
+      EXPECT_EQ(&tier, &chacha_internal::SelectedChaCha20Tier())
+          << "widest supported tier: " << tier.name;
+      break;
+    }
   }
 }
 
