@@ -90,7 +90,7 @@ SchemeSecurityReport VerifyEncodingMatrix(
 Status CheckSchemeSecure(const StructuredCode& code, const LcecScheme& scheme);
 
 // Def. 2 for one device's CUMULATIVE view: when recovery re-encoding ships a
-// device additional coded rows (see sim/fault_tolerant_protocol.h), its
+// device additional coded rows (see net/driver.h), its
 // knowledge is the stack of every coefficient row it ever held, expressed
 // over the extended basis [A_1…A_m | pads of every encoding round]. ITS
 // holds for the device iff that stacked span still meets the data span

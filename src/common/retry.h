@@ -1,9 +1,8 @@
 // SPDX-License-Identifier: MIT
 //
 // Reusable retry policy: bounded attempts with exponential backoff. Used by
-// the fault-tolerant protocol (sim/fault_tolerant_protocol.h) to pace query
-// re-dispatches to silent devices; deliberately independent of the simulator
-// so wall-clock users (a future RPC layer) can share it.
+// the protocol driver (net/driver.h) to pace query re-dispatches to silent
+// devices, and by the RPC channel's reconnects; independent of any clock.
 
 #pragma once
 

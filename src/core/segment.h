@@ -5,8 +5,8 @@
 // onto fleet devices, one per scheme slot: round 0 covers all m rows, a
 // recovery round the rows evicted devices took with them, and a Byzantine
 // guard or straggler hedge is a two-slot pair (pad block, mixed block).
-// net::NetCoordinator and sim::FaultTolerantScecProtocol plan, encode,
-// decode and audit every round through this module. Data row p decodes as
+// The protocol driver (net::NetCoordinator) plans, encodes, decodes and
+// audits every round through this module. Data row p decodes as
 // A_p·x = y[r+p] − y[p mod r], each coded row's (slot, offset) resolved
 // once at construction. CumulativeViews stacks every row a device ever
 // received over [A | pads of every round] and decides Def. 2 on the stack:

@@ -20,16 +20,13 @@ namespace {
 Status ValidateReplayState(const ReplayState& state,
                            const Deployment<double>& deployment,
                            const Matrix<double>& a, size_t fleet_size) {
-  for (const size_t d : state.evicted_devices) {
-    if (d >= fleet_size) {
-      return DecodeFailure("journaled eviction names device " +
-                           std::to_string(d) + " outside the fleet");
-    }
-  }
-  for (const size_t d : state.quarantined_devices) {
-    if (d >= fleet_size) {
-      return DecodeFailure("journaled quarantine names device " +
-                           std::to_string(d) + " outside the fleet");
+  for (const auto* devices :
+       {&state.evicted_devices, &state.quarantined_devices}) {
+    for (const size_t d : *devices) {
+      if (d >= fleet_size) {
+        return DecodeFailure("journaled standing names device " +
+                             std::to_string(d) + " outside the fleet");
+      }
     }
   }
   for (const JournalSegmentRecord& rec : state.prior_segments) {
@@ -62,6 +59,52 @@ Status ValidateReplayState(const ReplayState& state,
 
 }  // namespace
 
+net::NetCoordinatorOptions SimDriverOptions() {
+  net::NetCoordinatorOptions options;
+  options.rpc_deadline_s = 0.02;
+  return options;
+}
+
+Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Launch(
+    Deployment<double> unsealed, uint32_t generation, uint64_t snapshot_crc,
+    std::ostream* journal_os, const Matrix<double>& a,
+    std::vector<EdgeDevice> fleet, const DurableCoordinatorOptions& options) {
+  auto coordinator =
+      std::unique_ptr<DurableCoordinator>(new DurableCoordinator());
+  coordinator->session_.emplace(
+      DeploymentSession<double>::Adopt(std::move(unsealed)));
+  coordinator->session_->set_pad_generation(generation);
+  // Generation 0 opens a fresh journal (versioned header); restarts append.
+  coordinator->journal_ = std::make_unique<QueryJournal>(
+      journal_os, snapshot_crc, options.group_commit_records,
+      /*write_header=*/generation == 0);
+  if (options.crash_probe) {
+    coordinator->journal_->set_crash_probe(options.crash_probe);
+  }
+  coordinator->session_->AttachJournal(coordinator->journal_.get());
+  if (generation > 0) {
+    // The incarnation marker goes in before anything else this generation
+    // writes: a later replay needs it to attribute the records that follow.
+    JournalEvent restart_event;
+    restart_event.kind = JournalEventKind::kRestart;
+    restart_event.generation = generation;
+    coordinator->journal_->AppendCommitted(restart_event);
+  }
+  SCEC_RETURN_IF_ERROR(coordinator->Stage(a, std::move(fleet), options));
+  return coordinator;
+}
+
+Status DurableCoordinator::Stage(const Matrix<double>& a,
+                                 std::vector<EdgeDevice> fleet,
+                                 const DurableCoordinatorOptions& options) {
+  transport_ = std::make_unique<net::SimTransport>(fleet, options.sim);
+  // The driver adopts the session's pad generation (salting its pad seed,
+  // so restarts never replay an earlier incarnation's pads) and journal.
+  driver_ = std::make_unique<net::NetCoordinator>(
+      *session_, a, DeviceFleet(std::move(fleet)), options.driver);
+  return driver_->Setup(transport_.get());  // may throw CoordinatorCrash
+}
+
 Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Start(
     const Deployment<double>& deployment, const Matrix<double>* a,
     std::vector<EdgeDevice> fleet, std::string* snapshot_out,
@@ -80,24 +123,8 @@ Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Start(
   // the same deployment a restart would recover.
   auto unsealed = UnsealDeploymentDouble(*snapshot_out, options.sealing_key);
   if (!unsealed.ok()) return unsealed.status();
-
-  auto coordinator =
-      std::unique_ptr<DurableCoordinator>(new DurableCoordinator());
-  coordinator->session_.emplace(
-      DeploymentSession<double>::Adopt(std::move(unsealed).value()));
-  coordinator->session_->set_pad_generation(0);
-  coordinator->journal_ = std::make_unique<QueryJournal>(
-      journal_os, snapshot_crc, options.group_commit_records,
-      /*write_header=*/true);
-  if (options.crash_probe) {
-    coordinator->journal_->set_crash_probe(options.crash_probe);
-  }
-  coordinator->session_->AttachJournal(coordinator->journal_.get());
-  // The protocol adopts the session's pad generation and journal.
-  coordinator->protocol_ = std::make_unique<sim::FaultTolerantScecProtocol>(
-      &*coordinator->session_, a, std::move(fleet), options.sim, options.ft);
-  coordinator->protocol_->Stage();  // may throw CoordinatorCrash
-  return coordinator;
+  return Launch(std::move(unsealed).value(), /*generation=*/0, snapshot_crc,
+                journal_os, *a, std::move(fleet), options);
 }
 
 Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Restart(
@@ -122,33 +149,11 @@ Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Restart(
   SCEC_RETURN_IF_ERROR(
       ValidateReplayState(state, *unsealed, *a, fleet.size()));
 
-  auto coordinator =
-      std::unique_ptr<DurableCoordinator>(new DurableCoordinator());
-  coordinator->session_.emplace(
-      DeploymentSession<double>::Adopt(std::move(unsealed).value()));
-  coordinator->session_->set_pad_generation(state.last_generation + 1);
-  coordinator->journal_ = std::make_unique<QueryJournal>(
-      journal_os, snapshot_crc, options.group_commit_records,
-      /*write_header=*/false);
-  if (options.crash_probe) {
-    coordinator->journal_->set_crash_probe(options.crash_probe);
-  }
-  coordinator->session_->AttachJournal(coordinator->journal_.get());
-
-  // The incarnation marker goes in before anything else this generation
-  // writes: a later replay needs it to attribute the records that follow.
-  JournalEvent restart_event;
-  restart_event.kind = JournalEventKind::kRestart;
-  restart_event.generation = coordinator->session_->pad_generation();
-  coordinator->journal_->AppendCommitted(restart_event);
-
-  // The protocol adopts the session's pad generation (salting repair/hedge/
-  // guard pad seeds — restarts never replay an earlier incarnation's pads)
-  // and its journal attachment.
-  coordinator->protocol_ = std::make_unique<sim::FaultTolerantScecProtocol>(
-      &*coordinator->session_, a, std::move(fleet), options.sim, options.ft);
-  coordinator->protocol_->Stage();  // may throw CoordinatorCrash
-  coordinator->protocol_->RestoreFromReplay(state);
+  SCEC_ASSIGN_OR_RETURN(
+      std::unique_ptr<DurableCoordinator> coordinator,
+      Launch(std::move(unsealed).value(), state.last_generation + 1,
+             snapshot_crc, journal_os, *a, std::move(fleet), options));
+  coordinator->driver_->RestoreFromReplay(state);
   coordinator->replay_ = std::move(state);
 
   const double replay_seconds =
@@ -163,20 +168,20 @@ Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Restart(
 
 Result<std::vector<double>> DurableCoordinator::Query(
     const std::vector<double>& x) {
-  SCEC_CHECK(protocol_ != nullptr);
-  return protocol_->RunQuery(x);
+  SCEC_CHECK(driver_ != nullptr);
+  return driver_->Query(x);
 }
 
 Result<std::vector<double>> DurableCoordinator::ResumeInFlight() {
-  SCEC_CHECK(protocol_ != nullptr);
+  SCEC_CHECK(driver_ != nullptr);
   if (!replay_.has_in_flight) {
     return FailedPrecondition("no in-flight query to resume");
   }
-  // The protocol consumes its resume arming on the first RunQuery either
-  // way, so the in-flight marker is cleared even on failure — a retry
-  // would be a fresh dispatch, not a resumption.
+  // The driver consumes its resume arming on the first Query either way,
+  // so the in-flight marker is cleared even on failure — a retry would be
+  // a fresh dispatch, not a resumption.
   replay_.has_in_flight = false;
-  return protocol_->RunQuery(replay_.in_flight_x);
+  return driver_->Query(replay_.in_flight_x);
 }
 
 }  // namespace scec::recovery

@@ -84,8 +84,8 @@ struct JournalEvent {
   uint64_t device = 0;
   uint64_t attempt = 0;
   uint64_t bytes = 0;
-  std::vector<double> values;
-  std::optional<JournalSegmentRecord> segment_record;
+  std::vector<double> values = {};
+  std::optional<JournalSegmentRecord> segment_record = {};
 };
 
 // What a crash probe tells the journal to do after an append.

@@ -257,9 +257,9 @@ class ServeCoordinator {
   const OverloadGovernor& governor() const { return governor_; }
   const BrownoutBreaker& breaker() const { return breaker_; }
 
-  // The ladder's hedging gate, in the shape FaultToleranceOptions::
-  // hedging_gate expects. Safe to call from protocol code: takes the
-  // coordinator lock.
+  // The ladder's hedging gate, in the shape the protocol driver's
+  // NetCoordinatorOptions::hedging_gate expects. Safe to call from driver
+  // code: takes the coordinator lock.
   std::function<bool()> HedgingGate() {
     return [this]() {
       std::lock_guard<std::mutex> lock(mutex_);

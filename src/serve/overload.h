@@ -12,8 +12,8 @@
 //   rung 2  kNoHedge        speculative hedges are disabled — hedge traffic
 //                           is pure duplicate work (+30% dispatches in the
 //                           PR-4 A/B), exactly what an overloaded fleet
-//                           cannot afford. Consumed by the protocol via
-//                           FaultToleranceOptions::hedging_gate.
+//                           cannot afford. Consumed by the protocol driver
+//                           via NetCoordinatorOptions::hedging_gate.
 //   rung 3  kSampleVerify   result verification drops from every batch to 1
 //                           in `verify_sample_every` (spot checks keep
 //                           corruption detection alive at reduced cost).
@@ -87,7 +87,7 @@ class OverloadGovernor {
   bool AdmitClass(DeadlineClass cls) const;
 
   // False at kNoHedge and above. Exposed as a std::function-compatible
-  // gate for FaultToleranceOptions::hedging_gate.
+  // gate for the driver's NetCoordinatorOptions::hedging_gate.
   bool HedgingAllowed() const {
     return static_cast<size_t>(level_) <
            static_cast<size_t>(OverloadLevel::kNoHedge);

@@ -22,8 +22,9 @@
 //                 window succeeds.
 //
 // A FaultSchedule is attached via SimOptions::faults and consulted by
-// EdgeDeviceActor (sim/actors.cpp), so the same injection layer drives
-// ScecProtocol, RedundantScecProtocol and FaultTolerantScecProtocol.
+// EdgeDeviceActor (sim/actors.cpp) and net::SimTransport, so the same
+// injection layer drives ScecProtocol, RedundantScecProtocol and the
+// protocol driver (net/driver.h) over the simulated fleet.
 // Injection counters are mutable: they are simulator-side bookkeeping that
 // tests use to assert a scripted fault actually fired.
 
@@ -100,7 +101,6 @@ class FaultSchedule {
                     std::vector<double>& response) const;
 
   const FaultInjectionStats& stats() const { return stats_; }
-  size_t num_scripted_devices() const { return events_.size(); }
 
  private:
   const std::vector<FaultEvent>* EventsFor(size_t device) const;

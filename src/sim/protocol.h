@@ -53,10 +53,6 @@ class ScecProtocol {
   EventQueue& queue() { return queue_; }
   Network& network() { return network_; }
 
-  // Retransmission statistics; empty when links are loss-free.
-  const ReliableChannelStats* channel_stats() const {
-    return channel_ == nullptr ? nullptr : &channel_->stats();
-  }
 
  private:
   void BuildTopology();

@@ -70,6 +70,10 @@ class ReputationTracker {
   // Dispatchable for queries/hedges/recovery. Always true when disabled.
   bool Usable(size_t device) const;
 
+  // Quarantines outright (a restarted coordinator re-adopting a journaled
+  // standing); true if newly quarantined. Canaries can readmit it.
+  bool Quarantine(size_t device);
+
   size_t num_quarantined() const;
   uint64_t quarantined_total() const { return quarantined_total_; }
   uint64_t readmitted_total() const { return readmitted_total_; }
@@ -82,8 +86,6 @@ class ReputationTracker {
     // Query counter value when the last canary went out (pacing).
     size_t last_canary_query = 0;
   };
-
-  bool Quarantine(size_t device);  // true if newly quarantined
 
   ReputationOptions options_;
   std::vector<State> states_;

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "recovery/journal.h"
-#include "sim/metrics.h"
 
 namespace scec::sim {
 namespace {
@@ -67,8 +66,10 @@ TEST(ChaosSoak, EpisodesReplayBitForBit) {
     EXPECT_EQ(first.mix, second.mix);
     EXPECT_EQ(first.outcome, second.outcome);
     EXPECT_EQ(DescribeSchedule(first), DescribeSchedule(second));
-    EXPECT_EQ(ToJson(first.run), ToJson(second.run)) << "episode " << index;
-    EXPECT_EQ(ToJson(first.recovery), ToJson(second.recovery))
+    EXPECT_EQ(net::ToJson(first.stats), net::ToJson(second.stats))
+        << "episode " << index;
+    EXPECT_EQ(first.transport.responses_delivered,
+              second.transport.responses_delivered)
         << "episode " << index;
   }
 }
@@ -185,8 +186,8 @@ TEST(ChaosSoak, ByzantineEpisodesMaskAndQuarantineScriptedLiars) {
       continue;
     }
     any_guarded |= episode.byzantine_effective > 0;
-    any_masked |= episode.recovery.byzantine_masked_queries > 0;
-    any_quarantined |= episode.recovery.devices_quarantined > 0;
+    any_masked |= episode.stats.byzantine_masked_queries > 0;
+    any_quarantined |= episode.stats.devices_quarantined > 0;
   }
   EXPECT_TRUE(any_guarded) << "no byzantine episode ever provisioned guards";
   EXPECT_TRUE(any_masked) << "no liar was ever masked in a single round";
@@ -303,7 +304,7 @@ TEST(ChaosCrashSoak, ArtifactsHoldTheParseableJournal) {
 
   // The balanced journal is the positive control for the doctored-journal
   // tests below: CheckCrashLedger must accept what the episode accepted.
-  EXPECT_EQ(CheckCrashLedger(episode, replay->events, /*value_bytes=*/8.0),
+  EXPECT_EQ(CheckCrashLedger(episode, replay->events),
             "");
 
   // Doctor 1: duplicate a committed result record -> exactly-once broken.
@@ -317,7 +318,7 @@ TEST(ChaosCrashSoak, ArtifactsHoldTheParseableJournal) {
     }
   }
   ASSERT_TRUE(duplicated);
-  EXPECT_NE(CheckCrashLedger(episode, doctored, 8.0), "");
+  EXPECT_NE(CheckCrashLedger(episode, doctored), "");
 
   // Doctor 2: forge one dispatch's billed bytes -> double-entry mismatch.
   // The audit bills the FINAL generation against the final metrics, so
@@ -333,7 +334,7 @@ TEST(ChaosCrashSoak, ArtifactsHoldTheParseableJournal) {
     }
   }
   ASSERT_TRUE(forged);
-  EXPECT_NE(CheckCrashLedger(episode, doctored, 8.0), "");
+  EXPECT_NE(CheckCrashLedger(episode, doctored), "");
 }
 
 }  // namespace

@@ -81,7 +81,7 @@ DrillResult RunDrill(const Fixture& f, const CrashSpec& spec,
   DurableCoordinatorOptions options;
   options.sealing_key = 0x5EA1ull;
   options.seal_salt = 0x7A17ull;
-  options.ft.byzantine_tolerance = byzantine_tolerance;
+  options.driver.byzantine_tolerance = byzantine_tolerance;
   options.crash_probe = [&injector](const JournalEvent& event) {
     return injector.Decide(event);
   };
@@ -146,10 +146,10 @@ DrillResult RunDrill(const Fixture& f, const CrashSpec& spec,
   }
 
   out.resumed_responses =
-      coordinator->protocol().recovery_metrics().resumed_responses;
+      coordinator->driver().stats().resumed_responses;
   out.restored_segments =
-      coordinator->protocol().recovery_metrics().restored_segments;
-  out.all_secure = coordinator->protocol().VerifyCumulativeSecurity().all_secure;
+      coordinator->driver().stats().restored_segments;
+  out.all_secure = coordinator->driver().VerifyCumulativeSecurity().all_secure;
   out.generation = coordinator->generation();
   out.journal = journal_gen0.str() + journal_gen1.str();
   return out;

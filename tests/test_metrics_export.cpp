@@ -1,8 +1,10 @@
 // SPDX-License-Identifier: MIT
 //
-// Unified RunMetrics / FaultRecoveryMetrics export: the JSON and CSV forms
-// must round-trip the Eq. (1) accounting identities — the totals a consumer
-// parses back must equal the per-device sums the simulator counted.
+// Unified metrics export: RunMetrics (sim/metrics.h) and the fault-recovery
+// ledger of the protocol driver (NetCoordinatorStats, net/driver.h). The
+// JSON and CSV forms must round-trip the Eq. (1) accounting identities —
+// the totals a consumer parses back must equal the per-device sums the
+// simulator counted — and every ledger field.
 
 #include "sim/metrics.h"
 
@@ -12,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "net/driver.h"
 #include "sim/simulation.h"
 #include "workload/distributions.h"
 
@@ -131,31 +134,45 @@ TEST(RunMetricsExport, CsvRowMatchesHeaderAndTotals) {
                    metrics.query_completion_time);
 }
 
+std::string CsvColumn(const net::NetCoordinatorStats& stats,
+                      const std::string& name) {
+  const std::vector<std::string> header =
+      SplitCsv(net::NetCoordinatorStatsCsvHeader());
+  const std::vector<std::string> row = SplitCsv(net::ToCsvRow(stats));
+  EXPECT_EQ(header.size(), row.size());
+  for (size_t i = 0; i < header.size() && i < row.size(); ++i) {
+    if (header[i] == name) return row[i];
+  }
+  ADD_FAILURE() << "column " << name << " missing";
+  return "";
+}
+
 TEST(FaultRecoveryMetricsExport, JsonAndCsvCarryDerivedFields) {
-  FaultRecoveryMetrics metrics;
-  metrics.deadline_timeouts = 5;
-  metrics.retries_sent = 3;
-  metrics.corrupt_responses = 1;
-  metrics.devices_recovered_by_retry = 2;
-  metrics.devices_evicted_timeout = 1;
-  metrics.devices_evicted_corrupt = 1;
+  net::NetCoordinatorStats metrics;
+  metrics.timeouts = 5;
+  metrics.retries = 3;
+  metrics.byzantine_flagged = 1;
+  metrics.evictions = 2;
+  metrics.evictions_corrupt = 1;
   metrics.recovery_rounds = 2;
   metrics.replanned_rows = 7;
   metrics.base_plan_cost = 123.5;
   metrics.recovery_plan_cost = 41.25;
-  metrics.recovery_staging_seconds = 0.125;
-  metrics.first_attempt_completion_s = 0.5;
-  metrics.total_completion_s = 0.875;
+  metrics.first_round_s = 0.5;
+  metrics.last_query_s = 0.875;
 
-  const std::string json = ToJson(metrics);
-  EXPECT_EQ(JsonUint(json, "total_evictions"), metrics.TotalEvictions());
+  const std::string json = net::ToJson(metrics);
+  EXPECT_EQ(JsonUint(json, "evictions"), 2u);
+  EXPECT_EQ(JsonUint(json, "evictions_corrupt"), 1u);
   EXPECT_NE(json.find("\"recovery_latency_s\":0.375"), std::string::npos)
       << json;
   EXPECT_EQ(JsonUint(json, "replanned_rows"), 7u);
+  EXPECT_NE(json.find("\"recovery_plan_cost\":41.25"), std::string::npos)
+      << json;
 
   const std::vector<std::string> header =
-      SplitCsv(FaultRecoveryMetricsCsvHeader());
-  const std::vector<std::string> row = SplitCsv(ToCsvRow(metrics));
+      SplitCsv(net::NetCoordinatorStatsCsvHeader());
+  const std::vector<std::string> row = SplitCsv(net::ToCsvRow(metrics));
   ASSERT_EQ(header.size(), row.size());
   for (size_t i = 0; i < header.size(); ++i) {
     EXPECT_FALSE(row[i].empty()) << "empty column " << header[i];
@@ -163,55 +180,43 @@ TEST(FaultRecoveryMetricsExport, JsonAndCsvCarryDerivedFields) {
 }
 
 TEST(FaultRecoveryMetricsExport, HedgeAndAdaptiveFieldsRoundTrip) {
-  FaultRecoveryMetrics metrics;
-  metrics.hedges_dispatched = 4;
-  metrics.hedges_won = 3;
+  net::NetCoordinatorStats metrics;
+  metrics.hedges_launched = 4;
+  metrics.hedge_wins = 3;
   metrics.hedges_cancelled = 1;
   metrics.hedged_rows = 9;
-  metrics.hedge_staging_bytes = 1024;
-  metrics.hedge_staging_aborts = 2;
+  metrics.hedges_suppressed = 2;
   metrics.adaptive_deadlines = 11;
-  metrics.queries_dispatched = 16;
-  metrics.responses_received = 14;
-  metrics.response_values_received = 70;
-  metrics.total_completion_s = 0.5;
-  metrics.settled_completion_s = 0.375;
+  metrics.dispatches = 16;
+  metrics.responses_seen = 14;
+  metrics.response_value_bytes = 560;
+  metrics.first_round_s = 0.25;
+  metrics.last_query_s = 0.375;
 
-  const std::string json = ToJson(metrics);
-  EXPECT_EQ(JsonUint(json, "hedges_dispatched"), 4u);
-  EXPECT_EQ(JsonUint(json, "hedges_won"), 3u);
+  const std::string json = net::ToJson(metrics);
+  EXPECT_EQ(JsonUint(json, "hedges_launched"), 4u);
+  EXPECT_EQ(JsonUint(json, "hedge_wins"), 3u);
   EXPECT_EQ(JsonUint(json, "hedges_cancelled"), 1u);
   EXPECT_EQ(JsonUint(json, "hedged_rows"), 9u);
-  EXPECT_EQ(JsonUint(json, "hedge_staging_bytes"), 1024u);
-  EXPECT_EQ(JsonUint(json, "hedge_staging_aborts"), 2u);
+  EXPECT_EQ(JsonUint(json, "hedges_suppressed"), 2u);
   EXPECT_EQ(JsonUint(json, "adaptive_deadlines"), 11u);
-  EXPECT_EQ(JsonUint(json, "queries_dispatched"), 16u);
-  EXPECT_EQ(JsonUint(json, "responses_received"), 14u);
-  EXPECT_EQ(JsonUint(json, "response_values_received"), 70u);
+  EXPECT_EQ(JsonUint(json, "dispatches"), 16u);
+  EXPECT_EQ(JsonUint(json, "responses_seen"), 14u);
+  EXPECT_EQ(JsonUint(json, "response_value_bytes"), 560u);
   // Derived: 4 hedges over 16 dispatches.
   EXPECT_NE(json.find("\"hedge_rate\":0.25"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"settled_completion_s\":0.375"), std::string::npos)
-      << json;
+  EXPECT_NE(json.find("\"last_query_s\":0.375"), std::string::npos) << json;
 
+  EXPECT_EQ(CsvColumn(metrics, "hedges_launched"), "4");
+  EXPECT_EQ(CsvColumn(metrics, "hedge_wins"), "3");
+  EXPECT_EQ(CsvColumn(metrics, "hedged_rows"), "9");
+  EXPECT_EQ(CsvColumn(metrics, "adaptive_deadlines"), "11");
+  EXPECT_EQ(CsvColumn(metrics, "dispatches"), "16");
+  EXPECT_DOUBLE_EQ(std::stod(CsvColumn(metrics, "last_query_s")), 0.375);
+  // Column order: the latency block precedes the Byzantine/reputation
+  // block, and the crash-recovery block closes the row.
   const std::vector<std::string> header =
-      SplitCsv(FaultRecoveryMetricsCsvHeader());
-  const std::vector<std::string> row = SplitCsv(ToCsvRow(metrics));
-  ASSERT_EQ(header.size(), row.size());
-  auto column = [&](const std::string& name) -> std::string {
-    for (size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return row[i];
-    }
-    ADD_FAILURE() << "column " << name << " missing";
-    return "";
-  };
-  EXPECT_EQ(column("hedges_dispatched"), "4");
-  EXPECT_EQ(column("hedges_won"), "3");
-  EXPECT_EQ(column("hedge_staging_bytes"), "1024");
-  EXPECT_EQ(column("adaptive_deadlines"), "11");
-  EXPECT_EQ(column("queries_dispatched"), "16");
-  EXPECT_DOUBLE_EQ(std::stod(column("settled_completion_s")), 0.375);
-  // Appended columns keep older CSV consumers' column indices valid: the
-  // Byzantine/reputation block comes strictly AFTER the PR 2 settle time.
+      SplitCsv(net::NetCoordinatorStatsCsvHeader());
   EXPECT_EQ(header.back(), "resumed_responses");
   auto index_of = [&](const std::string& name) {
     for (size_t i = 0; i < header.size(); ++i) {
@@ -220,12 +225,11 @@ TEST(FaultRecoveryMetricsExport, HedgeAndAdaptiveFieldsRoundTrip) {
     ADD_FAILURE() << "column " << name << " missing";
     return header.size();
   };
-  EXPECT_LT(index_of("settled_completion_s"),
-            index_of("byzantine_guard_segments"));
+  EXPECT_LT(index_of("last_query_s"), index_of("byzantine_guard_segments"));
 }
 
 TEST(FaultRecoveryMetricsExport, ByzantineAndReputationFieldsRoundTrip) {
-  FaultRecoveryMetrics metrics;
+  net::NetCoordinatorStats metrics;
   metrics.byzantine_guard_segments = 2;
   metrics.byzantine_guard_rows = 48;
   metrics.byzantine_guard_cost = 12.5;
@@ -239,7 +243,7 @@ TEST(FaultRecoveryMetricsExport, ByzantineAndReputationFieldsRoundTrip) {
   metrics.canaries_passed = 4;
   metrics.canaries_failed = 1;
 
-  const std::string json = ToJson(metrics);
+  const std::string json = net::ToJson(metrics);
   EXPECT_EQ(JsonUint(json, "byzantine_guard_segments"), 2u);
   EXPECT_EQ(JsonUint(json, "byzantine_guard_rows"), 48u);
   EXPECT_NE(json.find("\"byzantine_guard_cost\":12.5"), std::string::npos)
@@ -254,60 +258,38 @@ TEST(FaultRecoveryMetricsExport, ByzantineAndReputationFieldsRoundTrip) {
   EXPECT_EQ(JsonUint(json, "canaries_passed"), 4u);
   EXPECT_EQ(JsonUint(json, "canaries_failed"), 1u);
 
-  const std::vector<std::string> header =
-      SplitCsv(FaultRecoveryMetricsCsvHeader());
-  const std::vector<std::string> row = SplitCsv(ToCsvRow(metrics));
-  ASSERT_EQ(header.size(), row.size());
-  auto column = [&](const std::string& name) -> std::string {
-    for (size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return row[i];
-    }
-    ADD_FAILURE() << "column " << name << " missing";
-    return "";
-  };
-  EXPECT_EQ(column("byzantine_guard_segments"), "2");
-  EXPECT_EQ(column("byzantine_guard_rows"), "48");
-  EXPECT_EQ(column("byzantine_masked_queries"), "3");
-  EXPECT_EQ(column("devices_quarantined"), "2");
-  EXPECT_EQ(column("devices_readmitted"), "1");
-  EXPECT_EQ(column("canaries_sent"), "5");
-  EXPECT_EQ(column("canaries_failed"), "1");
+  EXPECT_EQ(CsvColumn(metrics, "byzantine_guard_segments"), "2");
+  EXPECT_EQ(CsvColumn(metrics, "byzantine_guard_rows"), "48");
+  EXPECT_EQ(CsvColumn(metrics, "byzantine_masked_queries"), "3");
+  EXPECT_EQ(CsvColumn(metrics, "devices_quarantined"), "2");
+  EXPECT_EQ(CsvColumn(metrics, "devices_readmitted"), "1");
+  EXPECT_EQ(CsvColumn(metrics, "canaries_sent"), "5");
+  EXPECT_EQ(CsvColumn(metrics, "canaries_failed"), "1");
 }
 
 TEST(FaultRecoveryMetricsExport, CrashRecoveryFieldsRoundTrip) {
-  FaultRecoveryMetrics metrics;
+  net::NetCoordinatorStats metrics;
   metrics.generation = 2;
-  metrics.journal_events = 37;
-  metrics.journal_commits = 9;
   metrics.restored_segments = 3;
   metrics.restored_evictions = 1;
   metrics.resumed_responses = 5;
+  metrics.stale_ignored = 37;
+  metrics.transport_errors = 9;
 
-  const std::string json = ToJson(metrics);
+  const std::string json = net::ToJson(metrics);
   EXPECT_EQ(JsonUint(json, "generation"), 2u);
-  EXPECT_EQ(JsonUint(json, "journal_events"), 37u);
-  EXPECT_EQ(JsonUint(json, "journal_commits"), 9u);
   EXPECT_EQ(JsonUint(json, "restored_segments"), 3u);
   EXPECT_EQ(JsonUint(json, "restored_evictions"), 1u);
   EXPECT_EQ(JsonUint(json, "resumed_responses"), 5u);
+  EXPECT_EQ(JsonUint(json, "stale_ignored"), 37u);
+  EXPECT_EQ(JsonUint(json, "transport_errors"), 9u);
 
-  const std::vector<std::string> header =
-      SplitCsv(FaultRecoveryMetricsCsvHeader());
-  const std::vector<std::string> row = SplitCsv(ToCsvRow(metrics));
-  ASSERT_EQ(header.size(), row.size());
-  auto column = [&](const std::string& name) -> std::string {
-    for (size_t i = 0; i < header.size(); ++i) {
-      if (header[i] == name) return row[i];
-    }
-    ADD_FAILURE() << "column " << name << " missing";
-    return "";
-  };
-  EXPECT_EQ(column("generation"), "2");
-  EXPECT_EQ(column("journal_events"), "37");
-  EXPECT_EQ(column("journal_commits"), "9");
-  EXPECT_EQ(column("restored_segments"), "3");
-  EXPECT_EQ(column("restored_evictions"), "1");
-  EXPECT_EQ(column("resumed_responses"), "5");
+  EXPECT_EQ(CsvColumn(metrics, "generation"), "2");
+  EXPECT_EQ(CsvColumn(metrics, "restored_segments"), "3");
+  EXPECT_EQ(CsvColumn(metrics, "restored_evictions"), "1");
+  EXPECT_EQ(CsvColumn(metrics, "resumed_responses"), "5");
+  EXPECT_EQ(CsvColumn(metrics, "stale_ignored"), "37");
+  EXPECT_EQ(CsvColumn(metrics, "transport_errors"), "9");
 }
 
 TEST(RunMetricsExport, EmptyMetricsStillSerialise) {

@@ -70,5 +70,28 @@ TEST(NetChaos, ScheduleAndReproAreDescribable) {
   EXPECT_NE(repro.find("--seed=7"), std::string::npos) << repro;
 }
 
+TEST(NetChaos, ByzantineFamilyMasksAndQuarantinesOverSockets) {
+  NetChaosConfig config = SmallConfig();
+  config.num_devices = 8;
+  config.byzantine_tolerance = 1;
+  size_t guarded = 0;
+  for (size_t index = 0; index < 2; ++index) {
+    const NetChaosEpisode episode = RunNetChaosEpisode(config, index);
+    EXPECT_TRUE(episode.ok()) << DescribeNetSchedule(episode) << "\n"
+                              << episode.failure;
+    ASSERT_NE(episode.schedule.byzantine_device, SIZE_MAX);
+    EXPECT_EQ(episode.schedule.kill_device, SIZE_MAX);
+    if (episode.byzantine_effective == 0) continue;
+    ++guarded;
+    EXPECT_EQ(episode.driver_stats.recovery_rounds, 0u);
+    EXPECT_GE(episode.driver_stats.byzantine_masked_queries, 1u);
+    EXPECT_EQ(episode.queries_answered, config.queries);
+  }
+  EXPECT_GE(guarded, 1u) << "no episode provisioned a guard";
+  const std::string repro = NetReproCommand(config, 0);
+  EXPECT_NE(repro.find("--byzantine_tolerance=1"), std::string::npos)
+      << repro;
+}
+
 }  // namespace
 }  // namespace scec::net

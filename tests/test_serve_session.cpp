@@ -5,8 +5,7 @@
 // every chaos seed stay bit-identical through the refactor), Serve /
 // ServeBatch / QuerySession agree with the free-function paths, pad
 // generations advance monotonically into protocol options, and the
-// session-based FaultTolerantScecProtocol constructor adopts generation and
-// journal.
+// session-based protocol driver constructor adopts generation and journal.
 
 #include "core/pipeline.h"
 
@@ -18,7 +17,7 @@
 
 #include "linalg/matrix_ops.h"
 #include "recovery/journal.h"
-#include "sim/fault_tolerant_protocol.h"
+#include "sim_driver.h"
 #include "workload/distributions.h"
 
 namespace scec {
@@ -143,13 +142,15 @@ TEST(DeploymentSession, ProtocolCtorAdoptsGenerationAndJournal) {
   session->AttachJournal(&journal);
   EXPECT_EQ(session->journal(), &journal);
 
-  sim::FaultTolerantScecProtocol protocol(&*session, &rig.a,
-                                          rig.problem.fleet.devices(), {});
-  protocol.Stage();
+  net::SimTransport transport(rig.problem.fleet.devices(), {});
+  net::NetCoordinator driver(*session, rig.a, rig.problem.fleet,
+                             recovery::SimDriverOptions());
+  EXPECT_EQ(driver.stats().generation, 3u);
+  ASSERT_TRUE(driver.Setup(&transport).ok());
   ChaCha20Rng xrng(32);
   const auto x = RandomVector<double>(rig.problem.l, xrng);
   const auto expected = MatVec(rig.a, std::span<const double>(x));
-  const auto decoded = protocol.RunQuery(x);
+  const auto decoded = driver.Query(x);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_LT(MaxAbsDiff(std::span<const double>(*decoded),
                        std::span<const double>(expected)),
