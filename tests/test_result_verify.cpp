@@ -111,7 +111,7 @@ TEST(ResultVerifierRepetition, DigestValuesScaleLinearlyWithRepetition) {
 // so every probe of the predictable verifier passes while the corruption is
 // plainly nonzero. The same response against an independently (secretly)
 // seeded verifier is caught. This is the reason Create() takes ChaCha20 and
-// the protocol treats `verifier_seed` as a secret.
+// the protocol driver treats `digest_seed` as a secret.
 TEST(ResultVerifierPredictableRng, KnownSeedAdmitsCraftedCorruption) {
   ChaCha20Rng data_rng(99);
   const auto shares = OneRandomShare<Gf61>(4, 3, data_rng);
