@@ -165,8 +165,8 @@ class QuerySession;
 // verifier, the pad-generation counter (how many encoding rounds this
 // tenant's pads have advanced: hedges, recovery re-plans, coordinator
 // restarts), and an optional write-ahead journal attachment. Sessions are
-// what the deployment cache stores and what the fault-tolerant protocol and
-// durable coordinator are built from.
+// what the deployment cache stores and what the protocol driver
+// (net/driver.h) and the durable coordinator are built from.
 template <typename T>
 class DeploymentSession {
  public:
@@ -223,9 +223,9 @@ class DeploymentSession {
 
   // Pad generation: 0 for the as-deployed pads; every re-encode round that
   // ships fresh pads for this tenant (hedge, recovery re-plan, coordinator
-  // restart) advances it. The fault-tolerant protocol salts its repair/
-  // hedge/guard pad seeds with this value so no incarnation ever replays a
-  // pad stream an earlier one shipped (Def. 2; see docs/PROTOCOL.md).
+  // restart) advances it. The protocol driver salts its pad seed with this
+  // value so no incarnation ever replays a pad stream an earlier one
+  // shipped (Def. 2; see docs/PROTOCOL.md).
   uint32_t pad_generation() const { return pad_generation_; }
   void set_pad_generation(uint32_t generation) {
     pad_generation_ = generation;

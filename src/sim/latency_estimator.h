@@ -1,10 +1,11 @@
 // SPDX-License-Identifier: MIT
 //
-// Per-device response-latency estimator for the fault-tolerant runtime.
+// Per-device response-latency estimator for the protocol driver
+// (net/driver.h).
 //
 // The paper assumes every device "responds in a timely manner" (§II-A); the
-// fault-tolerant protocol initially relaxed that with a FIXED deadline
-// budgeted from the device's link/compute specs. A fixed deadline has to be
+// driver's default relaxes that with a FIXED deadline budgeted from the
+// device's link/compute specs. A fixed deadline has to be
 // generous (it absorbs the whole straggler tail up front), so a straggler
 // costs a full deadline before anything reacts. This estimator learns each
 // device's actual `device_response` durations online so the protocol can
