@@ -45,6 +45,7 @@ struct TransportMetrics {
 struct SocketTransport::StageWaiter {
   std::promise<Status> promise;
   size_t device = 0;
+  uint64_t value_bytes = 0;
 };
 
 SocketTransport::SocketTransport(std::vector<uint16_t> ports,
@@ -114,6 +115,7 @@ Status SocketTransport::StageShare(size_t device, uint64_t share_id,
   if (device >= ports_.size()) return OutOfRange("device index out of range");
   auto waiter = std::make_shared<StageWaiter>();
   waiter->device = device;
+  waiter->value_bytes = rows.size() * sizeof(double);
   std::future<Status> future = waiter->promise.get_future();
 
   // The values' one copy on this side: matrix rows straight into the frame,
@@ -136,8 +138,18 @@ Status SocketTransport::StageShare(size_t device, uint64_t share_id,
   const auto timeout =
       std::chrono::duration<double>(options_.stage_timeout_s);
   if (future.wait_for(timeout) != std::future_status::ready) {
-    loop_.Post([this, share_id]() { stage_waiters_.erase(share_id); });
-    return ToStatus(NetError::kTimeout, "share staging timed out");
+    // Withdraw the waiter on the loop thread. An ack that beat the
+    // withdrawal was counted as staged, so the staging stands.
+    std::promise<void> withdrawn;
+    loop_.Post([this, share_id, &withdrawn]() {
+      stage_waiters_.erase(share_id);
+      withdrawn.set_value();
+    });
+    withdrawn.get_future().wait();
+    if (future.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+      return ToStatus(NetError::kTimeout, "share staging timed out");
+    }
   }
   return future.get();
 }
@@ -152,17 +164,13 @@ void SocketTransport::DispatchOnLoop(uint64_t rpc_id, size_t device,
 
   if (device_gone_[device]) {
     rpcs_.erase(it);
-    Completion completion;
-    completion.kind = Completion::Kind::kError;
-    completion.id = rpc_id;
-    completion.device = device;
-    completion.error = NetError::kPartitioned;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.partitions;
     }
     TransportMetrics::Get().rpcs_partitioned.Increment();
-    PushCompletion(std::move(completion));
+    PushCompletion({.kind = Completion::Kind::kError, .id = rpc_id,
+                    .device = device, .error = NetError::kPartitioned});
     return;
   }
 
@@ -178,28 +186,20 @@ void SocketTransport::DispatchOnLoop(uint64_t rpc_id, size_t device,
     stats_.query_value_bytes_sent += value_bytes;
   }
 
+  // The RPC stays open past its deadline: a late response is still
+  // delivered until the driver cancels it.
   it->second.deadline_timer = loop_.AddTimer(deadline_s, [this, rpc_id]() {
     auto rpc = rpcs_.find(rpc_id);
     if (rpc == rpcs_.end()) return;
+    rpc->second.deadline_timer = 0;
     const size_t dev = rpc->second.device;
-    rpcs_.erase(rpc);
-    // Best-effort cancel so a straggling daemon stops wasting compute.
-    if (!device_gone_[dev]) {
-      CancelMsg cancel;
-      cancel.rpc_id = rpc_id;
-      channels_[dev]->SendFrame(WireType::kCancel, cancel.Encode());
-    }
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.timeouts;
     }
     TransportMetrics::Get().rpcs_timeout.Increment();
-    Completion completion;
-    completion.kind = Completion::Kind::kError;
-    completion.id = rpc_id;
-    completion.device = dev;
-    completion.error = NetError::kTimeout;
-    PushCompletion(std::move(completion));
+    PushCompletion({.kind = Completion::Kind::kError, .id = rpc_id,
+                    .device = dev, .error = NetError::kTimeout});
   });
 }
 
@@ -234,10 +234,7 @@ uint64_t SocketTransport::AddAlarm(double delay_s) {
   const uint64_t alarm_id = next_id_.fetch_add(1);
   loop_.Post([this, alarm_id, delay_s]() {
     loop_.AddTimer(delay_s, [this, alarm_id]() {
-      Completion completion;
-      completion.kind = Completion::Kind::kAlarm;
-      completion.id = alarm_id;
-      PushCompletion(std::move(completion));
+      PushCompletion({.kind = Completion::Kind::kAlarm, .id = alarm_id});
     });
   });
   return alarm_id;
@@ -292,12 +289,10 @@ void SocketTransport::HandleFrame(size_t device, WireType type,
             response->values.size() * sizeof(double);
       }
       TransportMetrics::Get().rpcs_response.Increment();
-      Completion completion;
-      completion.kind = Completion::Kind::kResponse;
-      completion.id = response->rpc_id;
-      completion.device = device;
-      completion.values = std::move(response->values);
-      PushCompletion(std::move(completion));
+      PushCompletion({.kind = Completion::Kind::kResponse,
+                      .id = response->rpc_id,
+                      .device = device,
+                      .values = std::move(response->values)});
       return;
     }
     case WireType::kRpcError: {
@@ -309,12 +304,8 @@ void SocketTransport::HandleFrame(size_t device, WireType type,
         loop_.CancelTimer(it->second.deadline_timer);
       }
       rpcs_.erase(it);
-      Completion completion;
-      completion.kind = Completion::Kind::kError;
-      completion.id = error->rpc_id;
-      completion.device = device;
-      completion.error = NetError::kProtocol;
-      PushCompletion(std::move(completion));
+      PushCompletion({.kind = Completion::Kind::kError, .id = error->rpc_id,
+                      .device = device, .error = NetError::kProtocol});
       return;
     }
     case WireType::kShareAck: {
@@ -324,6 +315,10 @@ void SocketTransport::HandleFrame(size_t device, WireType type,
       if (it == stage_waiters_.end()) return;
       std::shared_ptr<StageWaiter> waiter = it->second;
       stage_waiters_.erase(it);
+      if (ack->ok != 0) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stats_.staged_value_bytes += waiter->value_bytes;
+      }
       waiter->promise.set_value(
           ack->ok != 0 ? Status::Ok()
                        : ToStatus(NetError::kProtocol, ack->error));
@@ -369,12 +364,8 @@ void SocketTransport::FailDeviceRpcs(size_t device, NetError error) {
     } else {
       TransportMetrics::Get().rpcs_conn_reset.Increment();
     }
-    Completion completion;
-    completion.kind = Completion::Kind::kError;
-    completion.id = id;
-    completion.device = device;
-    completion.error = error;
-    PushCompletion(std::move(completion));
+    PushCompletion({.kind = Completion::Kind::kError, .id = id,
+                    .device = device, .error = error});
   }
   std::lock_guard<std::mutex> lock(mutex_);
   ++stats_.reconnects;

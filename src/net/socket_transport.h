@@ -67,9 +67,11 @@ class SocketTransport : public Transport {
   ChannelState ChannelStateFor(size_t device) const;
 
  private:
+  // Open until answered, failed or cancelled; a timeout only fires the
+  // deadline timer.
   struct Rpc {
     size_t device = 0;
-    uint64_t deadline_timer = 0;  // loop timer id; 0 = not yet armed
+    uint64_t deadline_timer = 0;  // loop timer id; 0 = none pending
     uint64_t delay_timer = 0;     // start-delay timer id
   };
 
