@@ -6,7 +6,10 @@
 // invariants after every episode (decode, cumulative ITS, ledger
 // consistency, liveness, single-round masking, liar quarantine). Failing
 // episodes are dumped with their seed + schedule for one-command repro via
-// --replay. A paired A/B mode (--ab-trials) measures what hedging buys under
+// --replay. --transport=socket runs the same episodes on a live loopback
+// cluster (scecd daemons behind chaos proxies, sim/chaos.h) and prints a
+// per-episode table of the socket faults each one injected. A paired A/B
+// mode (--ab-trials) measures what hedging buys under
 // kExponentialSlowdown stragglers: p50/p99 completion with hedging on vs
 // off on the SAME straggler draws, plus hedge rate and extra-cost overhead.
 // A second A/B (--byz-trials) runs the same two always-lying devices against
@@ -47,6 +50,7 @@ using scec::sim::ChaosConfig;
 using scec::sim::ChaosEpisode;
 using scec::sim::ChaosSabotage;
 using scec::sim::ChaosSoakSummary;
+using scec::recovery::SimDriver;
 
 bool WriteFile(const std::string& path, const std::string& body) {
   if (path.empty()) return true;
@@ -68,21 +72,6 @@ std::string EpisodeJson(const ChaosEpisode& episode) {
          ",\"generations\":" + std::to_string(episode.generations) +
          ",\"driver\":" + scec::net::ToJson(episode.stats) + "}\n";
 }
-
-// The protocol driver over a fresh simulated fleet, serving `deployment`.
-struct SimDriver {
-  SimDriver(const scec::Deployment<double>& deployment,
-            const scec::Matrix<double>& a, const scec::DeviceFleet& fleet,
-            scec::net::SimTransportOptions sim, scec::net::NetCoordinatorOptions options)
-      : session(scec::DeploymentSession<double>::Adopt(deployment)),
-        transport(fleet.devices(), std::move(sim)),
-        driver(session, a, fleet, std::move(options)) {
-    SCEC_CHECK(driver.Setup(&transport).ok());
-  }
-  scec::DeploymentSession<double> session;
-  scec::net::SimTransport transport;
-  scec::net::NetCoordinator driver;
-};
 
 // Replays one episode (optionally sabotaged) and prints its verdicts —
 // through the durable kill/restart coordinator when `crash` is set. In
@@ -482,6 +471,36 @@ std::string ByzArmJson(const ByzArm& arm) {
          ",\"ok\":" + (arm.ok ? "true" : "false") + "}";
 }
 
+// One row per socket episode: the scripted faults (as daemon behaviours and
+// proxy faults) and what the proxies actually did.
+void PrintSocketEpisodes(const ChaosSoakSummary& summary) {
+  scec::TablePrinter table({"episode", "mix", "outcome", "ok", "faults",
+                            "byz_eff", "dropped", "delayed", "reordered",
+                            "partition discards", "kills", "wall(s)"});
+  for (const ChaosEpisode& episode : summary.detail) {
+    std::string faults;
+    for (const scec::sim::ChaosScheduledFault& fault : episode.schedule) {
+      faults += std::string(faults.empty() ? "" : " ") +
+                scec::sim::FaultKindName(fault.kind) + "@d" +
+                std::to_string(fault.device);
+    }
+    if (episode.stragglers) faults += faults.empty() ? "slow" : " slow";
+    if (episode.lossy) faults += faults.empty() ? "lossy" : " lossy";
+    const scec::net::ChaosProxyStats& p = episode.proxies;
+    table.AddRow({std::to_string(episode.index), episode.mix,
+                  episode.outcome, episode.ok() ? "yes" : "NO",
+                  faults.empty() ? "-" : faults,
+                  std::to_string(episode.byzantine_effective),
+                  std::to_string(p.frames_dropped),
+                  std::to_string(p.frames_delayed),
+                  std::to_string(p.frames_reordered),
+                  std::to_string(p.partition_discards),
+                  std::to_string(p.kills),
+                  scec::FormatDouble(episode.wall_s, 2)});
+  }
+  table.Print(std::cout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -489,6 +508,7 @@ int main(int argc, char** argv) {
   int64_t seed = 1;
   int64_t queries = 2;
   int64_t replay = -1;
+  std::string transport_name = "sim";
   int64_t crash_episodes = 0;
   int64_t crash_replay = -1;
   int64_t crash_trials = 0;
@@ -519,6 +539,9 @@ int main(int argc, char** argv) {
   cli.AddInt("queries", &queries, "queries per episode");
   cli.AddInt("replay", &replay,
              "replay just this episode index and print its schedule");
+  cli.AddString("transport", &transport_name,
+                "sim | socket: the fleet of --episodes and --replay (socket "
+                "= scecd daemons behind chaos proxies on loopback)");
   cli.AddString("sabotage", &sabotage_name,
                 "with --replay: deliberately break an invariant "
                 "(tamper-result | forge-ledger) and expect it caught");
@@ -586,9 +609,21 @@ int main(int argc, char** argv) {
                  "--crash-replay\n";
     return 1;
   }
+  ChaosConfig config;
+  if (transport_name == "socket") {
+    config.transport = scec::sim::ChaosTransport::kSocket;
+  } else if (transport_name != "sim") {
+    std::cerr << "unknown --transport: " << transport_name
+              << " (sim | socket)\n";
+    return 1;
+  }
+  if (config.transport == scec::sim::ChaosTransport::kSocket &&
+      (crash_episodes > 0 || crash_replay >= 0)) {
+    std::cerr << "crash episodes run on the simulator only\n";
+    return 1;
+  }
   scec::bench::StartTelemetry(telemetry);
 
-  ChaosConfig config;
   config.seed = static_cast<uint64_t>(seed);
   config.episodes = static_cast<size_t>(episodes);
   config.queries_per_episode = static_cast<size_t>(queries);
@@ -672,6 +707,9 @@ int main(int argc, char** argv) {
                   std::to_string(mix.hedges), std::to_string(mix.hedges_won)});
   }
   table.Print(std::cout);
+  if (config.transport == scec::sim::ChaosTransport::kSocket) {
+    PrintSocketEpisodes(summary);
+  }
   std::cout << "  episodes=" << summary.episodes
             << " passed=" << summary.passed << " decoded=" << summary.decoded
             << " infeasible=" << summary.infeasible

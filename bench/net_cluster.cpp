@@ -1,18 +1,17 @@
 // SPDX-License-Identifier: MIT
 //
-// Loopback-cluster harness for the networked coordinator (ISSUE 10):
+// Loopback-cluster harness for the networked coordinator:
 //
 //   --mode=bench     1 coordinator + N in-process scecd daemons over
 //                    loopback TCP; measures staging time, queries/sec, and
 //                    per-query p50/p99 latency; emits one JSON object
 //                    (--out writes it to a file for BENCH_pr10.json).
-//   --mode=chaos     replays seeded socket-chaos episodes (net/net_chaos.h);
-//                    the flags mirror NetReproCommand() so a failing
-//                    episode's printed repro line runs verbatim.
 //   --mode=identity  runs the SAME fault-free workload through the
 //                    simulator transport and a live socket cluster and
 //                    diffs the coordinator's decision traces byte-by-byte —
-//                    the ISSUE 10 acceptance check.
+//                    the sim/socket trace-identity acceptance check.
+//
+// Socket chaos episodes run through bench/chaos_soak --transport=socket.
 
 #include <algorithm>
 #include <chrono>
@@ -27,7 +26,6 @@
 #include "common/stats.h"
 #include "linalg/matrix_ops.h"
 #include "net/driver.h"
-#include "net/net_chaos.h"
 #include "net/scecd.h"
 #include "net/sim_transport.h"
 #include "net/socket_transport.h"
@@ -40,8 +38,6 @@ using scec::EdgeDevice;
 using scec::Matrix;
 using scec::SortedQuantile;
 using scec::Xoshiro256StarStar;
-using scec::net::NetChaosConfig;
-using scec::net::NetChaosEpisode;
 using scec::net::NetCoordinator;
 using scec::net::NetCoordinatorOptions;
 using scec::net::ScecDaemon;
@@ -165,27 +161,6 @@ int RunBench(size_t devices, size_t m, size_t l, size_t queries,
   return 0;
 }
 
-int RunChaos(const NetChaosConfig& config, size_t first_episode,
-             size_t episodes) {
-  size_t failures = 0;
-  for (size_t i = 0; i < episodes; ++i) {
-    const size_t index = first_episode + i;
-    NetChaosEpisode episode = scec::net::RunNetChaosEpisode(config, index);
-    std::cout << scec::net::DescribeNetSchedule(episode)
-              << " queries=" << episode.queries_answered << "/"
-              << config.queries << " wall=" << episode.wall_s << "s "
-              << (episode.ok() ? "OK" : ("FAIL: " + episode.failure)) << "\n";
-    if (!episode.ok()) {
-      ++failures;
-      std::cout << "  repro: " << scec::net::NetReproCommand(config, index)
-                << "\n";
-    }
-  }
-  std::cout << (episodes - failures) << "/" << episodes
-            << " episodes passed\n";
-  return failures == 0 ? 0 : 1;
-}
-
 int RunIdentity(size_t devices, size_t m, size_t l, size_t queries,
                 uint64_t seed) {
   const Matrix<double> a = MakeMatrix(m, l, seed);
@@ -262,29 +237,20 @@ int RunIdentity(size_t devices, size_t m, size_t l, size_t queries,
 
 int main(int argc, char** argv) {
   CliParser cli("net_cluster",
-                "Loopback cluster bench / socket chaos / trace identity");
+                "Loopback cluster bench / trace identity");
   std::string mode = "bench";
   uint64_t seed = 20190707;
   int64_t devices = 16;
   int64_t m = 64;
   int64_t l = 32;
   int64_t queries = 32;
-  int64_t episodes = 4;
-  int64_t first_episode = 0;
-  double max_drop = 0.12;
-  int64_t byzantine_tolerance = 0;
   std::string out_path;
-  cli.AddString("mode", &mode, "bench | chaos | identity");
+  cli.AddString("mode", &mode, "bench | identity");
   cli.AddUint("seed", &seed, "base seed");
   cli.AddInt("devices", &devices, "edge daemons in the cluster");
   cli.AddInt("m", &m, "matrix rows");
   cli.AddInt("l", &l, "matrix cols");
-  cli.AddInt("queries", &queries, "queries per run/episode");
-  cli.AddInt("episodes", &episodes, "chaos episodes to run");
-  cli.AddInt("first_episode", &first_episode, "first chaos episode index");
-  cli.AddDouble("max_drop", &max_drop, "chaos: max per-episode drop prob");
-  cli.AddInt("byzantine_tolerance", &byzantine_tolerance,
-             "chaos: > 0 runs the masking family (one lying daemon, t guards)");
+  cli.AddInt("queries", &queries, "queries per run");
   cli.AddString("out", &out_path, "bench: write the JSON line here too");
   if (!cli.Parse(argc, argv)) return 1;
 
@@ -292,18 +258,6 @@ int main(int argc, char** argv) {
     return RunBench(static_cast<size_t>(devices), static_cast<size_t>(m),
                     static_cast<size_t>(l), static_cast<size_t>(queries),
                     seed, out_path);
-  }
-  if (mode == "chaos") {
-    NetChaosConfig config;
-    config.seed = seed;
-    config.num_devices = static_cast<size_t>(devices);
-    config.m = static_cast<size_t>(m);
-    config.l = static_cast<size_t>(l);
-    config.queries = static_cast<size_t>(queries);
-    config.max_drop_prob = max_drop;
-    config.byzantine_tolerance = static_cast<size_t>(byzantine_tolerance);
-    return RunChaos(config, static_cast<size_t>(first_episode),
-                    static_cast<size_t>(episodes));
   }
   if (mode == "identity") {
     return RunIdentity(static_cast<size_t>(devices), static_cast<size_t>(m),

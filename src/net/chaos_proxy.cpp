@@ -4,7 +4,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -40,16 +39,11 @@ struct ChaosProxy::Pair {
   // next one, per direction.
   std::string held_to_upstream;
   std::string held_to_client;
-  // Slow-drip pacing: when the last scheduled chunk lands, per direction.
-  double drip_busy_until_to_upstream = 0.0;
-  double drip_busy_until_to_client = 0.0;
   int client_fd = -1;
 };
 
 ChaosProxy::ChaosProxy(ChaosProxyOptions options)
-    : options_(options), rng_(options.seed) {
-  drop_prob_.store(options.drop_prob);
-}
+    : options_(options), rng_(options.seed) {}
 
 ChaosProxy::~ChaosProxy() { Stop(); }
 
@@ -93,6 +87,10 @@ void ChaosProxy::HandleAccept() {
   while (true) {
     Result<int> client_fd = AcceptTcp(listen_fd_);
     if (!client_fd.ok() || *client_fd < 0) return;
+    if (crashed_.load()) {
+      close(*client_fd);  // a crashed device refuses every connection
+      continue;
+    }
     Result<int> upstream_fd = ConnectTcp(options_.upstream_port);
     if (!upstream_fd.ok()) {
       // Daemon unreachable: refuse by dropping the client immediately — the
@@ -106,10 +104,6 @@ void ChaosProxy::HandleAccept() {
     raw->client = std::make_unique<BufferedSocket>(&loop_, *client_fd);
     raw->upstream = std::make_unique<BufferedSocket>(&loop_, *upstream_fd);
     pairs_[*client_fd] = std::move(pair);
-    {
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.connections;
-    }
     raw->client->Start(
         [this, raw](std::string_view bytes) {
           OnBytes(raw, /*from_client=*/true, bytes);
@@ -160,11 +154,9 @@ void ChaosProxy::ForwardFrame(Pair* pair, bool from_client, Frame frame) {
   }
 
   std::string encoded = EncodeFrame(frame.type, frame.payload);
-  ++frames_seen_;
 
-  // One-shot mid-message kill: write HALF the frame, then cut both sides.
-  if (!kill_done_ && options_.kill_after_frames > 0 &&
-      frames_seen_ >= options_.kill_after_frames) {
+  // Crash: write HALF the frame, then cut both sides (once).
+  if (!kill_done_ && crashed_.load()) {
     kill_done_ = true;
     BufferedSocket* dest = from_client ? pair->upstream.get()
                                        : pair->client.get();
@@ -178,17 +170,10 @@ void ChaosProxy::ForwardFrame(Pair* pair, bool from_client, Frame frame) {
   }
 
   if (IsDataFrame(frame.type)) {
-    if (NextDouble() < drop_prob_.load()) {
+    if (NextDouble() < options_.drop_prob) {
       std::lock_guard<std::mutex> lock(stats_mutex_);
       ++stats_.frames_dropped;
       return;
-    }
-    if (options_.corrupt_prob > 0.0 && NextDouble() < options_.corrupt_prob) {
-      const size_t pos =
-          static_cast<size_t>(NextDouble() * encoded.size()) % encoded.size();
-      encoded[pos] = static_cast<char>(encoded[pos] ^ 0x40);
-      std::lock_guard<std::mutex> lock(stats_mutex_);
-      ++stats_.frames_corrupted;
     }
     if (options_.delay_prob > 0.0 && NextDouble() < options_.delay_prob) {
       {
@@ -231,37 +216,9 @@ void ChaosProxy::ForwardFrame(Pair* pair, bool from_client, Frame frame) {
 
 void ChaosProxy::DeliverEncoded(Pair* pair, bool from_client,
                                 std::string encoded) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    ++stats_.frames_forwarded;
-  }
   BufferedSocket* dest = from_client ? pair->upstream.get()
                                      : pair->client.get();
-  if (options_.drip_bytes == 0) {
-    dest->Send(std::move(encoded));
-    return;
-  }
-  // Slow-drip: chunks spaced drip_interval_s, paced per direction so later
-  // frames never leapfrog an earlier frame's tail.
-  double& busy_until = from_client ? pair->drip_busy_until_to_upstream
-                                   : pair->drip_busy_until_to_client;
-  const double now = EventLoop::Now();
-  double at = std::max(now, busy_until);
-  const int client_fd = pair->client_fd;
-  for (size_t off = 0; off < encoded.size(); off += options_.drip_bytes) {
-    std::string chunk = encoded.substr(off, options_.drip_bytes);
-    const double delay = std::max(0.0, at - now);
-    loop_.AddTimer(delay, [this, client_fd, from_client,
-                           chunk = std::move(chunk)]() {
-      auto it = pairs_.find(client_fd);
-      if (it == pairs_.end()) return;
-      BufferedSocket* sock = from_client ? it->second->upstream.get()
-                                         : it->second->client.get();
-      sock->Send(chunk);
-    });
-    at += options_.drip_interval_s;
-  }
-  busy_until = at;
+  dest->Send(std::move(encoded));
 }
 
 }  // namespace scec::net

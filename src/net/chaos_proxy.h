@@ -8,16 +8,13 @@
 //   loss       — drop whole data frames with `drop_prob`,
 //   delay      — hold a data frame `delay_s` before forwarding,
 //   reorder    — swap a data frame with the next one in the same direction,
-//   corrupt    — flip one byte of the encoded frame (receiver's CRC check
-//                turns this into a typed connection teardown, never a crash),
 //   partition  — SetPartitioned(true) silently discards EVERYTHING both ways
 //                while TCP stays up: heartbeats go unanswered and the
 //                coordinator's miss threshold must declare kPartitioned,
-//   slow-drip  — forward frames in `drip_bytes` chunks spaced
-//                `drip_interval_s` apart (exercises streaming reassembly),
-//   kill       — after `kill_after_frames` forwarded frames, write HALF of
-//                the next frame and close both sides mid-message (one-shot;
-//                exercises truncation-at-reset handling).
+//   crash      — Crash() writes HALF of the next frame and closes both
+//                sides mid-message (exercises truncation-at-reset
+//                handling), then refuses every connection: the device
+//                stays unreachable.
 //
 // Frame awareness matters: faults apply only to DATA frames (query /
 // response / heartbeat / cancel). Handshake, staging, and drain frames
@@ -26,7 +23,7 @@
 // staging uses the reliable channel and queries take the lossy one.
 //
 // All parsing and forwarding runs on the proxy's own event-loop thread;
-// SetPartitioned / SetDropProb are thread-safe knobs for test schedules.
+// SetPartitioned and Crash are thread-safe knobs for scripted schedules.
 
 #pragma once
 
@@ -54,21 +51,12 @@ struct ChaosProxyOptions {
   double delay_prob = 0.0;
   double delay_s = 0.02;
   double reorder_prob = 0.0;
-  double corrupt_prob = 0.0;
-
-  size_t drip_bytes = 0;  // 0 = whole-frame forwarding
-  double drip_interval_s = 0.005;
-
-  uint64_t kill_after_frames = 0;  // 0 = never
 };
 
 struct ChaosProxyStats {
-  uint64_t connections = 0;
-  uint64_t frames_forwarded = 0;
   uint64_t frames_dropped = 0;
   uint64_t frames_delayed = 0;
   uint64_t frames_reordered = 0;
-  uint64_t frames_corrupted = 0;
   uint64_t partition_discards = 0;
   uint64_t kills = 0;
 };
@@ -85,8 +73,7 @@ class ChaosProxy {
 
   // Thread-safe fault knobs for scripted schedules.
   void SetPartitioned(bool on) { partitioned_.store(on); }
-  bool partitioned() const { return partitioned_.load(); }
-  void SetDropProb(double p) { drop_prob_.store(p); }
+  void Crash() { crashed_.store(true); }
 
   ChaosProxyStats stats() const;
 
@@ -108,12 +95,11 @@ class ChaosProxy {
   bool started_ = false;
 
   std::atomic<bool> partitioned_{false};
-  std::atomic<double> drop_prob_{0.0};
+  std::atomic<bool> crashed_{false};
 
   // Loop-thread state.
   Xoshiro256StarStar rng_;
   std::unordered_map<int, std::unique_ptr<Pair>> pairs_;  // by client fd
-  uint64_t frames_seen_ = 0;
   bool kill_done_ = false;
 
   mutable std::mutex stats_mutex_;

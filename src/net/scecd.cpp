@@ -199,9 +199,7 @@ void ScecDaemon::HandleFrame(Connection* conn, WireType type,
       }
       const auto behavior = static_cast<Behavior>(behavior_.load());
       if (behavior == Behavior::kSilent) {
-        // Accept and drop: the coordinator's deadline timer must fire.
-        queries_suppressed_.fetch_add(1);
-        return;
+        return;  // accept and drop: the coordinator's deadline must fire
       }
       if (behavior == Behavior::kDelay) {
         const double delay = behavior_delay_s_.load();

@@ -64,7 +64,6 @@ class ScecDaemon {
 
   uint64_t shares_held() const { return shares_held_.load(); }
   uint64_t queries_served() const { return queries_served_.load(); }
-  uint64_t queries_suppressed() const { return queries_suppressed_.load(); }
 
  private:
   struct Connection;
@@ -85,7 +84,6 @@ class ScecDaemon {
   std::atomic<double> behavior_delay_s_{0.0};
   std::atomic<uint64_t> shares_held_{0};
   std::atomic<uint64_t> queries_served_{0};
-  std::atomic<uint64_t> queries_suppressed_{0};
 
   // Loop-thread state.
   std::unordered_map<uint64_t, Matrix<double>> shares_;

@@ -36,8 +36,10 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/error.h"
 #include "core/pipeline.h"
 #include "net/driver.h"
@@ -49,6 +51,28 @@ namespace scec::recovery {
 // Driver options tuned to the simulator's clock: a 20 ms deadline floor
 // instead of the socket path's 250 ms.
 net::NetCoordinatorOptions SimDriverOptions();
+
+// The driver serving `deployment` over a fresh simulated fleet, staged on
+// construction (benches and tests).
+struct SimDriver {
+  SimDriver(const Deployment<double>& deployment, const Matrix<double>& a,
+            const DeviceFleet& fleet, net::SimTransportOptions sim = {},
+            net::NetCoordinatorOptions options = SimDriverOptions())
+      : session(DeploymentSession<double>::Adopt(deployment)),
+        transport(fleet.devices(), std::move(sim)),
+        driver(session, a, fleet, std::move(options)) {
+    const Status setup = driver.Setup(&transport);
+    SCEC_CHECK(setup.ok()) << setup;
+  }
+  // The driver points at `session` and `transport`: never copied or moved
+  // (a prvalue return is elided, so factories still work).
+  SimDriver(const SimDriver&) = delete;
+  SimDriver& operator=(const SimDriver&) = delete;
+
+  DeploymentSession<double> session;
+  net::SimTransport transport;
+  net::NetCoordinator driver;
+};
 
 struct DurableCoordinatorOptions {
   // KMS-held sealing key: used to seal the snapshot at Start and to unseal
@@ -99,6 +123,7 @@ class DurableCoordinator {
   const ReplayState& replay() const { return replay_; }
   const net::NetCoordinator& driver() const { return *driver_; }
   const net::SimTransport& transport() const { return *transport_; }
+  net::SimTransport& transport() { return *transport_; }
   QueryJournal& journal() { return *journal_; }
   uint32_t generation() const { return session_->pad_generation(); }
 

@@ -3,28 +3,50 @@
 #include "sim/chaos.h"
 
 #include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/rng.h"
+#include "common/string_util.h"
+#include "common/timer.h"
 #include "linalg/matrix_ops.h"
+#include "net/scecd.h"
 #include "net/sim_transport.h"
+#include "net/socket_transport.h"
 #include "workload/device_profiles.h"
 
 namespace scec::sim {
 namespace {
 
-// Every random choice of episode i flows from this one derived seed, so
-// (master seed, index) fully replays the episode.
-uint64_t EpisodeSeed(uint64_t master, size_t index) {
-  SplitMix64 mix(master ^ (0x9E3779B97F4A7C15ull * (index + 1)));
-  return mix.Next();
-}
+// Scenario ranges (inclusive) and caps shared by every episode.
+constexpr size_t kShapeMin = 4;  // m and l
+constexpr size_t kShapeMax = 12;
+constexpr size_t kFleetMin = 6;
+constexpr size_t kFleetMax = 12;
+// At most this many scripted faulty devices per episode (also capped at
+// participating − 2 so an episode can't be scripted straight to collapse).
+constexpr size_t kMaxFaulty = 3;
+constexpr double kLossProbability = 0.03;
+constexpr double kBackoffJitter = 0.2;  // exercises the seeded-jitter path
+constexpr double kEpisodeWallCapS = 60.0;  // liveness backstop
+
+// Socket fleets: wall seconds per virtual second of a transient window
+// (the socket deadline floor is ~10x the simulator's), and the proxy knobs
+// of lossy links and stragglers.
+constexpr double kSocketTimeScale = 10.0;
+constexpr double kSocketDropProb = 0.05;
+constexpr double kSocketDelayProb = 0.15;
+constexpr double kSocketDelayS = 0.02;
+constexpr double kSocketReorderProb = 0.1;
+constexpr double kSocketStragglerProb = 0.2;
+constexpr double kSocketStragglerDelayS = 0.05;  // divided by the drawn rate
 
 size_t DrawInRange(Xoshiro256StarStar& rng, size_t lo, size_t hi) {
   SCEC_CHECK_LE(lo, hi);
@@ -36,6 +58,20 @@ std::string Num(double v) {
   os.precision(17);
   os << v;
   return os.str();
+}
+
+// Marks `invariant` violated; the first violation is the episode's failure.
+void Fail(bool ChaosInvariants::*invariant, const std::string& failure,
+          ChaosEpisode* episode) {
+  episode->invariants.*invariant = false;
+  if (episode->failure.empty()) episode->failure = failure;
+}
+
+// An episode that could not run on: `what` ended with `status`.
+void FailEarly(bool ChaosInvariants::*invariant, const std::string& what,
+               const Status& status, ChaosEpisode* episode) {
+  episode->outcome = status.ToString();
+  Fail(invariant, what + " failed: " + episode->outcome, episode);
 }
 
 // Everything an episode's driver run needs, derived once from the episode
@@ -61,12 +97,11 @@ struct ChaosScenario {
 // the episode is then fully marked (liveness violation) and must be
 // returned as-is. The RNG draw order below is load-bearing: it must match
 // the historical RunChaosEpisode exactly, or every soak seed changes.
-bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
-                    Xoshiro256StarStar& rng, ChaosEpisode* episode,
-                    ChaosScenario* scenario) {
-  episode->m = DrawInRange(rng, config.m_min, config.m_max);
-  episode->l = DrawInRange(rng, config.l_min, config.l_max);
-  episode->fleet = DrawInRange(rng, config.fleet_min, config.fleet_max);
+bool DeriveScenario(const ChaosMix& mix, Xoshiro256StarStar& rng,
+                    ChaosEpisode* episode, ChaosScenario* scenario) {
+  episode->m = DrawInRange(rng, kShapeMin, kShapeMax);
+  episode->l = DrawInRange(rng, kShapeMin, kShapeMax);
+  episode->fleet = DrawInRange(rng, kFleetMin, kFleetMax);
   episode->stragglers = rng.NextDouble() < mix.straggler;
   episode->lossy = rng.NextDouble() < mix.lossy_links;
   episode->hedging = mix.hedging;
@@ -89,9 +124,8 @@ bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
   auto session =
       DeploymentSession<double>::Open(problem, scenario->a, coding_rng);
   if (!session.ok()) {
-    episode->outcome = session.status().ToString();
-    episode->invariants.liveness = false;
-    episode->failure = "liveness: deployment failed: " + episode->outcome;
+    FailEarly(&ChaosInvariants::liveness, "liveness: deployment",
+              session.status(), episode);
     return false;
   }
   scenario->session.emplace(std::move(session).value());
@@ -102,7 +136,7 @@ bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
   // script alone cannot push the fleet below k = 2. Byzantine mixes cap
   // liars at t as well, so masked episodes stay within the locator's budget.
   size_t cap = std::min(
-      config.max_faulty,
+      kMaxFaulty,
       participating.size() > 2 ? participating.size() - 2 : size_t{0});
   if (mix.byzantine_tolerance > 0) {
     cap = std::min(cap, mix.byzantine_tolerance);
@@ -186,15 +220,15 @@ bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
     options.straggler.multiplier_cap = 25.0;  // bounded tail: no stalls
   }
   if (episode->lossy) {
-    options.loss_probability = config.loss_probability;
+    options.loss_probability = kLossProbability;
     options.loss_seed = episode->seed ^ 0x105Eull;
   }
 
   net::NetCoordinatorOptions& driver = scenario->driver;
-  driver = config.driver;
+  driver = recovery::SimDriverOptions();
   driver.hedging = mix.hedging;
   driver.adaptive_timeouts = mix.adaptive_timeouts;
-  driver.backoff_jitter = config.backoff_jitter;
+  driver.backoff_jitter = kBackoffJitter;
   driver.jitter_seed = episode->seed ^ 0x317732ull;
   driver.digest_seed = episode->seed ^ 0xF4E1A7D5ull;
   driver.pad_seed = episode->seed ^ 0x9D2C5680ull;
@@ -204,6 +238,171 @@ bool DeriveScenario(const ChaosConfig& config, const ChaosMix& mix,
   // caller keeps alive for the whole episode.
   options.faults = &scenario->faults;
   return true;
+}
+
+// A socket episode's live loopback cluster: one scecd daemon behind one
+// ChaosProxy per fleet device, with the scripted schedule turned into
+// daemon behaviours (omission, corruption) and proxy faults (crash,
+// transient). Every fault strikes from the first query on: a loopback query
+// takes about a millisecond, so the drawn start times, scaled, would land
+// after the episode. A transient partition heals after kSocketTimeScale ×
+// its drawn window. Outlives the transport that connects to it.
+class SocketFleet {
+ public:
+  SocketFleet() = default;
+  SocketFleet(const SocketFleet&) = delete;
+  SocketFleet& operator=(const SocketFleet&) = delete;
+  ~SocketFleet() {
+    FinishSchedule();
+    for (auto& proxy : proxies_) proxy->Stop();
+    for (auto& daemon : daemons_) daemon->Stop();
+  }
+
+  Status Start(const ChaosEpisode& episode, const ChaosScenario& scenario) {
+    net::ChaosProxyOptions link;
+    if (episode.lossy) {
+      link.drop_prob = kSocketDropProb;
+      link.delay_prob = kSocketDelayProb;
+      link.delay_s = kSocketDelayS;
+      link.reorder_prob = kSocketReorderProb;
+    }
+    if (episode.stragglers) {
+      link.delay_prob = std::max(link.delay_prob, kSocketStragglerProb);
+      link.delay_s = std::max(
+          link.delay_s,
+          kSocketStragglerDelayS / scenario.options.straggler.rate);
+    }
+    for (size_t d = 0; d < scenario.problem.fleet.size(); ++d) {
+      daemons_.push_back(std::make_unique<net::ScecDaemon>(
+          net::ScecdOptions{.daemon_id = d}));
+      Status up = daemons_.back()->Start();
+      if (!up.ok()) return up;
+      net::ChaosProxyOptions options = link;
+      options.upstream_port = daemons_.back()->port();
+      options.seed = episode.seed ^ (0x9E3779B97F4A7C15ull * (d + 1));
+      proxies_.push_back(std::make_unique<net::ChaosProxy>(options));
+      up = proxies_.back()->Start();
+      if (!up.ok()) return up;
+      ports_.push_back(proxies_.back()->port());
+    }
+    for (const ChaosScheduledFault& fault : episode.schedule) {
+      net::ChaosProxy* proxy = proxies_[fault.device].get();
+      switch (fault.kind) {
+        case FaultKind::kOmission:
+          daemons_[fault.device]->SetBehavior(
+              net::ScecDaemon::Behavior::kSilent);
+          break;
+        case FaultKind::kCorruption:
+          daemons_[fault.device]->SetBehavior(
+              net::ScecDaemon::Behavior::kCorrupt);
+          break;
+        case FaultKind::kCrash:
+          crashes_.push_back(proxy);
+          break;
+        case FaultKind::kTransient:
+          partitions_.emplace_back(
+              kSocketTimeScale * (fault.end_s - fault.start_s), proxy);
+          break;
+      }
+    }
+    std::sort(partitions_.begin(), partitions_.end());
+    return Status::Ok();
+  }
+
+  const std::vector<uint16_t>& ports() const { return ports_; }
+
+  // Crashes and partitions the proxies; a thread heals each partition.
+  void StartSchedule() {
+    for (net::ChaosProxy* proxy : crashes_) proxy->Crash();
+    for (const auto& [heal_s, proxy] : partitions_) {
+      proxy->SetPartitioned(true);
+    }
+    healer_ = std::thread([this, t0 = std::chrono::steady_clock::now()] {
+      for (const auto& [heal_s, proxy] : partitions_) {
+        std::this_thread::sleep_until(
+            t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double>(heal_s)));
+        proxy->SetPartitioned(false);
+      }
+    });
+  }
+  // Waits until every partition has healed.
+  void FinishSchedule() {
+    if (healer_.joinable()) healer_.join();
+  }
+
+  net::ChaosProxyStats stats() const {
+    net::ChaosProxyStats sum;
+    for (const auto& proxy : proxies_) {
+      const net::ChaosProxyStats one = proxy->stats();
+      sum.frames_dropped += one.frames_dropped;
+      sum.frames_delayed += one.frames_delayed;
+      sum.frames_reordered += one.frames_reordered;
+      sum.partition_discards += one.partition_discards;
+      sum.kills += one.kills;
+    }
+    return sum;
+  }
+
+ private:
+  std::vector<std::unique_ptr<net::ScecDaemon>> daemons_;
+  std::vector<std::unique_ptr<net::ChaosProxy>> proxies_;
+  std::vector<uint16_t> ports_;
+  std::vector<net::ChaosProxy*> crashes_;
+  // (wall seconds after the first query, proxy), by heal time.
+  std::vector<std::pair<double, net::ChaosProxy*>> partitions_;
+  std::thread healer_;
+};
+
+net::SocketTransportOptions SocketOptions(uint64_t episode_seed) {
+  net::SocketTransportOptions options;
+  options.channel.heartbeat_interval_s = 0.04;
+  options.channel.heartbeat_miss_threshold = 3;
+  options.channel.handshake_timeout_s = 0.25;
+  options.channel.reconnect.max_attempts = 8;
+  options.channel.reconnect.initial_backoff_s = 0.02;
+  options.channel.reconnect.backoff_factor = 2.0;
+  options.channel.reconnect.max_backoff_s = 0.25;
+  options.channel.reconnect_jitter = 0.2;
+  options.channel.reconnect_jitter_seed = episode_seed ^ 0x7E57C0DEull;
+  options.stage_timeout_s = 3.0;
+  return options;
+}
+
+// The fleet an episode runs on and its transport. The simulator realises
+// the scripted schedule through its FaultSchedule; sockets through
+// SocketFleet, which is declared first so it outlives the transport.
+struct EpisodeFleet {
+  std::unique_ptr<SocketFleet> sockets;
+  std::unique_ptr<net::Transport> transport;
+};
+
+// Everything transport-specific about an episode: its fleet, how that fleet
+// realises the scripted faults, and the driver's deadline and retry timing
+// (virtual seconds on the simulator, loopback wall seconds on sockets).
+Status BuildFleet(ChaosTransport kind, const ChaosMix& mix,
+                  const ChaosEpisode& episode, ChaosScenario* scenario,
+                  EpisodeFleet* fleet) {
+  if (kind == ChaosTransport::kSim) {
+    fleet->transport = std::make_unique<net::SimTransport>(
+        scenario->problem.fleet.devices(), scenario->options);
+    return Status::Ok();
+  }
+  if (!RealizableOverSockets(mix)) {
+    return InvalidArgument("mix " + mix.name +
+                           " has liars scecd cannot play");
+  }
+  fleet->sockets = std::make_unique<SocketFleet>();
+  Status up = fleet->sockets->Start(episode, *scenario);
+  if (!up.ok()) return up;
+  fleet->transport = std::make_unique<net::SocketTransport>(
+      fleet->sockets->ports(), SocketOptions(episode.seed));
+  net::NetCoordinatorOptions& driver = scenario->driver;
+  driver.rpc_deadline_s = 0.35;
+  driver.retry.initial_backoff_s = 0.04;
+  driver.retry.max_backoff_s = 0.3;
+  driver.max_query_wall_s = 20.0;
+  return Status::Ok();
 }
 
 // Invariants 5 + 6 (byzantine mixes only): single-round masking and liar
@@ -232,31 +431,26 @@ void CheckByzantineInvariants(const ChaosMix& mix,
   const bool digest_visible = !mix.corruption_relative;
   if (pure_corruption && always_lying && episode->byzantine_effective >= 1) {
     if (episode->stats.recovery_rounds != 0) {
-      episode->invariants.masking = false;
-      if (episode->failure.empty()) {
-        episode->failure =
-            "masking: " + std::to_string(episode->stats.recovery_rounds) +
-            " recovery rounds despite guards covering the liars";
-      }
+      Fail(&ChaosInvariants::masking,
+           "masking: " + std::to_string(episode->stats.recovery_rounds) +
+               " recovery rounds despite guards covering the liars",
+           episode);
     }
     if (digest_visible && liars > 0 && final_gen_ran_queries &&
         episode->stats.byzantine_masked_queries == 0) {
-      episode->invariants.masking = false;
-      if (episode->failure.empty()) {
-        episode->failure = "masking: no query was counted masked despite " +
-                           std::to_string(liars) + " scripted liars";
-      }
+      Fail(&ChaosInvariants::masking,
+           "masking: no query was counted masked despite " +
+               std::to_string(liars) + " scripted liars",
+           episode);
     }
     if (digest_visible) {
       for (const ChaosScheduledFault& fault : episode->schedule) {
         if (reputation.standing(fault.device) !=
             DeviceStanding::kQuarantined) {
-          episode->invariants.quarantine = false;
-          if (episode->failure.empty()) {
-            episode->failure = "quarantine: scripted liar " +
-                               std::to_string(fault.device) +
-                               " was never quarantined";
-          }
+          Fail(&ChaosInvariants::quarantine,
+               "quarantine: scripted liar " + std::to_string(fault.device) +
+                   " was never quarantined",
+               episode);
           break;
         }
       }
@@ -275,21 +469,67 @@ void RecordFailedQuery(const Status& status, ChaosEpisode* episode) {
     episode->outcome = "internal";
   } else {
     episode->outcome = status.ToString();
-    episode->invariants.liveness = false;
-    episode->failure = "liveness: " + episode->outcome;
+    Fail(&ChaosInvariants::liveness, "liveness: " + episode->outcome,
+         episode);
   }
 }
 
-// Copies the final incarnation's ledgers into the episode (forging one for
-// kForgeLedger) and checks invariant 3 — whenever that incarnation decoded
-// a query itself — plus, on byzantine mixes, invariants 5 and 6.
+// Invariant 1 on query `q`'s answer, tampered first under kTamperResult.
+void CheckDecode(size_t q, std::vector<double> decoded,
+                 const std::vector<double>& expected, ChaosSabotage sabotage,
+                 ChaosEpisode* episode) {
+  if (sabotage == ChaosSabotage::kTamperResult && !decoded.empty()) {
+    decoded[0] += 1.0;
+  }
+  const double err = MaxAbsDiff(std::span<const double>(decoded),
+                                std::span<const double>(expected));
+  if (!(err < 1e-9)) {
+    Fail(&ChaosInvariants::decode,
+         "decode: query " + std::to_string(q) + " off by " + Num(err),
+         episode);
+  }
+}
+
+// Invariant 2: cumulative Def. 2 ITS across every encoding round (base +
+// recoveries + hedges + restored incarnations), checked outside the
+// driver's own asserts.
+void CheckSecurity(const net::NetCoordinator& driver, ChaosEpisode* episode) {
+  if (driver.VerifyCumulativeSecurity().all_secure) return;
+  if (episode->crash_fired) episode->invariants.restart_security = false;
+  Fail(&ChaosInvariants::security,
+       std::string("security: cumulative view rank dropped") +
+           (episode->crash_fired ? " across the restart" : ""),
+       episode);
+}
+
+// Drains the final incarnation's transport, sweeps the completions that
+// arrive after the driver stopped polling, copies both ledgers into the
+// episode (forging one for kForgeLedger) and checks invariant 3 — whenever
+// that incarnation decoded a query itself — plus, on byzantine mixes,
+// invariants 5 and 6.
 void CheckFinalIncarnation(const ChaosMix& mix,
                            const net::NetCoordinator& driver,
-                           const net::NetTransportStats& transport,
-                           ChaosSabotage sabotage, bool ran_queries,
-                           ChaosEpisode* episode) {
+                           net::Transport& transport, ChaosSabotage sabotage,
+                           bool ran_queries, ChaosEpisode* episode) {
+  (void)transport.Drain(1.0);
+  uint64_t swept = 0;
+  uint64_t swept_value_bytes = 0;
+  std::vector<net::Completion> sweep;
+  for (int empty_polls = 0; empty_polls < 2;) {
+    sweep.clear();
+    if (transport.PollInto(&sweep, 0.05) == 0) {
+      ++empty_polls;
+      continue;
+    }
+    empty_polls = 0;
+    for (const net::Completion& completion : sweep) {
+      if (completion.kind != net::Completion::Kind::kResponse) continue;
+      ++swept;
+      swept_value_bytes += 8 * completion.values.size();
+    }
+  }
   episode->stats = driver.stats();
-  episode->transport = transport;
+  episode->transport = transport.stats();
   if (sabotage == ChaosSabotage::kForgeLedger) {
     ++episode->transport.responses_delivered;
   }
@@ -298,10 +538,10 @@ void CheckFinalIncarnation(const ChaosMix& mix,
   }
   if (!ran_queries) return;
   const std::string ledger =
-      net::ReconcileLedgers(episode->stats, episode->transport, episode->l);
+      net::ReconcileLedgers(episode->stats, episode->transport, episode->l,
+                            swept, swept_value_bytes);
   if (!ledger.empty()) {
-    episode->invariants.ledger = false;
-    if (episode->failure.empty()) episode->failure = "ledger: " + ledger;
+    Fail(&ChaosInvariants::ledger, "ledger: " + ledger, episode);
   }
 }
 
@@ -346,15 +586,11 @@ ChaosSoakSummary RunSoak(const ChaosConfig& config,
                          ChaosEpisode (*run)(const ChaosConfig&, size_t,
                                              ChaosSabotage)) {
   ChaosSoakSummary summary;
-  summary.episodes = config.episodes;
-  summary.detail.reserve(config.episodes);
-  for (size_t i = 0; i < config.episodes; ++i) {
-    ChaosEpisode episode = run(config, i, ChaosSabotage::kNone);
-    if (episode.ok()) {
-      ++summary.passed;
-    } else {
-      summary.failing.push_back(i);
-    }
+  TallySoak(
+      config.episodes,
+      [&](size_t i) { return run(config, i, ChaosSabotage::kNone); },
+      &summary);
+  for (const ChaosEpisode& episode : summary.detail) {
     if (episode.outcome == "decoded") {
       ++summary.decoded;
     } else if (episode.outcome == "infeasible") {
@@ -362,9 +598,22 @@ ChaosSoakSummary RunSoak(const ChaosConfig& config,
     } else if (episode.outcome == "internal") {
       ++summary.internal;
     }
-    summary.detail.push_back(std::move(episode));
   }
   return summary;
+}
+
+// Identity of episode `index`: its derived seed and its mix.
+ChaosEpisode NewEpisode(const ChaosConfig& config, size_t index,
+                        ChaosMix* mix) {
+  const std::vector<ChaosMix> mixes =
+      config.mixes.empty() ? ChaosMixesFor(config.transport) : config.mixes;
+  *mix = mixes[index % mixes.size()];
+  ChaosEpisode episode;
+  episode.index = index;
+  episode.seed = EpisodeSeed(config.seed, index);
+  episode.mix = mix->name;
+  episode.transport_kind = config.transport;
+  return episode;
 }
 
 }  // namespace
@@ -413,69 +662,72 @@ std::vector<ChaosMix> DefaultChaosMixes() {
   };
 }
 
+bool RealizableOverSockets(const ChaosMix& mix) {
+  return mix.corruption_probability >= 1.0 && !mix.corruption_relative &&
+         !mix.corruption_equivocate && !mix.coordinated;
+}
+
+std::vector<ChaosMix> ChaosMixesFor(ChaosTransport transport) {
+  std::vector<ChaosMix> mixes = DefaultChaosMixes();
+  if (transport == ChaosTransport::kSocket) {
+    std::erase_if(mixes, [](const ChaosMix& mix) {
+      return !RealizableOverSockets(mix);
+    });
+  }
+  return mixes;
+}
+
 ChaosEpisode RunChaosEpisode(const ChaosConfig& config, size_t index,
                              ChaosSabotage sabotage) {
-  const std::vector<ChaosMix> mixes =
-      config.mixes.empty() ? DefaultChaosMixes() : config.mixes;
-  const ChaosMix& mix = mixes[index % mixes.size()];
-
-  ChaosEpisode episode;
-  episode.index = index;
-  episode.seed = EpisodeSeed(config.seed, index);
-  episode.mix = mix.name;
-
+  const Stopwatch wall;
+  ChaosMix mix;
+  ChaosEpisode episode = NewEpisode(config, index, &mix);
   Xoshiro256StarStar rng(episode.seed);
   ChaosScenario scenario;
-  if (!DeriveScenario(config, mix, rng, &episode, &scenario)) {
+  if (!DeriveScenario(mix, rng, &episode, &scenario)) {
     return episode;
   }
 
-  net::SimTransport transport(scenario.problem.fleet.devices(),
-                              scenario.options);
+  EpisodeFleet fleet;
+  const Status built =
+      BuildFleet(config.transport, mix, episode, &scenario, &fleet);
+  if (!built.ok()) {
+    FailEarly(&ChaosInvariants::liveness, "liveness: fleet", built, &episode);
+    return episode;
+  }
   net::NetCoordinator driver(*scenario.session, scenario.a,
                              scenario.problem.fleet, scenario.driver);
-  const Status setup = driver.Setup(&transport);
+  const Status setup = driver.Setup(fleet.transport.get());
   if (!setup.ok()) {
-    episode.outcome = setup.ToString();
-    episode.invariants.liveness = false;
-    episode.failure = "liveness: setup failed: " + episode.outcome;
+    FailEarly(&ChaosInvariants::liveness, "liveness: setup", setup, &episode);
     return episode;
   }
   episode.byzantine_effective = driver.byzantine_tolerance_effective();
+  if (fleet.sockets) fleet.sockets->StartSchedule();
 
   episode.outcome = "decoded";
   for (size_t q = 0; q < config.queries_per_episode; ++q) {
-    const auto result = driver.Query(scenario.x);
+    auto result = driver.Query(scenario.x);
     if (!result.ok()) {
       RecordFailedQuery(result.status(), &episode);
       break;
     }
-    // Invariant 1: the decoded query equals the ground truth A·x.
-    std::vector<double> decoded = *result;
-    if (sabotage == ChaosSabotage::kTamperResult && !decoded.empty()) {
-      decoded[0] += 1.0;
-    }
-    const double err =
-        MaxAbsDiff(std::span<const double>(decoded),
-                   std::span<const double>(scenario.expected));
-    if (!(err < 1e-9) && episode.invariants.decode) {
-      episode.invariants.decode = false;
-      episode.failure =
-          "decode: query " + std::to_string(q) + " off by " + Num(err);
-    }
+    CheckDecode(q, std::move(result).value(), scenario.expected, sabotage,
+                &episode);
   }
+  if (fleet.sockets) fleet.sockets->FinishSchedule();
 
-  // Invariant 2: cumulative Def. 2 ITS across every encoding round (base +
-  // recoveries + hedges), checked outside the driver's own asserts.
-  if (!driver.VerifyCumulativeSecurity().all_secure) {
-    episode.invariants.security = false;
-    if (episode.failure.empty()) {
-      episode.failure = "security: cumulative view rank dropped";
-    }
-  }
-
-  CheckFinalIncarnation(mix, driver, transport.stats(), sabotage,
+  CheckSecurity(driver, &episode);
+  CheckFinalIncarnation(mix, driver, *fleet.transport, sabotage,
                         /*ran_queries=*/true, &episode);
+  if (fleet.sockets) episode.proxies = fleet.sockets->stats();
+  episode.wall_s = wall.ElapsedSeconds();
+  if (episode.wall_s > kEpisodeWallCapS) {
+    Fail(&ChaosInvariants::liveness,
+         "liveness: episode took " + Num(episode.wall_s) + " s, cap " +
+             Num(kEpisodeWallCapS) + " s",
+         &episode);
+  }
   return episode;
 }
 
@@ -485,18 +737,13 @@ ChaosSoakSummary RunChaosSoak(const ChaosConfig& config) {
 
 ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
                              ChaosSabotage sabotage) {
-  const std::vector<ChaosMix> mixes =
-      config.mixes.empty() ? DefaultChaosMixes() : config.mixes;
-  const ChaosMix& mix = mixes[index % mixes.size()];
-
-  ChaosEpisode episode;
-  episode.index = index;
-  episode.seed = EpisodeSeed(config.seed, index);
-  episode.mix = mix.name;
-
+  SCEC_CHECK(config.transport == ChaosTransport::kSim)
+      << "crash episodes run on the simulator only";
+  ChaosMix mix;
+  ChaosEpisode episode = NewEpisode(config, index, &mix);
   Xoshiro256StarStar rng(episode.seed);
   ChaosScenario scenario;
-  if (!DeriveScenario(config, mix, rng, &episode, &scenario)) {
+  if (!DeriveScenario(mix, rng, &episode, &scenario)) {
     return episode;
   }
   // Drawn AFTER the scenario: the rng prefix above matches the plain
@@ -547,9 +794,8 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
         scenario.session->deployment(), &scenario.a,
         scenario.problem.fleet.devices(), &snapshot, &journal_gen0, copts);
     if (!started.ok()) {
-      episode.outcome = started.status().ToString();
-      episode.invariants.liveness = false;
-      episode.failure = "liveness: start failed: " + episode.outcome;
+      FailEarly(&ChaosInvariants::liveness, "liveness: start",
+                started.status(), &episode);
       return episode;
     }
     coordinator = std::move(started).value();
@@ -571,9 +817,8 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
         snapshot, journal_gen0.str(), &scenario.a,
         scenario.problem.fleet.devices(), &journal_gen1, copts);
     if (!restarted.ok()) {
-      episode.outcome = restarted.status().ToString();
-      episode.invariants.restart_decode = false;
-      episode.failure = "restart_decode: restart failed: " + episode.outcome;
+      FailEarly(&ChaosInvariants::restart_decode, "restart_decode: restart",
+                restarted.status(), &episode);
       return episode;
     }
     coordinator = std::move(restarted).value();
@@ -584,12 +829,10 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
     for (const auto& [id, values] : coordinator->replay().completed) {
       if (id >= total_queries) continue;
       if (answered[id].has_value() && *answered[id] != values) {
-        episode.invariants.restart_decode = false;
-        if (episode.failure.empty()) {
-          episode.failure = "restart_decode: journal result for query " +
-                            std::to_string(id) +
-                            " disagrees with the live answer";
-        }
+        Fail(&ChaosInvariants::restart_decode,
+             "restart_decode: journal result for query " +
+                 std::to_string(id) + " disagrees with the live answer",
+             &episode);
       }
       answered[id] = values;
     }
@@ -604,51 +847,27 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
   // Invariant 1 (+ restart_decode): every answered query equals A·x.
   for (size_t q = 0; q < total_queries; ++q) {
     if (!answered[q].has_value()) continue;
-    std::vector<double> decoded = *answered[q];
-    if (sabotage == ChaosSabotage::kTamperResult && q == 0 &&
-        !decoded.empty()) {
-      decoded[0] += 1.0;
-    }
-    const double err =
-        MaxAbsDiff(std::span<const double>(decoded),
-                   std::span<const double>(scenario.expected));
-    if (!(err < 1e-9) && episode.invariants.decode) {
-      episode.invariants.decode = false;
-      episode.failure =
-          "decode: query " + std::to_string(q) + " off by " + Num(err);
-    }
+    CheckDecode(q, *answered[q], scenario.expected,
+                q == 0 ? sabotage : ChaosSabotage::kNone, &episode);
   }
   if (episode.outcome == "decoded") {
     size_t answered_count = 0;
     for (const auto& ans : answered) answered_count += ans.has_value() ? 1 : 0;
     if (answered_count != total_queries) {
-      episode.invariants.restart_decode = false;
-      if (episode.failure.empty()) {
-        episode.failure = "restart_decode: only " +
-                          std::to_string(answered_count) + " of " +
-                          std::to_string(total_queries) +
-                          " queries were answered across the restart";
-      }
+      Fail(&ChaosInvariants::restart_decode,
+           "restart_decode: only " + std::to_string(answered_count) +
+               " of " + std::to_string(total_queries) +
+               " queries were answered across the restart",
+           &episode);
     }
   }
 
   // Invariant 2 (+ restart_security): the final incarnation's cumulative
   // Def. 2 view spans its own segments AND every restored prior-generation
   // pad column — a replayed pad stream drops the extended rank here.
-  if (!coordinator->driver().VerifyCumulativeSecurity().all_secure) {
-    episode.invariants.security = false;
-    if (episode.crash_fired) episode.invariants.restart_security = false;
-    if (episode.failure.empty()) {
-      episode.failure = "security: cumulative view rank dropped" +
-                        std::string(episode.crash_fired
-                                        ? " across the restart"
-                                        : "");
-    }
-  }
-
-  CheckFinalIncarnation(mix, coordinator->driver(),
-                        coordinator->transport().stats(), sabotage,
-                        final_gen_queries > 0, &episode);
+  CheckSecurity(coordinator->driver(), &episode);
+  CheckFinalIncarnation(mix, coordinator->driver(), coordinator->transport(),
+                        sabotage, final_gen_queries > 0, &episode);
 
   // restart_ledger: the combined journal (gen-0 durable bytes + gen-1
   // appends) must parse as one untorn stream and balance double-entry
@@ -657,28 +876,19 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
   episode.journal_bytes = combined.size();
   episode.snapshot_bytes = snapshot.size();
   auto parsed = recovery::LoadJournal(combined);
+  std::string audit;
   if (!parsed.ok()) {
-    episode.invariants.restart_ledger = false;
-    if (episode.failure.empty()) {
-      episode.failure =
-          "restart_ledger: combined journal unreadable: " +
-          parsed.status().ToString();
-    }
+    audit = "combined journal unreadable: " + parsed.status().ToString();
+  } else if (parsed->torn_tail) {
+    audit = "combined journal has a torn tail (committed bytes must always "
+            "parse whole)";
   } else {
-    episode.journal_events = parsed->events.size();
-    std::string audit;
-    if (parsed->torn_tail) {
-      audit = "combined journal has a torn tail (committed bytes must "
-              "always parse whole)";
-    } else {
-      audit = CheckCrashLedger(episode, parsed->events);
-    }
-    if (!audit.empty()) {
-      episode.invariants.restart_ledger = false;
-      if (episode.failure.empty()) {
-        episode.failure = "restart_ledger: " + audit;
-      }
-    }
+    audit = CheckCrashLedger(episode, parsed->events);
+  }
+  if (parsed.ok()) episode.journal_events = parsed->events.size();
+  if (!audit.empty()) {
+    Fail(&ChaosInvariants::restart_ledger, "restart_ledger: " + audit,
+         &episode);
   }
 
   if (!config.crash_artifacts_dir.empty()) {
@@ -836,6 +1046,15 @@ std::string DescribeSchedule(const ChaosEpisode& episode) {
     os << "\n";
   }
   if (episode.schedule.empty()) os << "  (no scripted faults)\n";
+  if (episode.transport_kind == ChaosTransport::kSocket) {
+    const net::ChaosProxyStats& p = episode.proxies;
+    os << "  socket: dropped=" << p.frames_dropped
+       << " delayed=" << p.frames_delayed
+       << " reordered=" << p.frames_reordered
+       << " partition_discards=" << p.partition_discards
+       << " kills=" << p.kills
+       << " wall=" << FormatDouble(episode.wall_s, 2) << "s\n";
+  }
   if (episode.crash.point != recovery::CrashPoint::kNone) {
     os << "  crash " << recovery::CrashPointName(episode.crash.point)
        << " occurrence=" << episode.crash.occurrence
@@ -866,8 +1085,15 @@ std::string ReproCommand(const ChaosConfig& config,
     }
     return cmd;
   }
-  return "bench/chaos_soak --seed=" + std::to_string(config.seed) +
-         " --replay=" + std::to_string(episode.index);
+  std::string cmd = "bench/chaos_soak --seed=" + std::to_string(config.seed) +
+                    " --replay=" + std::to_string(episode.index);
+  if (config.queries_per_episode != ChaosConfig{}.queries_per_episode) {
+    cmd += " --queries=" + std::to_string(config.queries_per_episode);
+  }
+  if (config.transport == ChaosTransport::kSocket) {
+    cmd += " --transport=socket";
+  }
+  return cmd;
 }
 
 }  // namespace scec::sim

@@ -1,31 +1,52 @@
 // SPDX-License-Identifier: MIT
 //
-// Deterministic chaos-soak harness for the fault-tolerant SCEC runtime.
+// Seeded chaos-soak harness for the fault-tolerant SCEC runtime, on either
+// transport.
 //
 // A soak runs many independent EPISODES. Each episode derives every random
 // choice — problem shape, fleet, fault schedule, straggler/loss knobs — from
-// a single SplitMix64-derived seed, builds a fresh deployment, runs queries
-// through the protocol driver (net/driver.h) over the simulated fleet
-// (net/sim_transport.h), and checks four invariants:
+// a single SplitMix64-derived seed (sim/soak.h), builds a fresh deployment,
+// runs queries through the protocol driver (net/driver.h) and checks the
+// invariants below. The transport is one setting (ChaosConfig::transport):
 //
-//   1. decode    — every successfully answered query equals A·x exactly
-//                  (within float round-off of the ground-truth MatVec);
+//   sim     the simulated fleet (net/sim_transport.h) in virtual time;
+//           episodes replay bit for bit;
+//   socket  a live loopback cluster — one scecd daemon behind one
+//           ChaosProxy per device, reached over SocketTransport. The
+//           scripted schedule becomes daemon behaviours and proxy faults,
+//           all striking from the first query:
+//             omission    -> silent daemon (ScecDaemon::Behavior::kSilent)
+//             corruption  -> lying daemon (kCorrupt)
+//             crash       -> mid-message kill, then unreachable (Crash())
+//             transient   -> partition, healed after the drawn window
+//             stragglers  -> proxy delay
+//             lossy links -> proxy drop, delay and reorder
+//           The schedule replays from the seed; the interleaving does not,
+//           and the invariants hold under every interleaving. scecd has one
+//           fixed lie, so the intermittent, minimal, equivocating and
+//           coordinated liar mixes stay simulator-only.
+//
+// Invariants, identical on both transports:
+//
+//   1. decode    — every successfully answered query equals A·x to within
+//                  1e-9 (max abs difference to the ground-truth MatVec);
 //   2. security  — every device's cumulative view stays Def. 2 ITS-secure
 //                  after all recovery rounds and hedges (exact GF(2^61−1)
 //                  ranks via VerifyCumulativeSecurity);
-//   3. ledger    — the driver's and the transport's independent tallies
-//                  agree double-entry style (net::ReconcileLedgers): staged
-//                  bytes == bytes the devices received, query bytes ==
-//                  dispatches × l × 8 on both sides, the transport never
-//                  sends more queries than the driver dispatched, every
-//                  response and response byte the transport delivered was
-//                  seen by the driver, and the driver never used more
+//   3. ledger    — after a drain and a sweep of late completions, the
+//                  driver's and the transport's independent tallies agree
+//                  double-entry style (net::ReconcileLedgers): staged bytes
+//                  == bytes the devices received, query bytes == dispatches
+//                  × l × 8 on both sides, the transport never sends more
+//                  queries than the driver dispatched, every response and
+//                  response byte the transport delivered was seen by the
+//                  driver or the sweep, and the driver never used more
 //                  response bytes than it saw;
 //   4. liveness  — the protocol terminates with an explicit outcome:
 //                  decoded, kInfeasible (fleet collapsed below k = 2) or
-//                  kInternal (recovery budget exhausted). Hangs are
-//                  impossible by construction (every RPC has a deadline),
-//                  so this invariant catches status-code regressions.
+//                  kInternal (recovery budget exhausted), within a wall
+//                  cap. Every RPC has a deadline, so this invariant catches
+//                  status-code regressions and wedged transports.
 //
 // Byzantine mixes (byzantine_tolerance > 0) add two more:
 //
@@ -35,12 +56,12 @@
 //   6. quarantine — every always-lying digest-visible scripted liar ends the
 //                   episode quarantined by the reputation tracker.
 //
-// Episodes are REPLAYABLE: a failing episode's master seed + index fully
-// determine its schedule, and ReproCommand() prints the one-command repro
-// (bench/chaos_soak --seed=… --replay=…). Sabotage hooks deliberately break
-// an invariant on an otherwise-healthy episode so tests can prove the
-// harness actually catches violations (a soak that can't fail is not a
-// check).
+// Episodes are REPLAYABLE: a failing episode's master seed + index (+ the
+// transport) determine its schedule, and ReproCommand() prints the
+// one-command repro (bench/chaos_soak --seed=… --replay=… [--transport=
+// socket]). Sabotage hooks deliberately break an invariant on an
+// otherwise-healthy episode so tests can prove the harness actually catches
+// violations (a soak that can't fail is not a check).
 
 #pragma once
 
@@ -48,11 +69,13 @@
 #include <string>
 #include <vector>
 
+#include "net/chaos_proxy.h"
 #include "net/driver.h"
 #include "net/transport.h"
 #include "recovery/coordinator.h"
 #include "recovery/crash.h"
 #include "sim/faults.h"
+#include "sim/soak.h"
 
 namespace scec::sim {
 
@@ -83,30 +106,24 @@ struct ChaosMix {
 // the resilience features on top of stragglers (hedging on/off A/B).
 std::vector<ChaosMix> DefaultChaosMixes();
 
+enum class ChaosTransport { kSim, kSocket };
+
+// True when scecd can play the mix's liars: always lying, one fixed lie,
+// no coordination.
+bool RealizableOverSockets(const ChaosMix& mix);
+
+// The rotation of a transport: DefaultChaosMixes() on the simulator, and
+// those of them RealizableOverSockets() on sockets.
+std::vector<ChaosMix> ChaosMixesFor(ChaosTransport transport);
+
 struct ChaosConfig {
   uint64_t seed = 1;    // master seed; episode i is fully determined by (seed, i)
   size_t episodes = 200;
   size_t queries_per_episode = 2;
+  ChaosTransport transport = ChaosTransport::kSim;
 
-  // Problem-shape ranges (inclusive), drawn per episode.
-  size_t m_min = 4;
-  size_t m_max = 12;
-  size_t l_min = 4;
-  size_t l_max = 12;
-  size_t fleet_min = 6;
-  size_t fleet_max = 12;
-
-  // At most this many scripted faulty devices per episode (also capped at
-  // participating − 2 so an episode can't be scripted straight to collapse).
-  size_t max_faulty = 3;
-
-  std::vector<ChaosMix> mixes;  // empty -> DefaultChaosMixes(); episode i
-                                // uses mixes[i % mixes.size()]
-  // Knobs shared by all episodes.
-  double loss_probability = 0.03;
-  double backoff_jitter = 0.2;  // exercises the seeded-jitter path
-  // Base driver options; per-mix toggles and per-episode seeds override.
-  net::NetCoordinatorOptions driver = recovery::SimDriverOptions();
+  std::vector<ChaosMix> mixes;  // empty -> ChaosMixesFor(transport); episode
+                                // i uses mixes[i % mixes.size()]
 
   // Crash-injected episodes (RunCrashEpisode/RunCrashSoak) write each
   // episode's sealed snapshot + combined journal here when set, so a
@@ -143,12 +160,7 @@ struct ChaosInvariants {
   bool security = true;
   bool ledger = true;
   bool liveness = true;
-  // Byzantine invariants (trivially true off the byzantine mixes):
-  //   masking    — with guards provisioned and ≤ t always-lying scripted
-  //                liars, every query decodes with ZERO recovery re-plans
-  //                (and, for digest-visible liars, is counted masked);
-  //   quarantine — every always-lying, digest-visible scripted liar ends
-  //                the episode quarantined.
+  // Invariants 5 and 6 (header), trivially true off the byzantine mixes.
   bool masking = true;
   bool quarantine = true;
   // Crash-recovery invariants (trivially true off crash-injected episodes):
@@ -207,32 +219,30 @@ struct ChaosEpisode {
   ChaosInvariants invariants;
   std::string failure;  // first violated invariant + detail; empty if ok
   net::NetCoordinatorStats stats;      // the final incarnation's driver
-  net::NetTransportStats transport;    // and its simulated transport
+  net::NetTransportStats transport;    // and its transport
+  net::ChaosProxyStats proxies;        // summed over the proxies (sockets)
+  ChaosTransport transport_kind = ChaosTransport::kSim;
+  double wall_s = 0.0;
 
   bool ok() const { return invariants.AllHold(); }
 };
 
-struct ChaosSoakSummary {
-  size_t episodes = 0;
-  size_t passed = 0;
+struct ChaosSoakSummary : SoakSummary<ChaosEpisode> {
   size_t decoded = 0;
   size_t infeasible = 0;
   size_t internal = 0;
-  std::vector<ChaosEpisode> detail;   // every episode, in order
-  std::vector<size_t> failing;        // indices into `detail`
-  bool ok() const { return failing.empty() && episodes > 0; }
 };
 
 // Runs episode `index` of the soak described by `config`, deterministically.
 ChaosEpisode RunChaosEpisode(const ChaosConfig& config, size_t index,
                              ChaosSabotage sabotage = ChaosSabotage::kNone);
 
-// Runs the full soak. Stops at nothing: every episode executes and failing
-// ones are collected (seed + schedule) for repro.
+// Runs the full soak (sim/soak.h): failing episodes are collected (seed +
+// schedule) for repro.
 ChaosSoakSummary RunChaosSoak(const ChaosConfig& config);
 
-// Crash-injected episode: the SAME derived scenario as RunChaosEpisode(
-// config, index), but run through a DurableCoordinator with a crash point
+// Crash-injected episode (simulator only): the SAME derived scenario as
+// RunChaosEpisode(config, index), but run through a DurableCoordinator with a crash point
 // drawn from the episode seed. When the injector fires, the coordinator is
 // destroyed mid-flight and restarted from its sealed snapshot + surviving
 // journal bytes; the episode then checks the three restart invariants on

@@ -26,11 +26,6 @@ using serve::RejectReason;
 using serve::ServeCoordinator;
 using serve::ServeOptions;
 
-uint64_t EpisodeSeed(uint64_t master, size_t index) {
-  SplitMix64 mix(master ^ (0x9E3779B97F4A7C15ull * (index + 1)));
-  return mix.Next();
-}
-
 size_t DrawInRange(Xoshiro256StarStar& rng, size_t lo, size_t hi) {
   SCEC_CHECK_LE(lo, hi);
   return lo + static_cast<size_t>(rng.NextDouble() * double(hi - lo + 1)) %
@@ -452,16 +447,10 @@ OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,
 
 OverloadSoakSummary RunOverloadSoak(const OverloadConfig& config) {
   OverloadSoakSummary summary;
-  summary.episodes = config.episodes;
-  summary.detail.reserve(config.episodes);
-  for (size_t i = 0; i < config.episodes; ++i) {
-    summary.detail.push_back(RunOverloadEpisode(config, i));
-    if (summary.detail.back().ok()) {
-      ++summary.passed;
-    } else {
-      summary.failing.push_back(i);
-    }
-  }
+  TallySoak(
+      config.episodes,
+      [&config](size_t i) { return RunOverloadEpisode(config, i); },
+      &summary);
   return summary;
 }
 

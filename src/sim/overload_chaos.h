@@ -58,6 +58,7 @@
 #include "common/thread_pool.h"
 #include "serve/admission.h"
 #include "serve/overload.h"
+#include "sim/soak.h"
 
 namespace scec::sim {
 
@@ -173,13 +174,7 @@ struct OverloadEpisode {
   bool ok() const { return invariants.AllHold(); }
 };
 
-struct OverloadSoakSummary {
-  size_t episodes = 0;
-  size_t passed = 0;
-  std::vector<OverloadEpisode> detail;
-  std::vector<size_t> failing;  // indices into `detail`
-  bool ok() const { return failing.empty() && episodes > 0; }
-};
+using OverloadSoakSummary = SoakSummary<OverloadEpisode>;
 
 // Runs episode `index` of the soak described by `config`, deterministically.
 OverloadEpisode RunOverloadEpisode(const OverloadConfig& config, size_t index,

@@ -10,11 +10,13 @@
 #include "core/byzantine.h"
 #include "linalg/matrix_ops.h"
 #include "sim/faults.h"
-#include "sim_driver.h"
+#include "recovery/coordinator.h"
 #include "workload/distributions.h"
 
 namespace scec::sim {
 namespace {
+
+using recovery::SimDriver;
 
 McscecProblem MakeProblem(size_t m, size_t l, size_t k, uint64_t seed) {
   Xoshiro256StarStar rng(seed);

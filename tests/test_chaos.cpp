@@ -1,14 +1,17 @@
 // SPDX-License-Identifier: MIT
 //
-// Deterministic chaos-soak harness (sim/chaos.h): episodes are replayable
-// bit-for-bit from (seed, index), a small soak passes all four invariants,
-// and the sabotage hooks prove the harness actually catches violations.
+// Chaos-soak harness (sim/chaos.h): simulated episodes are replayable
+// bit-for-bit from (seed, index), small soaks pass every invariant on both
+// transports, and the sabotage hooks prove the harness actually catches
+// violations — on the simulator and on a live loopback cluster.
 
 #include "sim/chaos.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -197,6 +200,164 @@ TEST(ChaosSoak, ByzantineEpisodesMaskAndQuarantineScriptedLiars) {
 TEST(ChaosSoak, EmptySoakIsNotOk) {
   ChaosSoakSummary summary;
   EXPECT_FALSE(summary.ok()) << "zero episodes must not read as a pass";
+}
+
+// --- Socket episodes: the same harness over scecd daemons and proxies ---
+
+ChaosConfig SocketConfig() {
+  ChaosConfig config;
+  config.seed = 7;
+  config.queries_per_episode = 3;
+  config.transport = ChaosTransport::kSocket;
+  return config;
+}
+
+// Index of `name` in the socket rotation.
+size_t SocketMixIndex(const std::string& name) {
+  const std::vector<ChaosMix> rotation =
+      ChaosMixesFor(ChaosTransport::kSocket);
+  for (size_t i = 0; i < rotation.size(); ++i) {
+    if (rotation[i].name == name) return i;
+  }
+  ADD_FAILURE() << name << " is not in the socket rotation";
+  return 0;
+}
+
+TEST(ChaosSoak, SocketRotationLeavesOutTheLiarsScecdCannotPlay) {
+  const std::vector<ChaosMix> rotation =
+      ChaosMixesFor(ChaosTransport::kSocket);
+  EXPECT_EQ(rotation.size(), DefaultChaosMixes().size() - 4);
+  for (const ChaosMix& mix : rotation) {
+    EXPECT_TRUE(RealizableOverSockets(mix)) << mix.name;
+  }
+  EXPECT_EQ(ChaosMixesFor(ChaosTransport::kSim).size(),
+            DefaultChaosMixes().size());
+  SocketMixIndex("byzantine-masked");
+}
+
+TEST(ChaosSoak, BenignEpisodeDecodesWithoutEvictionsOverSockets) {
+  ChaosConfig config = SocketConfig();
+  config.mixes = {ChaosMix{.name = "benign"}};
+  const ChaosEpisode episode = RunChaosEpisode(config, 0);
+  EXPECT_TRUE(episode.ok()) << DescribeSchedule(episode) << episode.failure;
+  EXPECT_EQ(episode.outcome, "decoded");
+  EXPECT_EQ(episode.stats.queries, config.queries_per_episode);
+  EXPECT_EQ(episode.stats.evictions, 0u);
+  EXPECT_EQ(episode.stats.byzantine_flagged, 0u);
+}
+
+TEST(ChaosSoak, FaultedEpisodesHoldAllInvariantsOverSockets) {
+  const ChaosConfig config = SocketConfig();
+  for (size_t index = 0; index < 2; ++index) {
+    const ChaosEpisode episode = RunChaosEpisode(config, index);
+    EXPECT_TRUE(episode.ok())
+        << DescribeSchedule(episode) << episode.failure
+        << "\nrepro: " << ReproCommand(config, episode);
+    EXPECT_TRUE(episode.invariants.security);
+    EXPECT_TRUE(episode.invariants.ledger);
+  }
+}
+
+TEST(ChaosSoak, SoakAggregatesAndReportsFirstFailureOverSockets) {
+  ChaosConfig config = SocketConfig();
+  config.seed = 21;
+  config.episodes = 1;
+  const ChaosSoakSummary summary = RunChaosSoak(config);
+  EXPECT_EQ(summary.episodes, 1u);
+  ASSERT_EQ(summary.detail.size(), 1u);
+  EXPECT_TRUE(summary.failing.empty())
+      << DescribeSchedule(summary.detail[0]) << summary.detail[0].failure;
+}
+
+TEST(ChaosSoak, ScheduleAndReproAreDescribableOverSockets) {
+  const ChaosConfig config = SocketConfig();
+  const ChaosEpisode episode = RunChaosEpisode(config, 1);
+  const std::string description = DescribeSchedule(episode);
+  EXPECT_NE(description.find("seed"), std::string::npos) << description;
+  EXPECT_NE(description.find("socket:"), std::string::npos) << description;
+  const std::string repro = ReproCommand(config, episode);
+  EXPECT_NE(repro.find("--transport=socket"), std::string::npos) << repro;
+  EXPECT_NE(repro.find("--seed=7"), std::string::npos) << repro;
+  EXPECT_NE(repro.find("--replay=1"), std::string::npos) << repro;
+}
+
+TEST(ChaosSoak, ScriptedFaultsLandOnDistinctDevicesOverSockets) {
+  // A full pass of the socket rotation: the scripted devices come from the
+  // seeded Fisher–Yates over participants, so no device carries two faults.
+  ChaosConfig config = SocketConfig();
+  config.queries_per_episode = 1;
+  size_t multi_fault = 0;
+  for (size_t index = 0; index < ChaosMixesFor(config.transport).size();
+       ++index) {
+    const ChaosEpisode episode = RunChaosEpisode(config, index);
+    EXPECT_TRUE(episode.ok()) << DescribeSchedule(episode) << episode.failure;
+    std::set<size_t> devices;
+    for (const ChaosScheduledFault& fault : episode.schedule) {
+      devices.insert(fault.device);
+    }
+    EXPECT_EQ(devices.size(), episode.schedule.size())
+        << DescribeSchedule(episode);
+    multi_fault += episode.schedule.size() > 1;
+  }
+  EXPECT_GT(multi_fault, 0u) << "no episode scripted two faults";
+}
+
+TEST(ChaosSoak, ByzantineFamilyMasksAndQuarantinesOverSockets) {
+  const ChaosConfig config = SocketConfig();
+  const size_t first = SocketMixIndex("byzantine-masked");
+  const size_t period = ChaosMixesFor(config.transport).size();
+  size_t guarded = 0;
+  for (const size_t index : {first, first + period}) {
+    const ChaosEpisode episode = RunChaosEpisode(config, index);
+    EXPECT_TRUE(episode.ok()) << DescribeSchedule(episode) << episode.failure;
+    EXPECT_TRUE(std::any_of(episode.schedule.begin(), episode.schedule.end(),
+                            [](const ChaosScheduledFault& fault) {
+                              return fault.kind == FaultKind::kCorruption;
+                            }))
+        << DescribeSchedule(episode);
+    EXPECT_TRUE(std::none_of(episode.schedule.begin(), episode.schedule.end(),
+                             [](const ChaosScheduledFault& fault) {
+                               return fault.kind == FaultKind::kCrash;
+                             }))
+        << DescribeSchedule(episode);
+    if (episode.byzantine_effective == 0) continue;
+    ++guarded;
+    EXPECT_EQ(episode.stats.recovery_rounds, 0u);
+    EXPECT_GE(episode.stats.byzantine_masked_queries, 1u);
+    EXPECT_GE(episode.stats.devices_quarantined, 1u);
+    EXPECT_EQ(episode.outcome, "decoded");
+    EXPECT_EQ(episode.stats.queries, config.queries_per_episode);
+    const std::string repro = ReproCommand(config, episode);
+    EXPECT_NE(repro.find("--replay=" + std::to_string(index)),
+              std::string::npos)
+        << repro;
+    EXPECT_NE(repro.find("--transport=socket"), std::string::npos) << repro;
+  }
+  EXPECT_GE(guarded, 1u) << "no episode provisioned a guard";
+}
+
+TEST(ChaosSoak, TamperSabotageTripsTheDecodeInvariantOverSockets) {
+  ChaosConfig config = SocketConfig();
+  config.mixes = {ChaosMix{.name = "benign"}};
+  const ChaosEpisode episode =
+      RunChaosEpisode(config, 0, ChaosSabotage::kTamperResult);
+  EXPECT_FALSE(episode.ok());
+  EXPECT_FALSE(episode.invariants.decode);
+  EXPECT_NE(episode.failure.find("decode"), std::string::npos)
+      << episode.failure;
+}
+
+TEST(ChaosSoak, ForgedLedgerTripsTheLedgerInvariantOverSockets) {
+  ChaosConfig config = SocketConfig();
+  config.mixes = {ChaosMix{.name = "benign"}};
+  const ChaosEpisode episode =
+      RunChaosEpisode(config, 0, ChaosSabotage::kForgeLedger);
+  EXPECT_FALSE(episode.ok());
+  EXPECT_FALSE(episode.invariants.ledger);
+  EXPECT_TRUE(episode.invariants.decode)
+      << "sabotage is surgical: only the ledger is forged";
+  EXPECT_NE(episode.failure.find("ledger"), std::string::npos)
+      << episode.failure;
 }
 
 // --- Crash-injected episodes (kill/restart drills) ---

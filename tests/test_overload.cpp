@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include "linalg/matrix_ops.h"
-#include "sim_driver.h"
+#include "recovery/coordinator.h"
 #include "workload/distributions.h"
 
 namespace scec::serve {
 namespace {
+
+using recovery::SimDriver;
 
 OverloadOptions On() {
   OverloadOptions options;

@@ -12,11 +12,13 @@
 
 #include "linalg/matrix_ops.h"
 #include "sim/faults.h"
-#include "sim_driver.h"
+#include "recovery/coordinator.h"
 #include "workload/distributions.h"
 
 namespace scec {
 namespace {
+
+using recovery::SimDriver;
 
 TEST(RetryBudget, StartsAtInitialAndCapsAtCapacity) {
   RetryBudgetOptions options;

@@ -17,7 +17,7 @@
 
 #include "linalg/matrix_ops.h"
 #include "recovery/journal.h"
-#include "sim_driver.h"
+#include "recovery/coordinator.h"
 #include "workload/distributions.h"
 
 namespace scec {
