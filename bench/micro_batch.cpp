@@ -9,6 +9,7 @@
 //     baseline the ≥4× target is measured against).
 //   * MatVecInto<double> (runtime-dispatched row-block kernel) vs the naive
 //     loop, at n=1024 and at device-share shapes.
+//   * Every GF(2^61−1) panel tier on its own at the serving share shape.
 //   * Parallel Deploy scaling across pool sizes at k=16 devices.
 //   * Steady-state QueryInto (zero allocations) vs allocating Query.
 
@@ -154,6 +155,32 @@ void BM_ShareMatVecLibraryDouble(benchmark::State& state) {
 }
 BENCHMARK(BM_ShareMatVecNaiveDouble)->Args({205, 1024})->Args({64, 64});
 BENCHMARK(BM_ShareMatVecLibraryDouble)->Args({205, 1024})->Args({64, 64});
+
+// --- each Gf61 panel tier at the serving share shape ------------------------
+// serve_gf61 multiplies every 205×1024 share of a tenant by a 1024×32 panel
+// of queries. The argument indexes Gf61PanelTiers(); the label names the
+// tier, and a tier this host cannot run is skipped.
+void BM_Gf61PanelTier(benchmark::State& state) {
+  const auto tiers = scec::kernel_internal::Gf61PanelTiers();
+  const size_t index = static_cast<size_t>(state.range(0));
+  if (index >= tiers.size() || !tiers[index].supported) {
+    state.SkipWithError("tier not available on this host");
+    return;
+  }
+  state.SetLabel(tiers[index].name);
+  const size_t rows = 205, l = 1024, b = 32;
+  const auto a = BenchMatrix<Gf61>(rows, l, 1);
+  const auto x = BenchMatrix<Gf61>(l, b, 2);
+  Matrix<Gf61> y(rows, b);
+  for (auto _ : state) {
+    tiers[index].fn(a, x, y.Data(), 0, rows);
+    benchmark::DoNotOptimize(y.Data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows * l * b));
+}
+BENCHMARK(BM_Gf61PanelTier)->DenseRange(0, 2);
 
 // --- batched kernel with a device-level pool -------------------------------
 void BM_MatVecBatchGf61Pooled(benchmark::State& state) {

@@ -1,76 +1,80 @@
 // SPDX-License-Identifier: MIT
 //
-// Runtime-dispatched kernels. The double mat-vec tiers sit at the end of
-// this file (contract and bit-identity argument in batch_kernels.h); the
-// rest are the GF(2^61−1) matrix–panel kernels. Three implementations
-// behind one runtime dispatch, all producing the exact canonical value of
-// the per-MAC scalar path (modular arithmetic is exact, so accumulation
-// order cannot change the result):
+// Runtime-dispatched kernels. The double mat-vec tiers and the double panel
+// sit at the end of this file (contract and bit-identity argument in
+// batch_kernels.h); the rest are the GF(2^61−1) matrix–panel kernels. Three
+// tiers (kernel_internal::Gf61PanelTiers()) behind one runtime dispatch,
+// all producing the exact canonical value of the per-MAC scalar path
+// (modular arithmetic is exact, so accumulation order cannot change the
+// result):
 //
 //   * scalar: unsigned __int128 accumulators with delayed Mersenne
 //     reduction (folded every kGf61FoldInterval terms; overflow proof in
 //     field/accumulator.h);
-//   * AVX-512 (x86-64, runtime-detected): 8 columns per ZMM register, X
-//     pre-split into 31-bit limb planes and A limb-split per row into a
-//     small scratch, so vpmuludq (32×32→64) provides every partial product
-//     directly;
-//   * AVX-512 IFMA (runtime-detected, preferred): vpmadd52lo/hi with
-//     52-bit limbs — each MAC step is 7 fused multiply-accumulates and the
-//     accumulators gain at most 2^52 per term, so reductions are needed
-//     only every kIfmaFoldInterval terms (effectively never for typical
-//     row lengths).
+//   * avx512-mul32 (x86-64, runtime-detected): 31-bit limbs, so vpmuludq
+//     (32×32→64) provides every partial product directly;
+//   * avx512-ifma (runtime-detected): vpmadd52lo/hi with 52-bit limbs.
 //
-// AVX-512 arithmetic. Write a = a0 + 2^31·a1 and x = x0 + 2^31·x1 with
+// Both vector tiers run one register-blocked micro-kernel, PanelTile. A
+// tile is R rows × 8·G columns: R = kTileRows = 4 rows and G = 2 groups of
+// 8 lanes. Per k it loads the tile's 16 X values once, splits them into
+// limbs in registers and reuses those vectors for all R rows; the R rows'
+// A limbs come from a per-tile scratch of 2·R·l words (layout at LimbsAt),
+// read as broadcasts. Each (row, group) keeps three
+// accumulators, so a 4×16 tile holds 24 ZMM accumulators, 4 X limb vectors
+// and 2 broadcasts. Row tails (rows % R) run the same template at
+// R = rows % R; column tails run G = 1 for one 8-column group, then the
+// scalar strip for the last b % 8 columns.
+//
+// The fold v -> (v & P) + (v >> 61) preserves v mod P = 2^61 − 1 and maps
+// any uint64 to < 2^61 + 8. Every accumulator is later multiplied by a
+// constant weight, which preserves congruences, so folding along the way is
+// sound. The tile's result per lane is the weighted sum of its three
+// accumulators (each < 2^64), reduced once in 128-bit scalar arithmetic.
+//
+// mul32 arithmetic. Write a = a0 + 2^31·a1 and x = x0 + 2^31·x1 with
 // a0, x0 < 2^31 and a1, x1 < 2^30 (a, x < 2^61). Then
 //
 //   a·x = a0·x0 + 2^31·(a0·x1 + a1·x0) + 2^62·(a1·x1)
 //
 // and three uint64 lane accumulators collect the partials over k:
 //
-//   acc0 += a0·x0             term < 2^62
-//   accM += a0·x1 + a1·x0     term < 2^62
-//   acc2 += a1·x1             term < 2^60
+//   p0 += a0·x0               term < 2^62
+//   pm += a0·x1 + a1·x0       term < 2^62
+//   p2 += a1·x1               term < 2^60
 //
-// The row result is recovered per lane, once per row, in 128-bit scalar
-// arithmetic as  acc0 + 2^31·accM + 2^62·acc2  (mod P) — multiplying a
-// congruence by a constant preserves it, so folding each accumulator mod P
-// along the way is sound. Overflow bounds (the fold (v & M61) + (v >> 61)
-// preserves values mod P = 2^61 − 1 and maps any uint64 to < 2^61 + 8):
+// p0 and pm fold every 3 terms and p2 every 12 (every fourth fold):
 //
-//   acc0, accM: folded every 3 terms:  2^61+8 + 3·2^62 < 2^64   ✓
-//   acc2:       folded every 12 terms: 2^61+8 + 12·2^60 < 2^63  ✓
+//   2^61 + 8 + 3·2^62 < 2^64,   2^61 + 8 + 12·2^60 < 2^64.
 //
-// and the final 128-bit combine is < 2^64 + 2^95 + 2^126 < 2^128.
+// After the last full fold at most 11 terms follow, so p2 stays in bound
+// too, and the result p0 + 2^31·pm + 2^62·p2 < 2^64 + 2^95 + 2^126 < 2^128.
 //
 // IFMA arithmetic. Write a = a0 + 2^52·a1 and x = x0 + 2^52·x1 with
-// a0, x0 < 2^52 and a1, x1 < 2^9 (a, x < 2^61). vpmadd52luq/vpmadd52huq
-// accumulate the low/high 52 bits of the 104-bit product of two 52-bit
-// operands, giving
+// a0, x0 < 2^52 and a1, x1 < 2^9. vpmadd52luq/vpmadd52huq add the low/high
+// 52 bits of the 104-bit product of the operands' low 52 bits to a 64-bit
+// lane, so with lo/hi those halves
 //
-//   a·x = a0·x0 + 2^52·(a0·x1 + a1·x0) + 2^104·(a1·x1)
+//   a·x = lo(a0·x0) + 2^52·(hi(a0·x0) + lo(a0·x1) + lo(a1·x0))
+//                   + 2^104·(hi(a0·x1) + hi(a1·x0) + a1·x1)
 //
-// collected in seven uint64 lane accumulators (one vpmadd52 each, so every
-// accumulator is touched once per term and the 4-cycle FMA latency is
-// hidden by independent chains):
+// since a0·x1, a1·x0 < 2^61 have high halves < 2^9 and a1·x1 < 2^18 is
+// exact in the low half. As 2^61 ≡ 1, 2^104 ≡ 2^43 (mod P), and the seven
+// vpmadd52 of one term land in three accumulators, one per limb weight:
 //
-//   lo   += low52(a0·x0)                    term < 2^52
-//   hi   += high52(a0·x0)                   term < 2^52
-//   m1lo += low52(a0·x1)   m1hi += high52   terms < 2^52 / < 2^9
-//   m2lo += low52(a1·x0)   m2hi += high52   terms < 2^52 / < 2^9
-//   t    += a1·x1 (exact: < 2^18 < 2^52)    term < 2^18
+//   w0  += lo(a0·x0)                             term < 2^52
+//   w52 += hi(a0·x0) + lo(a0·x1) + lo(a1·x0)     term < 3·2^52
+//   w43 += hi(a0·x1) + hi(a1·x0) + a1·x1         term < 2^19
 //
-// The per-lane row result uses the weight reductions 2^61 ≡ 1, so
-// 2^104 ≡ 2^43 (mod P):
+// All three fold every kIfmaFoldInterval = 1024 terms. w52 sets the
+// interval:
 //
-//   total = lo + 2^52·(hi + m1lo + m2lo) + 2^43·(m1hi + m2hi + t)
+//   2^61 + 8 + 1024·3·2^52 = 7·2^61 + 8 < 2^64
 //
-// computed in 128-bit arithmetic: with in-loop folds every
-// kIfmaFoldInterval = 2048 terms the three sums are < 2^66, so
-// total < 2^64 + 2^118 + 2^109 < 2^128 and FoldMersenne61 applies. The
-// big accumulators (lo, hi, m1lo, m2lo) gain < 2^52 per term and a fold
-// leaves < 2^61 + 8, so the interval bound is
-// 2^61 + 8 + 2048·2^52 < 2^64 ✓; the 2^104-weight accumulators gain
-// < 2^18 + 2^10 per term and never overflow for any realistic l.
+// (up to 1194 terms would fit); w0 and w43 gain less per term. The result
+// w0 + 2^52·w52 + 2^43·w43 < 2^64 + 2^116 + 2^107 < 2^128. vpmadd52 reads
+// only the low 52 bits of each lane, so a loaded X vector serves as its own
+// low limb; only the high limb takes a shift.
 
 #include "linalg/batch_kernels.h"
 
@@ -136,6 +140,13 @@ void PanelRowsGf61Scalar(const Elem* adata, const Elem* xdata, Elem* odata,
   }
 }
 
+void PanelRowsGf61ScalarTier(const Matrix<Elem>& a, const Matrix<Elem>& x,
+                             std::span<Elem> out, size_t row_begin,
+                             size_t row_end) {
+  PanelRowsGf61Scalar(a.Data().data(), x.Data().data(), out.data(), a.cols(),
+                      x.cols(), row_begin, row_end, 0, x.cols());
+}
+
 #if SCEC_X86_KERNELS
 
 // GCC 12's avx512fintrin.h trips -Wmaybe-uninitialized on the _mm512_undefined
@@ -144,308 +155,313 @@ void PanelRowsGf61Scalar(const Elem* adata, const Elem* xdata, Elem* odata,
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
 
-inline constexpr uint64_t kLimbMask = (uint64_t{1} << 31) - 1;
+// The tile templates below serve both vector tiers, so they are compiled for
+// the union of the tiers' features. That does not let the mul32 instances
+// use IFMA: GCC emits vpmadd52 only from its intrinsics, which only
+// Gf61Ifma calls, and the dispatch runs the IFMA instances only where
+// Gf61IfmaAvailable().
+#define SCEC_GF61_AVX512 "avx512f,avx512dq,avx512vl"
+#define SCEC_GF61_TILE SCEC_GF61_AVX512 ",avx512ifma"
 
-// Partial-product accumulators for one 8-column group (see file comment).
-struct Gf61Acc {
-  __m512i p0, pm, p2;
-};
+static_assert(sizeof(Elem) == sizeof(uint64_t),
+              "the vector tiers load Gf61 elements as uint64 lanes");
 
-__attribute__((target("avx512f,avx512dq,avx512vl"), always_inline)) inline
-Gf61Acc Gf61AccZero() {
-  return {_mm512_setzero_si512(), _mm512_setzero_si512(),
-          _mm512_setzero_si512()};
-}
+inline constexpr size_t kTileRows = 4;
+inline constexpr size_t kIfmaFoldInterval = 1024;
 
-// One MAC step against 8 pre-split x lanes. a0v/a1v hold the broadcast
-// 31-bit limbs of the a-element; all operands are < 2^32 so vpmuludq (which
-// reads the low 32 bits of each lane) gives exact products.
-__attribute__((target("avx512f,avx512dq,avx512vl"), always_inline)) inline
-void Gf61MacStep(Gf61Acc& acc, __m512i a0v, __m512i a1v, const uint64_t* x0p,
-                 const uint64_t* x1p) {
-  const __m512i x0 = _mm512_loadu_si512(static_cast<const void*>(x0p));
-  const __m512i x1 = _mm512_loadu_si512(static_cast<const void*>(x1p));
-  acc.p0 = _mm512_add_epi64(acc.p0, _mm512_mul_epu32(a0v, x0));
-  acc.pm = _mm512_add_epi64(acc.pm,
-                            _mm512_add_epi64(_mm512_mul_epu32(a0v, x1),
-                                             _mm512_mul_epu32(a1v, x0)));
-  acc.p2 = _mm512_add_epi64(acc.p2, _mm512_mul_epu32(a1v, x1));
-}
-
-__attribute__((target("avx512f,avx512dq,avx512vl"), always_inline)) inline
+__attribute__((target(SCEC_GF61_AVX512), always_inline)) inline
 __m512i Gf61Fold(__m512i v) {
   const __m512i mask61 = _mm512_set1_epi64(kMersenne61);
   return _mm512_add_epi64(_mm512_and_si512(v, mask61),
                           _mm512_srli_epi64(v, 61));
 }
 
-// Store one group's accumulators: apply the limb weights and reduce per
-// lane in 128-bit scalar arithmetic (once per row, negligible next to the
-// k loop).
-__attribute__((target("avx512f,avx512dq,avx512vl")))
-void Gf61AccStore(const Gf61Acc& acc, Elem* orow) {
-  alignas(64) uint64_t l0[8], lm[8], l2[8];
-  _mm512_store_si512(l0, acc.p0);
-  _mm512_store_si512(lm, acc.pm);
-  _mm512_store_si512(l2, acc.p2);
+// out[j] = v0[j] + 2^kShift1·v1[j] + 2^kShift2·v2[j] (mod P), per lane in
+// 128-bit arithmetic, once per tile (negligible next to the k loop).
+template <unsigned kShift1, unsigned kShift2>
+__attribute__((target(SCEC_GF61_AVX512)))
+void StoreWeighted(const __m512i& v0, const __m512i& v1, const __m512i& v2,
+                   Elem* out) {
+  alignas(64) uint64_t l0[8], l1[8], l2[8];
+  _mm512_store_si512(l0, v0);
+  _mm512_store_si512(l1, v1);
+  _mm512_store_si512(l2, v2);
   for (size_t jj = 0; jj < 8; ++jj) {
-    unsigned __int128 total = static_cast<unsigned __int128>(l0[jj]) +
-                              (static_cast<unsigned __int128>(lm[jj]) << 31) +
-                              (static_cast<unsigned __int128>(l2[jj]) << 62);
+    unsigned __int128 total =
+        static_cast<unsigned __int128>(l0[jj]) +
+        (static_cast<unsigned __int128>(l1[jj]) << kShift1) +
+        (static_cast<unsigned __int128>(l2[jj]) << kShift2);
     internal::FoldMersenne61(total);  // < 2^62: fits uint64_t
-    orow[jj] = Elem(static_cast<uint64_t>(total));
+    out[jj] = Elem(static_cast<uint64_t>(total));
   }
 }
 
-// Vectorized panel kernel. x0/x1 are the 31-bit limb planes of X (row
-// stride b); r0/r1 are caller-provided scratch of l uint64 each, refilled
-// with the current A row's limbs (the split loop auto-vectorizes and is
-// amortised over all of the row's column blocks, so the hot loop's
-// broadcasts are plain memory-sourced vpbroadcastq with no scalar ALU
-// work). Assumes col_end - col_begin is a multiple of 8 (the caller peels
-// the scalar tail).
-__attribute__((target("avx512f,avx512dq,avx512vl")))
-void PanelRowsGf61Avx512(const Elem* adata, const uint64_t* x0,
-                         const uint64_t* x1, uint64_t* r0, uint64_t* r1,
-                         Elem* odata, size_t l, size_t b, size_t row_begin,
-                         size_t row_end, size_t col_begin, size_t col_end) {
-  // Fold cadences proven in the file comment.
-  constexpr size_t kInner = 3;
-  constexpr size_t kOuter = 12;
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const Elem* arow = adata + i * l;
-    for (size_t k = 0; k < l; ++k) {
-      const uint64_t v = arow[k].value();
-      r0[k] = v & kLimbMask;
-      r1[k] = v >> 31;
-    }
-    Elem* orow = odata + i * b;
-    size_t j0 = col_begin;
-    // 16-column blocks: two groups share each broadcast a-limb pair.
-    for (; j0 + 16 <= col_end; j0 += 16) {
-      Gf61Acc g0 = Gf61AccZero();
-      Gf61Acc g1 = Gf61AccZero();
-      size_t k = 0;
-      // Hand-staged constant-trip inner blocks so the compiler fully
-      // unrolls the MAC steps between folds.
-      while (k + kOuter <= l) {
-        for (size_t rep = 0; rep < kOuter / kInner; ++rep) {
-          for (size_t s = 0; s < kInner; ++s, ++k) {
-            const __m512i a0v = _mm512_set1_epi64(
-                static_cast<long long>(r0[k]));
-            const __m512i a1v = _mm512_set1_epi64(
-                static_cast<long long>(r1[k]));
-            const uint64_t* xr0 = x0 + k * b + j0;
-            const uint64_t* xr1 = x1 + k * b + j0;
-            Gf61MacStep(g0, a0v, a1v, xr0, xr1);
-            Gf61MacStep(g1, a0v, a1v, xr0 + 8, xr1 + 8);
-          }
-          g0.p0 = Gf61Fold(g0.p0);
-          g0.pm = Gf61Fold(g0.pm);
-          g1.p0 = Gf61Fold(g1.p0);
-          g1.pm = Gf61Fold(g1.pm);
-        }
-        g0.p2 = Gf61Fold(g0.p2);
-        g1.p2 = Gf61Fold(g1.p2);
-      }
-      while (k < l) {
-        const size_t kin = std::min(l, k + kInner);
-        for (; k < kin; ++k) {
-          const __m512i a0v = _mm512_set1_epi64(
-              static_cast<long long>(r0[k]));
-          const __m512i a1v = _mm512_set1_epi64(
-              static_cast<long long>(r1[k]));
-          const uint64_t* xr0 = x0 + k * b + j0;
-          const uint64_t* xr1 = x1 + k * b + j0;
-          Gf61MacStep(g0, a0v, a1v, xr0, xr1);
-          Gf61MacStep(g1, a0v, a1v, xr0 + 8, xr1 + 8);
-        }
-        g0.p0 = Gf61Fold(g0.p0);
-        g0.pm = Gf61Fold(g0.pm);
-        g1.p0 = Gf61Fold(g1.p0);
-        g1.pm = Gf61Fold(g1.pm);
-      }
-      g0.p2 = Gf61Fold(g0.p2);
-      g1.p2 = Gf61Fold(g1.p2);
-      Gf61AccStore(g0, orow + j0);
-      Gf61AccStore(g1, orow + j0 + 8);
-    }
-    for (; j0 + 8 <= col_end; j0 += 8) {
-      Gf61Acc g = Gf61AccZero();
-      size_t k = 0;
-      while (k + kOuter <= l) {
-        for (size_t rep = 0; rep < kOuter / kInner; ++rep) {
-          for (size_t s = 0; s < kInner; ++s, ++k) {
-            const __m512i a0v = _mm512_set1_epi64(
-                static_cast<long long>(r0[k]));
-            const __m512i a1v = _mm512_set1_epi64(
-                static_cast<long long>(r1[k]));
-            Gf61MacStep(g, a0v, a1v, x0 + k * b + j0, x1 + k * b + j0);
-          }
-          g.p0 = Gf61Fold(g.p0);
-          g.pm = Gf61Fold(g.pm);
-        }
-        g.p2 = Gf61Fold(g.p2);
-      }
-      while (k < l) {
-        const size_t kin = std::min(l, k + kInner);
-        for (; k < kin; ++k) {
-          const __m512i a0v = _mm512_set1_epi64(
-              static_cast<long long>(r0[k]));
-          const __m512i a1v = _mm512_set1_epi64(
-              static_cast<long long>(r1[k]));
-          Gf61MacStep(g, a0v, a1v, x0 + k * b + j0, x1 + k * b + j0);
-        }
-        g.p0 = Gf61Fold(g.p0);
-        g.pm = Gf61Fold(g.pm);
-      }
-      g.p2 = Gf61Fold(g.p2);
-      Gf61AccStore(g, orow + j0);
-    }
+// 31-bit limbs through vpmuludq, which multiplies the low 32 bits of each
+// lane (arithmetic and fold cadences in the file comment).
+struct Gf61Mul32 {
+  static constexpr unsigned kShift = 31;
+  static constexpr size_t kFoldInterval = 3;      // p0, pm
+  static constexpr size_t kFoldsPerFullFold = 4;  // p2: every 12 terms
+
+  struct Acc {
+    __m512i p0, pm, p2;
+  };
+
+  __attribute__((target(SCEC_GF61_AVX512), always_inline)) static Acc Zero() {
+    const __m512i z = _mm512_setzero_si512();
+    return {z, z, z};
   }
-}
 
-// ---------------------------------------------------------------------------
-// IFMA tier (vpmadd52): 52-bit limbs, derivation in the file comment.
+  __attribute__((target(SCEC_GF61_AVX512), always_inline)) static void Split(
+      __m512i v, __m512i& lo, __m512i& hi) {
+    lo = _mm512_and_si512(v, _mm512_set1_epi64((uint64_t{1} << kShift) - 1));
+    hi = _mm512_srli_epi64(v, kShift);
+  }
 
-inline constexpr uint64_t kLimb52Mask = (uint64_t{1} << 52) - 1;
-inline constexpr size_t kIfmaFoldInterval = 2048;
+  __attribute__((target(SCEC_GF61_AVX512), always_inline)) static void Step(
+      Acc& acc, __m512i a0, __m512i a1, __m512i x0, __m512i x1) {
+    acc.p0 = _mm512_add_epi64(acc.p0, _mm512_mul_epu32(a0, x0));
+    acc.pm = _mm512_add_epi64(acc.pm,
+                              _mm512_add_epi64(_mm512_mul_epu32(a0, x1),
+                                               _mm512_mul_epu32(a1, x0)));
+    acc.p2 = _mm512_add_epi64(acc.p2, _mm512_mul_epu32(a1, x1));
+  }
 
-// Seven independent accumulators, one vpmadd52 each per term, so the FMA
-// latency is hidden (each chain is touched once per k).
-struct Gf61IfmaAcc {
-  __m512i lo, hi, m1lo, m1hi, m2lo, m2hi, t;
+  __attribute__((target(SCEC_GF61_AVX512), always_inline)) static void Fold(
+      Acc& acc) {
+    acc.p0 = Gf61Fold(acc.p0);
+    acc.pm = Gf61Fold(acc.pm);
+  }
+
+  __attribute__((target(SCEC_GF61_AVX512), always_inline)) static void
+  FullFold(Acc& acc) {
+    Fold(acc);
+    acc.p2 = Gf61Fold(acc.p2);
+  }
+
+  __attribute__((target(SCEC_GF61_AVX512), always_inline)) static void Store(
+      const Acc& acc, Elem* out) {
+    StoreWeighted<31, 62>(acc.p0, acc.pm, acc.p2, out);
+  }
 };
 
-__attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma"),
-               always_inline)) inline
-Gf61IfmaAcc Gf61IfmaZero() {
-  const __m512i z = _mm512_setzero_si512();
-  return {z, z, z, z, z, z, z};
+// 52-bit limbs through vpmadd52, seven per term folded into one
+// accumulator per limb weight (arithmetic and fold cadence in the file
+// comment).
+struct Gf61Ifma {
+  static constexpr unsigned kShift = 52;
+  static constexpr size_t kFoldInterval = kIfmaFoldInterval;
+  static constexpr size_t kFoldsPerFullFold = 1;
+
+  struct Acc {
+    __m512i w0, w52, w43;
+  };
+
+  __attribute__((target(SCEC_GF61_TILE), always_inline)) static Acc Zero() {
+    const __m512i z = _mm512_setzero_si512();
+    return {z, z, z};
+  }
+
+  // The loaded value is its own low limb: vpmadd52 ignores bits 52 and up.
+  __attribute__((target(SCEC_GF61_TILE), always_inline)) static void Split(
+      __m512i v, __m512i& lo, __m512i& hi) {
+    lo = v;
+    hi = _mm512_srli_epi64(v, kShift);
+  }
+
+  __attribute__((target(SCEC_GF61_TILE), always_inline)) static void Step(
+      Acc& acc, __m512i a0, __m512i a1, __m512i x0, __m512i x1) {
+    acc.w0 = _mm512_madd52lo_epu64(acc.w0, a0, x0);
+    acc.w52 = _mm512_madd52hi_epu64(acc.w52, a0, x0);
+    acc.w52 = _mm512_madd52lo_epu64(acc.w52, a0, x1);
+    acc.w52 = _mm512_madd52lo_epu64(acc.w52, a1, x0);
+    acc.w43 = _mm512_madd52hi_epu64(acc.w43, a0, x1);
+    acc.w43 = _mm512_madd52hi_epu64(acc.w43, a1, x0);
+    acc.w43 = _mm512_madd52lo_epu64(acc.w43, a1, x1);  // a1·x1 < 2^18
+  }
+
+  __attribute__((target(SCEC_GF61_TILE), always_inline)) static void Fold(
+      Acc& acc) {
+    acc.w0 = Gf61Fold(acc.w0);
+    acc.w52 = Gf61Fold(acc.w52);
+    acc.w43 = Gf61Fold(acc.w43);
+  }
+
+  __attribute__((target(SCEC_GF61_TILE), always_inline)) static void
+  FullFold(Acc& acc) {
+    Fold(acc);
+  }
+
+  __attribute__((target(SCEC_GF61_TILE), always_inline)) static void Store(
+      const Acc& acc, Elem* out) {
+    StoreWeighted<52, 43>(acc.w0, acc.w52, acc.w43, out);  // 2^104 ≡ 2^43
+  }
+};
+
+// The tile scratch holds R rows' limbs in blocks of 8 k: block k / 8 is
+// [row][lo, hi][k % 8], so a split stores whole vectors and TileStep reads
+// row r's limbs at ak[16·r] and ak[16·r + 8], ak = LimbsAt<R>(alimbs, k).
+inline constexpr size_t kLimbBlock = 8;
+
+inline size_t LimbScratchWords(size_t l) {
+  return 2 * kTileRows * ((l + kLimbBlock - 1) / kLimbBlock * kLimbBlock);
 }
 
-__attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma"),
-               always_inline)) inline
-void Gf61IfmaStep(Gf61IfmaAcc& acc, __m512i a0v, __m512i a1v,
-                  const uint64_t* x0p, const uint64_t* x1p) {
-  const __m512i x0 = _mm512_loadu_si512(static_cast<const void*>(x0p));
-  const __m512i x1 = _mm512_loadu_si512(static_cast<const void*>(x1p));
-  acc.lo = _mm512_madd52lo_epu64(acc.lo, a0v, x0);
-  acc.hi = _mm512_madd52hi_epu64(acc.hi, a0v, x0);
-  acc.m1lo = _mm512_madd52lo_epu64(acc.m1lo, a0v, x1);
-  acc.m1hi = _mm512_madd52hi_epu64(acc.m1hi, a0v, x1);
-  acc.m2lo = _mm512_madd52lo_epu64(acc.m2lo, a1v, x0);
-  acc.m2hi = _mm512_madd52hi_epu64(acc.m2hi, a1v, x0);
-  // a1·x1 < 2^18 is exact in the low-52 half.
-  acc.t = _mm512_madd52lo_epu64(acc.t, a1v, x1);
+template <size_t R, typename Word>
+inline Word* LimbsAt(Word* alimbs, size_t k) {
+  return alimbs + (k / kLimbBlock) * (2 * kLimbBlock * R) + k % kLimbBlock;
 }
 
-// Folds the four accumulators that gain < 2^52 per term (the 2^104-weight
-// ones gain < 2^18 + 2^10 per term and cannot overflow for realistic l).
-__attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma"),
-               always_inline)) inline
-void Gf61IfmaFold(Gf61IfmaAcc& acc) {
-  acc.lo = Gf61Fold(acc.lo);
-  acc.hi = Gf61Fold(acc.hi);
-  acc.m1lo = Gf61Fold(acc.m1lo);
-  acc.m2lo = Gf61Fold(acc.m2lo);
-}
-
-// Applies the limb weights (2^52 and 2^104 ≡ 2^43 mod P) and reduces per
-// lane in 128-bit scalar arithmetic, once per row.
-__attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma")))
-void Gf61IfmaStore(const Gf61IfmaAcc& acc, Elem* orow) {
-  alignas(64) uint64_t llo[8], lhi[8], lm1lo[8], lm1hi[8], lm2lo[8],
-      lm2hi[8], lt[8];
-  _mm512_store_si512(llo, acc.lo);
-  _mm512_store_si512(lhi, acc.hi);
-  _mm512_store_si512(lm1lo, acc.m1lo);
-  _mm512_store_si512(lm1hi, acc.m1hi);
-  _mm512_store_si512(lm2lo, acc.m2lo);
-  _mm512_store_si512(lm2hi, acc.m2hi);
-  _mm512_store_si512(lt, acc.t);
-  for (size_t jj = 0; jj < 8; ++jj) {
-    const unsigned __int128 s52 = static_cast<unsigned __int128>(lhi[jj]) +
-                                  lm1lo[jj] + lm2lo[jj];
-    const unsigned __int128 s104 = static_cast<unsigned __int128>(lm1hi[jj]) +
-                                   lm2hi[jj] + lt[jj];
-    unsigned __int128 total = llo[jj] + (s52 << 52) + (s104 << 43);
-    internal::FoldMersenne61(total);  // < 2^62: fits uint64_t
-    orow[jj] = Elem(static_cast<uint64_t>(total));
+// Splits R consecutive rows of A (row stride l) into the tile scratch.
+template <class Arith, size_t R>
+__attribute__((target(SCEC_GF61_AVX512)))
+void SplitRowTile(const Elem* arows, size_t l, uint64_t* alimbs) {
+  constexpr uint64_t kMask = (uint64_t{1} << Arith::kShift) - 1;
+  const __m512i mask = _mm512_set1_epi64(kMask);
+  size_t k = 0;
+  for (; k + kLimbBlock <= l; k += kLimbBlock) {
+    uint64_t* block = alimbs + k * 2 * R;
+    for (size_t r = 0; r < R; ++r) {
+      const __m512i v = _mm512_loadu_si512(
+          static_cast<const void*>(arows + r * l + k));
+      _mm512_storeu_si512(block + 16 * r, _mm512_and_si512(v, mask));
+      _mm512_storeu_si512(block + 16 * r + 8,
+                          _mm512_srli_epi64(v, Arith::kShift));
+    }
+  }
+  for (; k < l; ++k) {
+    uint64_t* ak = LimbsAt<R>(alimbs, k);
+    for (size_t r = 0; r < R; ++r) {
+      const uint64_t v = arows[r * l + k].value();
+      ak[16 * r] = v & kMask;
+      ak[16 * r + 8] = v >> Arith::kShift;
+    }
   }
 }
 
-// IFMA panel kernel; same structure and preconditions as
-// PanelRowsGf61Avx512 but with 52-bit limb planes/scratch.
-__attribute__((target("avx512f,avx512dq,avx512vl,avx512ifma")))
-void PanelRowsGf61Ifma(const Elem* adata, const uint64_t* x0,
-                       const uint64_t* x1, uint64_t* r0, uint64_t* r1,
-                       Elem* odata, size_t l, size_t b, size_t row_begin,
-                       size_t row_end, size_t col_begin, size_t col_end) {
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const Elem* arow = adata + i * l;
-    for (size_t k = 0; k < l; ++k) {
-      const uint64_t v = arow[k].value();
-      r0[k] = v & kLimb52Mask;
-      r1[k] = v >> 52;
+// One k step of an R × 8·G tile: the X row's G vectors are loaded and
+// limb-split once, then each of the R rows broadcasts its two A limbs
+// (ak = LimbsAt<R>(alimbs, k)) against all of them.
+template <class Arith, size_t R, size_t G>
+__attribute__((target(SCEC_GF61_TILE), always_inline)) inline
+void TileStep(typename Arith::Acc (&acc)[R][G], const uint64_t* ak,
+              const Elem* xk) {
+  __m512i x0[G], x1[G];
+#pragma GCC unroll 2
+  for (size_t g = 0; g < G; ++g) {
+    Arith::Split(_mm512_loadu_si512(static_cast<const void*>(xk + 8 * g)),
+                 x0[g], x1[g]);
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+    const __m512i a0 = _mm512_set1_epi64(static_cast<long long>(ak[16 * r]));
+    const __m512i a1 =
+        _mm512_set1_epi64(static_cast<long long>(ak[16 * r + 8]));
+#pragma GCC unroll 2
+    for (size_t g = 0; g < G; ++g) {
+      Arith::Step(acc[r][g], a0, a1, x0[g], x1[g]);
     }
-    Elem* orow = odata + i * b;
-    size_t j0 = col_begin;
-    for (; j0 + 16 <= col_end; j0 += 16) {
-      Gf61IfmaAcc g0 = Gf61IfmaZero();
-      Gf61IfmaAcc g1 = Gf61IfmaZero();
-      size_t k = 0;
-      while (k < l) {
-        const size_t kend = std::min(l, k + kIfmaFoldInterval);
-        for (; k < kend; ++k) {
-          const __m512i a0v = _mm512_set1_epi64(
-              static_cast<long long>(r0[k]));
-          const __m512i a1v = _mm512_set1_epi64(
-              static_cast<long long>(r1[k]));
-          const uint64_t* xr0 = x0 + k * b + j0;
-          const uint64_t* xr1 = x1 + k * b + j0;
-          Gf61IfmaStep(g0, a0v, a1v, xr0, xr1);
-          Gf61IfmaStep(g1, a0v, a1v, xr0 + 8, xr1 + 8);
-        }
-        if (k < l) {
-          Gf61IfmaFold(g0);
-          Gf61IfmaFold(g1);
+  }
+}
+
+// out[r·b + j] = Σ_k A[r][k]·X[k][j] for the tile's R rows and 8·G columns.
+// alimbs is the rows' limb scratch; xdata and out point at the tile's first
+// column (row stride b).
+template <class Arith, size_t R, size_t G>
+__attribute__((target(SCEC_GF61_TILE)))
+void PanelTile(const uint64_t* alimbs, const Elem* xdata, size_t l, size_t b,
+               Elem* out) {
+  typename Arith::Acc acc[R][G];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (size_t g = 0; g < G; ++g) acc[r][g] = Arith::Zero();
+  }
+  size_t k = 0;
+  size_t folds = 0;
+  while (k + Arith::kFoldInterval <= l) {
+    for (size_t s = 0; s < Arith::kFoldInterval; ++s, ++k) {
+      TileStep<Arith, R, G>(acc, LimbsAt<R>(alimbs, k), xdata + k * b);
+    }
+    const bool full = ++folds == Arith::kFoldsPerFullFold;
+    if (full) folds = 0;
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+      for (size_t g = 0; g < G; ++g) {
+        if (full) {
+          Arith::FullFold(acc[r][g]);
+        } else {
+          Arith::Fold(acc[r][g]);
         }
       }
-      Gf61IfmaStore(g0, orow + j0);
-      Gf61IfmaStore(g1, orow + j0 + 8);
     }
-    for (; j0 + 8 <= col_end; j0 += 8) {
-      Gf61IfmaAcc g = Gf61IfmaZero();
-      size_t k = 0;
-      while (k < l) {
-        const size_t kend = std::min(l, k + kIfmaFoldInterval);
-        for (; k < kend; ++k) {
-          const __m512i a0v = _mm512_set1_epi64(
-              static_cast<long long>(r0[k]));
-          const __m512i a1v = _mm512_set1_epi64(
-              static_cast<long long>(r1[k]));
-          Gf61IfmaStep(g, a0v, a1v, x0 + k * b + j0, x1 + k * b + j0);
-        }
-        if (k < l) Gf61IfmaFold(g);
-      }
-      Gf61IfmaStore(g, orow + j0);
+  }
+  for (; k < l; ++k) {
+    TileStep<Arith, R, G>(acc, LimbsAt<R>(alimbs, k), xdata + k * b);
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t g = 0; g < G; ++g) {
+      Arith::Store(acc[r][g], out + r * b + 8 * g);
     }
+  }
+}
+
+// R rows across the first vec_cols columns: 16-column tiles, then one
+// 8-column tile.
+template <class Arith, size_t R>
+void PanelRowTile(const Elem* arows, const Elem* xdata, size_t l, size_t b,
+                  size_t vec_cols, uint64_t* alimbs, Elem* orows) {
+  SplitRowTile<Arith, R>(arows, l, alimbs);
+  size_t j0 = 0;
+  for (; j0 + 16 <= vec_cols; j0 += 16) {
+    PanelTile<Arith, R, 2>(alimbs, xdata + j0, l, b, orows + j0);
+  }
+  if (j0 < vec_cols) {
+    PanelTile<Arith, R, 1>(alimbs, xdata + j0, l, b, orows + j0);
+  }
+}
+
+// A vector tier: rows [row_begin, row_end) in tiles of kTileRows rows, the
+// last tile taking the rows % kTileRows rest, and the scalar strip for the
+// b % 8 columns past the last 8-column group.
+template <class Arith>
+void PanelRowsGf61Vector(const Matrix<Elem>& a, const Matrix<Elem>& x,
+                         std::span<Elem> out, size_t row_begin,
+                         size_t row_end) {
+  const size_t l = a.cols();
+  const size_t b = x.cols();
+  const Elem* adata = a.Data().data();
+  const Elem* xdata = x.Data().data();
+  Elem* odata = out.data();
+  const size_t vec_cols = b - b % 8;
+  if (vec_cols > 0) {
+    std::vector<uint64_t> alimbs(LimbScratchWords(l));
+    size_t i = row_begin;
+    for (; i + kTileRows <= row_end; i += kTileRows) {
+      PanelRowTile<Arith, kTileRows>(adata + i * l, xdata, l, b, vec_cols,
+                                     alimbs.data(), odata + i * b);
+    }
+    static_assert(kTileRows == 4, "row tails below cover rows % 4");
+    const auto tail = [&](auto rows) {
+      PanelRowTile<Arith, decltype(rows)::value>(adata + i * l, xdata, l, b,
+                                                 vec_cols, alimbs.data(),
+                                                 odata + i * b);
+    };
+    switch (row_end - i) {
+      case 3: tail(std::integral_constant<size_t, 3>{}); break;
+      case 2: tail(std::integral_constant<size_t, 2>{}); break;
+      case 1: tail(std::integral_constant<size_t, 1>{}); break;
+      default: break;
+    }
+  }
+  if (vec_cols < b) {
+    PanelRowsGf61Scalar(adata, xdata, odata, l, b, row_begin, row_end,
+                        vec_cols, b);
   }
 }
 
 #pragma GCC diagnostic pop
-
-// Splits `count` canonical Gf61 values into limb planes at `shift` bits.
-void SplitLimbs(const Elem* src, size_t count, uint64_t* lo, uint64_t* hi,
-                unsigned shift) {
-  const uint64_t mask = (uint64_t{1} << shift) - 1;
-  for (size_t idx = 0; idx < count; ++idx) {
-    const uint64_t v = src[idx].value();
-    lo[idx] = v & mask;
-    hi[idx] = v >> shift;
-  }
-}
 
 bool Gf61Avx512Available() {
   static const bool available = __builtin_cpu_supports("avx512f") &&
@@ -462,13 +478,12 @@ bool Gf61IfmaAvailable() {
 
 // Which vector tier is faster depends on the CPU's FMA-port layout:
 // vpmadd52 issues only to the FMA units, so on single-FMA-unit parts the
-// 7-madd IFMA step serialises on one port while the vpmuludq kernel's
-// mul/add mix spreads across both vector ALU ports; on dual-FMA parts
-// IFMA is far ahead (7 fused ops vs 8 ops + folds). Port counts are not
-// CPUID-enumerable, so measure once: time both kernels on a small fixed
-// problem (best of kReps to shed scheduler noise) and cache the winner.
-// Both kernels return identical canonical values, so the choice never
-// affects results.
+// IFMA step serialises on one port while the vpmuludq kernel's mul/add mix
+// spreads across both vector ALU ports; on dual-FMA parts IFMA is far ahead
+// (7 fused ops vs 8 ops + folds). Port counts are not CPUID-enumerable, so
+// measure once: time both tiers on a small fixed problem (best of kReps to
+// shed scheduler noise) and cache the winner. Both tiers return identical
+// canonical values, so the choice never affects results.
 struct CalibrationTimes {
   double mul32_ns = 0.0;
   double ifma_ns = 0.0;
@@ -476,43 +491,25 @@ struct CalibrationTimes {
 
 CalibrationTimes MeasureGf61Calibration() {
   constexpr size_t kRows = 32, kL = 256, kB = 16, kReps = 5;
-  std::vector<Elem> a(kRows * kL), out(kRows * kB);
-  std::vector<uint64_t> scratch(2 * kL);
-  std::vector<uint64_t> x31lo(kL * kB), x31hi(kL * kB);
-  std::vector<uint64_t> x52lo(kL * kB), x52hi(kL * kB);
-  for (size_t idx = 0; idx < a.size(); ++idx) {
-    a[idx] = Elem(idx * 0x9E3779B97F4A7C15ull);
+  Matrix<Elem> a(kRows, kL), x(kL, kB), out(kRows, kB);
+  for (size_t idx = 0; idx < kRows * kL; ++idx) {
+    a.Data()[idx] = Elem(idx * 0x9E3779B97F4A7C15ull);
   }
   for (size_t idx = 0; idx < kL * kB; ++idx) {
-    const uint64_t v = Elem(idx * 0xBF58476D1CE4E5B9ull).value();
-    x31lo[idx] = v & kLimbMask;
-    x31hi[idx] = v >> 31;
-    x52lo[idx] = v & kLimb52Mask;
-    x52hi[idx] = v >> 52;
+    x.Data()[idx] = Elem(idx * 0xBF58476D1CE4E5B9ull);
   }
-  auto time_best = [&](auto&& kernel) {
+  auto time_best = [&](PanelRowsGf61Fn kernel) {
     auto best = std::chrono::steady_clock::duration::max();
     for (size_t rep = 0; rep < kReps; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      kernel();
+      kernel(a, x, out.Data(), 0, kRows);
       best = std::min(best, std::chrono::steady_clock::now() - start);
     }
-    return best;
+    return std::chrono::duration<double, std::nano>(best).count();
   };
-  const auto mul32 = time_best([&] {
-    PanelRowsGf61Avx512(a.data(), x31lo.data(), x31hi.data(), scratch.data(),
-                        scratch.data() + kL, out.data(), kL, kB, 0, kRows, 0,
-                        kB);
-  });
-  const auto ifma = time_best([&] {
-    PanelRowsGf61Ifma(a.data(), x52lo.data(), x52hi.data(), scratch.data(),
-                      scratch.data() + kL, out.data(), kL, kB, 0, kRows, 0,
-                      kB);
-  });
   CalibrationTimes times;
-  times.mul32_ns =
-      std::chrono::duration<double, std::nano>(mul32).count();
-  times.ifma_ns = std::chrono::duration<double, std::nano>(ifma).count();
+  times.mul32_ns = time_best(PanelRowsGf61Vector<Gf61Mul32>);
+  times.ifma_ns = time_best(PanelRowsGf61Vector<Gf61Ifma>);
   return times;
 }
 
@@ -706,47 +703,47 @@ void MatVecF64(const double* a, size_t rows, size_t cols, const double* x,
   SelectedF64MatVecTier().fn(a, rows, cols, x, y);
 }
 
+void PanelRowsF64(const Matrix<double>& a, const Matrix<double>& x,
+                  std::span<double> out, size_t row_begin, size_t row_end) {
+  const size_t l = a.cols();
+  const size_t b = x.cols();
+  const size_t rows = row_end - row_begin;
+  std::vector<double> xcol(l), ycol(rows);
+  for (size_t j = 0; j < b; ++j) {
+    for (size_t k = 0; k < l; ++k) xcol[k] = x(k, j);
+    MatVecF64(a.Data().data() + row_begin * l, rows, l, xcol.data(),
+              ycol.data());
+    for (size_t i = 0; i < rows; ++i) out[(row_begin + i) * b + j] = ycol[i];
+  }
+}
+
+std::span<const Gf61PanelTier> Gf61PanelTiers() {
+  static const Gf61PanelTier tiers[] = {
+#if SCEC_X86_KERNELS
+      {"avx512-ifma", PanelRowsGf61Vector<Gf61Ifma>, Gf61IfmaAvailable()},
+      {"avx512-mul32", PanelRowsGf61Vector<Gf61Mul32>, Gf61Avx512Available()},
+#endif
+      {"scalar", PanelRowsGf61ScalarTier, true},
+  };
+  return tiers;
+}
+
 void PanelRowsGf61(const Matrix<Elem>& a, const Matrix<Elem>& x,
                    std::span<Elem> out, size_t row_begin, size_t row_end) {
   // First panel call publishes the calibration outcome (metrics + one kInfo
   // line); afterwards this is a single static-init guard check.
   Gf61KernelTier();
-  const size_t l = a.cols();
-  const size_t b = x.cols();
-  const Elem* adata = a.Data().data();
-  const Elem* xdata = x.Data().data();
-  Elem* odata = out.data();
 #if SCEC_X86_KERNELS
-  if (b >= 8 && Gf61Avx512Available()) {
-    // Split X into limb planes once per call — it is reused by every row,
-    // so the O(l·b) split amortises to nothing. A's rows are limb-split
-    // one at a time into a small reused scratch (stays in L1, keeps A's
-    // memory traffic at one pass). (MatMulPanelSpan fans rows out in
-    // chunks, so parallel callers amortise the X split over their whole
-    // chunk, not a single row.)
-    const bool ifma = Gf61UseIfma();
-    const unsigned shift = ifma ? 52 : 31;
-    std::vector<uint64_t> x0(l * b), x1(l * b);
-    std::vector<uint64_t> arow_scratch(2 * l);
-    SplitLimbs(xdata, l * b, x0.data(), x1.data(), shift);
-    const size_t vec_cols = b - b % 8;
-    if (ifma) {
-      PanelRowsGf61Ifma(adata, x0.data(), x1.data(), arow_scratch.data(),
-                        arow_scratch.data() + l, odata, l,
-                        b, row_begin, row_end, 0, vec_cols);
+  if (x.cols() >= 8 && Gf61Avx512Available()) {
+    if (Gf61UseIfma()) {
+      PanelRowsGf61Vector<Gf61Ifma>(a, x, out, row_begin, row_end);
     } else {
-      PanelRowsGf61Avx512(adata, x0.data(), x1.data(), arow_scratch.data(),
-                          arow_scratch.data() + l, odata, l,
-                          b, row_begin, row_end, 0, vec_cols);
-    }
-    if (vec_cols < b) {
-      PanelRowsGf61Scalar(adata, xdata, odata, l, b, row_begin, row_end,
-                          vec_cols, b);
+      PanelRowsGf61Vector<Gf61Mul32>(a, x, out, row_begin, row_end);
     }
     return;
   }
 #endif
-  PanelRowsGf61Scalar(adata, xdata, odata, l, b, row_begin, row_end, 0, b);
+  PanelRowsGf61ScalarTier(a, x, out, row_begin, row_end);
 }
 
 }  // namespace scec::kernel_internal

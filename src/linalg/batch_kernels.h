@@ -14,9 +14,11 @@
 //     accumulator;
 //   * for GF(2^61−1) the Mersenne reduction is delayed: raw 128-bit products
 //     accumulate and are folded once per kGf61FoldInterval terms (see
-//     field/accumulator.h for the overflow proof);
-//   * for double the inner strip loop has a compile-time trip count and no
-//     loop-carried dependence across columns, so it auto-vectorizes.
+//     field/accumulator.h for the overflow proof), and the AVX-512 tiers
+//     reuse each X load across a tile of rows (batch_kernels.cpp).
+//
+// double panels are the exception: they run the device mat-vec
+// (MatVecF64) once per column, whose row-per-lane tiers beat a column strip.
 //
 // Determinism: each output element (i, j) is accumulated over k ascending
 // with a single accumulator — the exact operation order of the scalar
@@ -39,9 +41,9 @@
 namespace scec {
 namespace kernel_internal {
 
-// Columns per register strip. Generic/double: 16 doubles = 2–4 vector
-// registers worth of accumulators. Gf61: 4 unsigned __int128 accumulators
-// (8 GPRs) leaves room for the operands and pointers.
+// Columns per register strip. Generic: 16 accumulators, a few vector
+// registers' worth for small scalar types. Gf61 scalar tier: 4 unsigned
+// __int128 accumulators (8 GPRs) leave room for the operands and pointers.
 inline constexpr size_t kGenericStrip = 16;
 inline constexpr size_t kGf61Strip = 4;
 
@@ -82,22 +84,51 @@ void PanelRowsGeneric(const Matrix<T>& a, const Matrix<T>& x, std::span<T> out,
   }
 }
 
-// Delayed-reduction strip kernel for GF(2^61−1) (batch_kernels.cpp).
-// Accumulates raw 128-bit products, folding every kGf61FoldInterval terms
-// (overflow proof in field/accumulator.h; the fold preserves the value mod
-// 2^61−1, so the canonical result equals the per-MAC path exactly). On
-// x86-64 CPUs with AVX-512, 8/16-column panels switch to a vectorized
-// 32×32-limb kernel (runtime-dispatched; same exact modular value).
+// GF(2^61−1) panel rows (batch_kernels.cpp). Every tier returns the exact
+// canonical value of the per-MAC path:
+//
+//   * "avx512-ifma": vpmadd52 with 52-bit limbs;
+//   * "avx512-mul32": vpmuludq with 31-bit limbs;
+//   * "scalar": 128-bit accumulators folded every kGf61FoldInterval terms
+//     (overflow proof in field/accumulator.h), kGf61Strip columns at a time.
+//
+// The two AVX-512 tiers are register-blocked: each X load serves a tile of
+// 4 rows × 16 columns, and b % 8 columns finish in the scalar strip.
+using PanelRowsGf61Fn = void (*)(const Matrix<GfElem<kMersenne61>>& a,
+                                 const Matrix<GfElem<kMersenne61>>& x,
+                                 std::span<GfElem<kMersenne61>> out,
+                                 size_t row_begin, size_t row_end);
+struct Gf61PanelTier {
+  const char* name;  // "avx512-ifma" | "avx512-mul32" | "scalar"
+  PanelRowsGf61Fn fn;
+  bool supported;  // this host can run it
+};
+
+// Every tier compiled into this build; "scalar" is last and always
+// supported. Unlike the double mat-vec, the dispatch does not take the
+// first supported tier: when both AVX-512 tiers run, a one-time timing
+// calibration picks one (Gf61KernelTier() below).
+std::span<const Gf61PanelTier> Gf61PanelTiers();
+
+// Runs the dispatched tier: an AVX-512 tier for b >= 8 where the host has
+// one, else the scalar strip.
 void PanelRowsGf61(const Matrix<GfElem<kMersenne61>>& a,
                    const Matrix<GfElem<kMersenne61>>& x,
                    std::span<GfElem<kMersenne61>> out,
                    size_t row_begin, size_t row_end);
+
+// double panel rows: MatVecF64 (below) on each column of x in turn, so every
+// output is the naive k-ascending loop, bit for bit.
+void PanelRowsF64(const Matrix<double>& a, const Matrix<double>& x,
+                  std::span<double> out, size_t row_begin, size_t row_end);
 
 template <typename T>
 void PanelRows(const Matrix<T>& a, const Matrix<T>& x, std::span<T> out,
                size_t row_begin, size_t row_end) {
   if constexpr (std::is_same_v<T, GfElem<kMersenne61>>) {
     PanelRowsGf61(a, x, out, row_begin, row_end);
+  } else if constexpr (std::is_same_v<T, double>) {
+    PanelRowsF64(a, x, out, row_begin, row_end);
   } else {
     PanelRowsGeneric(a, x, out, row_begin, row_end);
   }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -245,6 +246,119 @@ TEST(F64MatVecTier, DispatchPicksWidestSupportedTierAndPublishesIt) {
     EXPECT_EQ(series.gauge->value(), 1.0);
   }
   EXPECT_EQ(gauges, 1u);
+}
+
+// Each Gf61 panel tier entry point directly, so the tier the calibration
+// does not pick on this host is still checked wherever the host can run it.
+// The reference is the per-MAC DotAccumulator, one output at a time. The
+// shapes cover every row tail of the 4-row tiles (rows % 4 = 0..3), the
+// 16- and 8-column tiles with and without a scalar column tail, and row
+// lengths below, across and well past the vector tiers' fold intervals (3,
+// 12 and 1024 terms).
+class Gf61PanelTierTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    for (const auto& t : kernel_internal::Gf61PanelTiers()) {
+      if (GetParam() == t.name) tier_ = &t;
+    }
+    if (tier_ == nullptr || !tier_->supported) {
+      GTEST_SKIP() << "gf61 panel tier '" << GetParam()
+                   << "' is not available on this host";
+    }
+  }
+
+  // Runs the tier on rows [row_begin, a.rows()) of a fresh output buffer
+  // and checks every output exactly; rows before row_begin must keep the
+  // guard value.
+  void ExpectExact(const Matrix<Gf61>& a, const Matrix<Gf61>& x,
+                   size_t row_begin = 0) const {
+    const Gf61 guard(12345);
+    const size_t b = x.cols();
+    std::vector<Gf61> out(a.rows() * b, guard);
+    tier_->fn(a, x, std::span<Gf61>(out), row_begin, a.rows());
+    for (size_t i = 0; i < a.rows(); ++i) {
+      for (size_t j = 0; j < b; ++j) {
+        Gf61 expected = guard;
+        if (i >= row_begin) {
+          DotAccumulator<Gf61> acc;
+          for (size_t k = 0; k < a.cols(); ++k) acc.MulAdd(a(i, k), x(k, j));
+          expected = acc.Value();
+        }
+        ASSERT_EQ(out[i * b + j], expected)
+            << tier_->name << " rows=" << a.rows() << " l=" << a.cols()
+            << " b=" << b << " row_begin=" << row_begin << " at (" << i
+            << ", " << j << ")";
+      }
+    }
+  }
+
+  static constexpr size_t kRows[] = {4, 5, 6, 7};
+  static constexpr size_t kLengths[] = {1, 3, 1000, 2500};
+  static constexpr size_t kWidths[] = {8, 9, 16, 24, 32, 33};
+
+  const kernel_internal::Gf61PanelTier* tier_ = nullptr;
+};
+
+TEST_P(Gf61PanelTierTest, ExactOnRandomOperands) {
+  ChaCha20Rng rng(61);
+  for (size_t l : kLengths) {
+    for (size_t b : kWidths) {
+      for (size_t rows : kRows) {
+        ExpectExact(RandomMatrix<Gf61>(rows, l, rng),
+                    RandomMatrix<Gf61>(l, b, rng));
+      }
+    }
+  }
+}
+
+TEST_P(Gf61PanelTierTest, ExactOnAllMaxOperands) {
+  // Every operand P−1 maximises every limb product and so every
+  // accumulator between folds. (P−1)^2 ≡ 1, so each output is l mod P.
+  const Gf61 max_elem(kMersenne61 - 1);
+  for (size_t l : kLengths) {
+    for (size_t b : kWidths) {
+      for (size_t rows : kRows) {
+        const Matrix<Gf61> a(rows, l, max_elem);
+        const Matrix<Gf61> x(l, b, max_elem);
+        ExpectExact(a, x);
+        std::vector<Gf61> out(rows * b);
+        tier_->fn(a, x, std::span<Gf61>(out), 0, rows);
+        for (const Gf61& v : out) ASSERT_EQ(v, Gf61(l)) << "l=" << l;
+      }
+    }
+  }
+}
+
+TEST_P(Gf61PanelTierTest, RowRangeWritesOnlyItsRows) {
+  // MatMulPanelSpan hands each pool task a row range; a range that starts
+  // mid-matrix must leave the rows before it alone.
+  ChaCha20Rng rng(62);
+  for (size_t row_begin : {1u, 2u, 3u, 5u}) {
+    ExpectExact(RandomMatrix<Gf61>(11, 300, rng),
+                RandomMatrix<Gf61>(300, 25, rng), row_begin);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, Gf61PanelTierTest,
+                         ::testing::Values("avx512-ifma", "avx512-mul32",
+                                           "scalar"),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
+
+TEST(Gf61PanelTier, TableListsEveryTierWithScalarLast) {
+  const auto tiers = kernel_internal::Gf61PanelTiers();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_STREQ(tiers.back().name, "scalar");
+  EXPECT_TRUE(tiers.back().supported);
+  // The dispatched tier is one of the table's supported tiers.
+  bool listed = false;
+  for (const auto& tier : tiers) {
+    listed |= tier.supported && std::string(tier.name) == Gf61KernelTier().tier;
+  }
+  EXPECT_TRUE(listed) << Gf61KernelTier().tier;
 }
 
 template <typename T>

@@ -140,6 +140,27 @@ TEST(ChaosSoak, DefaultMixRotationCoversHedgingAndAdaptive) {
   EXPECT_TRUE(any_plain);
 }
 
+TEST(ChaosSoak, HedgingMixesLaunchHedgesOnTheSimulator) {
+  // The hedging mixes of the CI soak (seed 1) must actually hedge, so the
+  // hedge path cannot silently fall out of the soak. Today only the
+  // kitchen-sink mix does (7 hedges in its first two episodes, 32 in all
+  // 15); the hedged-stragglers mix launches none, because its stragglers
+  // never outlast the hedge deadline floor; re-tuning it changes the sim
+  // schedules, so that is left to a declared reseed.
+  ChaosConfig config;
+  config.seed = 1;
+  config.episodes = 26;  // two passes over the 13 default mixes
+  const std::vector<ChaosMix> mixes = ChaosMixesFor(config.transport);
+  uint64_t launched = 0;
+  for (size_t i = 0; i < config.episodes; ++i) {
+    if (!mixes[i % mixes.size()].hedging) continue;
+    const ChaosEpisode episode = RunChaosEpisode(config, i);
+    EXPECT_TRUE(episode.ok()) << DescribeSchedule(episode) << episode.failure;
+    launched += episode.stats.hedges_launched;
+  }
+  EXPECT_GT(launched, 0u);
+}
+
 TEST(ChaosSoak, DefaultMixRotationCoversTheByzantineAdversaries) {
   // The adversarial mixes must span the richer Byzantine models: always-on
   // liars under masking, intermittent lying, minimal-magnitude corruption,
