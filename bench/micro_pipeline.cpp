@@ -3,14 +3,22 @@
 // End-to-end in-process pipeline throughput (no simulator): Deploy once,
 // then measure Query / QueryBatch rates across matrix sizes and scalar
 // types, plus the one-time Deploy cost itself (planning + pad generation +
-// encoding + ITS verification).
+// encoding + ITS verification). BM_JournalReplay times the durable
+// coordinator's recovery from a 256-query journal.
 
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <sstream>
+#include <string>
 
 #include "telemetry.h"
 
 #include "core/scec.h"
 #include "linalg/matrix_ops.h"
+#include "recovery/coordinator.h"
+#include "recovery/journal.h"
+#include "workload/device_profiles.h"
 #include "workload/distributions.h"
 
 namespace {
@@ -98,6 +106,95 @@ void BM_QueryBatch32(benchmark::State& state) {
                           static_cast<int64_t>(m * l * batch));
 }
 BENCHMARK(BM_QueryBatch32)->RangeMultiplier(4)->Range(16, 1024);
+
+// The durable coordinator's remains after 256 journaled queries at
+// m = l = 64 on a 12-device campus fleet: the sealed snapshot and the
+// journal a Restart replays.
+struct JournalReplayFixture {
+  scec::McscecProblem problem;
+  scec::Matrix<double> a;
+  scec::recovery::DurableCoordinatorOptions options;
+  std::string snapshot;
+  std::string journal;
+
+  static const JournalReplayFixture& Get() {
+    static const JournalReplayFixture fixture;
+    return fixture;
+  }
+
+ private:
+  JournalReplayFixture() {
+    constexpr size_t kM = 64;
+    constexpr size_t kL = 64;
+    constexpr size_t kQueries = 256;
+    scec::Xoshiro256StarStar fleet_rng(20190707);
+    problem.m = kM;
+    problem.l = kL;
+    problem.fleet = scec::MakeCampusFleet(12, fleet_rng);
+    scec::Xoshiro256StarStar rng(8);
+    a = scec::RandomMatrix<double>(kM, kL, rng);
+    scec::ChaCha20Rng coding_rng(9);
+    auto deployment = scec::Deploy(problem, a, coding_rng);
+    SCEC_CHECK(deployment.ok()) << deployment.status();
+    std::ostringstream os;
+    auto coordinator = scec::recovery::DurableCoordinator::Start(
+        *deployment, &a, problem.fleet.devices(), &snapshot, &os, options);
+    SCEC_CHECK(coordinator.ok()) << coordinator.status();
+    for (size_t q = 0; q < kQueries; ++q) {
+      const auto x = scec::RandomVector<double>(kL, rng);
+      SCEC_CHECK((*coordinator)->Query(x).ok());
+    }
+    coordinator->reset();  // the kill
+    journal = os.str();
+  }
+};
+
+enum class ReplayPath { kRestart, kSinglePass, kLoadThenFold };
+
+// kRestart: the whole DurableCoordinator::Restart (bind, unseal, replay,
+// restage, restore). kSinglePass: its journal replay alone, the reader
+// folding each record as it goes. kLoadThenFold: LoadJournal's event list,
+// then BuildReplayState over it.
+void BM_JournalReplay(benchmark::State& state, ReplayPath path) {
+  const JournalReplayFixture& f = JournalReplayFixture::Get();
+  for (auto _ : state) {
+    switch (path) {
+      case ReplayPath::kRestart: {
+        std::ostringstream tail;
+        auto restarted = scec::recovery::DurableCoordinator::Restart(
+            f.snapshot, f.journal, &f.a, f.problem.fleet.devices(), &tail,
+            f.options);
+        SCEC_CHECK(restarted.ok()) << restarted.status();
+        benchmark::DoNotOptimize(restarted);
+        break;
+      }
+      case ReplayPath::kSinglePass: {
+        auto reader = scec::recovery::JournalRecordReader::Open(f.journal);
+        SCEC_CHECK(reader.ok());
+        auto replayed = scec::recovery::FoldJournal(*reader);
+        SCEC_CHECK(replayed.ok()) << replayed.status();
+        benchmark::DoNotOptimize(replayed);
+        break;
+      }
+      case ReplayPath::kLoadThenFold: {
+        auto loaded = scec::recovery::LoadJournal(f.journal);
+        SCEC_CHECK(loaded.ok());
+        auto replayed = scec::recovery::BuildReplayState(*loaded);
+        SCEC_CHECK(replayed.ok()) << replayed.status();
+        benchmark::DoNotOptimize(replayed);
+        break;
+      }
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(f.journal.size()));
+}
+BENCHMARK_CAPTURE(BM_JournalReplay, restart, ReplayPath::kRestart)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_JournalReplay, single_pass, ReplayPath::kSinglePass)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_JournalReplay, load_then_fold, ReplayPath::kLoadThenFold)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

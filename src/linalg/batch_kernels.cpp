@@ -166,7 +166,6 @@ void PanelRowsGf61ScalarTier(const Matrix<Elem>& a, const Matrix<Elem>& x,
 static_assert(sizeof(Elem) == sizeof(uint64_t),
               "the vector tiers load Gf61 elements as uint64 lanes");
 
-inline constexpr size_t kTileRows = 4;
 inline constexpr size_t kIfmaFoldInterval = 1024;
 
 __attribute__((target(SCEC_GF61_AVX512), always_inline)) inline

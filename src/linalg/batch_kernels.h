@@ -46,6 +46,10 @@ namespace kernel_internal {
 // __int128 accumulators (8 GPRs) leave room for the operands and pointers.
 inline constexpr size_t kGenericStrip = 16;
 inline constexpr size_t kGf61Strip = 4;
+// Rows per register tile of the AVX-512 Gf61 tiers (batch_kernels.cpp). A
+// row range that is not a whole number of tiles ends in a shorter tile,
+// which cannot hide the multiply chains' latency.
+inline constexpr size_t kTileRows = 4;
 
 // out rows [row_begin, row_end) of out = a·x, generic scalar.
 template <typename T>
@@ -191,11 +195,13 @@ void MatMulPanelSpan(const Matrix<T>& a, const Matrix<T>& x, std::span<T> out,
   SCEC_CHECK_EQ(out.size(), a.rows() * x.cols());
   if (pool != nullptr && pool->num_threads() > 1 && a.rows() > 1) {
     // Rows fan out in contiguous chunks (disjoint output slices, so the
-    // result is bit-identical for every pool size). Chunking — rather than
-    // one row per task — lets the Gf61 kernel amortise its per-call X
-    // limb-split over the whole chunk.
-    const size_t chunk =
+    // result is bit-identical for every pool size), about four per thread
+    // and each a whole number of kTileRows-row tiles.
+    const size_t rows_per_chunk =
         std::max<size_t>(1, a.rows() / (4 * pool->num_threads()));
+    const size_t chunk = (rows_per_chunk + kernel_internal::kTileRows - 1) /
+                         kernel_internal::kTileRows *
+                         kernel_internal::kTileRows;
     const size_t num_chunks = (a.rows() + chunk - 1) / chunk;
     pool->ParallelFor(
         0, num_chunks,

@@ -135,17 +135,26 @@ Result<std::unique_ptr<DurableCoordinator>> DurableCoordinator::Restart(
   SCEC_CHECK(journal_os != nullptr);
   const auto replay_start = std::chrono::steady_clock::now();
 
-  SCEC_ASSIGN_OR_RETURN(JournalReplay replay, LoadJournal(journal_bytes));
+  // One pass over the journal: header first, then, once the snapshot is
+  // bound and unsealed, each record is folded as it is read. An error
+  // before the fold still walks the records, so the torn-tail count does
+  // not depend on which step failed.
+  SCEC_ASSIGN_OR_RETURN(JournalRecordReader journal,
+                        JournalRecordReader::Open(journal_bytes));
   const uint64_t snapshot_crc = Crc32(snapshot.data(), snapshot.size());
-  if (replay.snapshot_crc != snapshot_crc) {
+  if (journal.snapshot_crc() != snapshot_crc) {
+    journal.SkipRest();
     return FailedPrecondition(
         "journal is not bound to this snapshot (CRC mismatch)");
   }
 
   auto unsealed = UnsealDeploymentDouble(snapshot, options.sealing_key);
-  if (!unsealed.ok()) return unsealed.status();
+  if (!unsealed.ok()) {
+    journal.SkipRest();
+    return unsealed.status();
+  }
 
-  SCEC_ASSIGN_OR_RETURN(ReplayState state, BuildReplayState(replay));
+  SCEC_ASSIGN_OR_RETURN(ReplayState state, FoldJournal(journal));
   SCEC_RETURN_IF_ERROR(
       ValidateReplayState(state, *unsealed, *a, fleet.size()));
 

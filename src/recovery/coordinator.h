@@ -18,11 +18,12 @@
 //   Restart()  — verifies the journal belongs to the snapshot (CRC binding),
 //                unseals the deployment with the operator-supplied key,
 //                folds the journal's longest valid prefix into a
-//                ReplayState, and stages a generation-N+1 driver that
-//                re-adopts that state: evictions, quarantines, prior pad
-//                segments (for the cumulative Def. 2 ITS check), the query
-//                id sequence, and the in-flight query's already-paid-for
-//                responses (exactly-once Eq. (1) accounting).
+//                ReplayState as it reads it (one pass, no event list),
+//                and stages a generation-N+1 driver that re-adopts that
+//                state: evictions, quarantines, prior pad segments (for
+//                the cumulative Def. 2 ITS check), the query id sequence,
+//                and the in-flight query's already-paid-for responses
+//                (exactly-once Eq. (1) accounting).
 //
 // Recovery state machine (see docs/PROTOCOL.md):
 //   LOAD -> BIND(journal crc == snapshot crc) -> UNSEAL -> REPLAY ->

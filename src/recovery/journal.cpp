@@ -2,6 +2,7 @@
 
 #include "recovery/journal.h"
 
+#include <bit>
 #include <cstring>
 
 #include "common/check.h"
@@ -13,7 +14,9 @@
 namespace scec::recovery {
 namespace {
 
-// Every record is framed as u32 payload length | u32 CRC-32 | payload.
+// The stream header is magic | u32 version | u64 snapshot CRC; every record
+// is framed as u32 payload length | u32 CRC-32 | payload.
+constexpr size_t kJournalHeaderLen = 4 + 4 + 8;
 constexpr size_t kRecordHeaderLen = 8;
 
 struct JournalInstruments {
@@ -52,37 +55,100 @@ void SerializeEvent(const JournalEvent& event, BinaryWriter& writer) {
   }
 }
 
-Status DeserializeEvent(BinaryReader& reader, JournalEvent* event) {
-  uint8_t kind = 0;
-  SCEC_RETURN_IF_ERROR(reader.ReadU8(&kind));
+// A cursor over one record body. Each read checks its bounds, but a short
+// body only clears ok(); the caller tests it once, after the whole record.
+// Reads past the end yield zeros.
+class BodyCursor {
+ public:
+  explicit BodyCursor(std::string_view body)
+      : pos_(body.data()), end_(body.data() + body.size()) {}
+
+  bool ok() const { return ok_; }
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
+
+  template <typename T>
+  T Fixed() {
+    T raw{};
+    if (remaining() < sizeof(T)) {
+      Fail();
+      return raw;
+    }
+    std::memcpy(&raw, pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return serde_internal::ToLittle(raw);
+  }
+
+  // A u32 count, then that many little-endian 8-byte words into `*out`.
+  // resize() keeps the vector's capacity, so a reused vector stops
+  // allocating once it has grown to the longest record. The count is
+  // bounded by the bytes left, which kMaxJournalRecordLen bounds in turn.
+  template <typename T>
+  void Words(std::vector<T>* out) {
+    static_assert(sizeof(T) == 8);
+    const uint32_t count = Fixed<uint32_t>();
+    if (count > remaining() / 8) {
+      Fail();
+      return;
+    }
+    out->resize(count);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (count > 0) std::memcpy(out->data(), pos_, 8 * size_t{count});
+    } else {
+      for (uint32_t i = 0; i < count; ++i) {
+        uint64_t raw = 0;
+        std::memcpy(&raw, pos_ + 8 * size_t{i}, 8);
+        (*out)[i] = std::bit_cast<T>(serde_internal::ToLittle(raw));
+      }
+    }
+    pos_ += 8 * size_t{count};
+  }
+
+ private:
+  void Fail() {
+    ok_ = false;
+    pos_ = end_;
+  }
+
+  const char* pos_;
+  const char* end_;
+  bool ok_ = true;
+};
+
+// Decodes one record body in place into `*event`, reusing its storage.
+// False when the body is short, names no event kind, carries a bad
+// segment-record flag, or has bytes left over.
+bool DeserializeEvent(std::string_view body, JournalEvent* event) {
+  BodyCursor in(body);
+  const uint8_t kind = in.Fixed<uint8_t>();
   if (kind < static_cast<uint8_t>(JournalEventKind::kStageDone) ||
       kind > static_cast<uint8_t>(JournalEventKind::kQueryResult)) {
-    return DecodeFailure("unknown journal event kind " +
-                         std::to_string(kind));
+    return false;
   }
   event->kind = static_cast<JournalEventKind>(kind);
-  SCEC_RETURN_IF_ERROR(reader.ReadU32(&event->generation));
-  SCEC_RETURN_IF_ERROR(reader.ReadU64(&event->query_id));
-  SCEC_RETURN_IF_ERROR(reader.ReadU64(&event->segment));
-  SCEC_RETURN_IF_ERROR(reader.ReadU64(&event->local));
-  SCEC_RETURN_IF_ERROR(reader.ReadU64(&event->device));
-  SCEC_RETURN_IF_ERROR(reader.ReadU64(&event->attempt));
-  SCEC_RETURN_IF_ERROR(reader.ReadU64(&event->bytes));
-  SCEC_RETURN_IF_ERROR(reader.ReadDoubleVector(&event->values));
-  uint8_t has_record = 0;
-  SCEC_RETURN_IF_ERROR(reader.ReadU8(&has_record));
-  if (has_record > 1) return DecodeFailure("corrupt segment-record flag");
-  if (has_record == 1) {
-    JournalSegmentRecord rec;
-    SCEC_RETURN_IF_ERROR(reader.ReadU64(&rec.index));
-    SCEC_RETURN_IF_ERROR(reader.ReadU64(&rec.m));
-    SCEC_RETURN_IF_ERROR(reader.ReadU64(&rec.r));
-    SCEC_RETURN_IF_ERROR(reader.ReadSizeVector(&rec.row_counts));
-    SCEC_RETURN_IF_ERROR(reader.ReadSizeVector(&rec.phys));
-    SCEC_RETURN_IF_ERROR(reader.ReadSizeVector(&rec.data_rows));
-    event->segment_record = std::move(rec);
+  event->generation = in.Fixed<uint32_t>();
+  event->query_id = in.Fixed<uint64_t>();
+  event->segment = in.Fixed<uint64_t>();
+  event->local = in.Fixed<uint64_t>();
+  event->device = in.Fixed<uint64_t>();
+  event->attempt = in.Fixed<uint64_t>();
+  event->bytes = in.Fixed<uint64_t>();
+  in.Words(&event->values);
+  const uint8_t has_record = in.Fixed<uint8_t>();
+  if (has_record > 1) return false;
+  if (has_record == 0) {
+    event->segment_record.reset();
+  } else {
+    JournalSegmentRecord& rec = event->segment_record.has_value()
+                                    ? *event->segment_record
+                                    : event->segment_record.emplace();
+    rec.index = in.Fixed<uint64_t>();
+    rec.m = in.Fixed<uint64_t>();
+    rec.r = in.Fixed<uint64_t>();
+    in.Words(&rec.row_counts);
+    in.Words(&rec.phys);
+    in.Words(&rec.data_rows);
   }
-  return Status::Ok();
+  return in.ok() && in.remaining() == 0;
 }
 
 // The crash point implied by the record being appended; kQueryResult splits
@@ -214,46 +280,69 @@ void QueryJournal::Commit() {
   JournalInstruments::Get().commits.Increment();
 }
 
-Result<JournalReplay> LoadJournal(const std::string& bytes) {
-  constexpr size_t kHeaderLen = 4 + 4 + 8;
-  if (bytes.size() < kHeaderLen ||
+Result<JournalRecordReader> JournalRecordReader::Open(std::string_view bytes) {
+  if (bytes.size() < kJournalHeaderLen ||
       std::memcmp(bytes.data(), kJournalMagic, sizeof(kJournalMagic)) != 0) {
     return DecodeFailure("bad magic: not an SCEC write-ahead journal");
   }
-  JournalReplay replay;
-  replay.total_bytes = bytes.size();
-  BinaryReader header(std::string_view(bytes).substr(sizeof(kJournalMagic)));
-  SCEC_RETURN_IF_ERROR(header.ReadU32(&replay.version));
-  if (replay.version != kJournalFormatVersion) {
+  JournalRecordReader reader(bytes);
+  BinaryReader header(bytes.substr(sizeof(kJournalMagic)));
+  SCEC_RETURN_IF_ERROR(header.ReadU32(&reader.version_));
+  if (reader.version_ != kJournalFormatVersion) {
     return DecodeFailure("unsupported journal version " +
-                         std::to_string(replay.version));
+                         std::to_string(reader.version_));
   }
-  SCEC_RETURN_IF_ERROR(header.ReadU64(&replay.snapshot_crc));
+  SCEC_RETURN_IF_ERROR(header.ReadU64(&reader.snapshot_crc_));
+  reader.valid_bytes_ = kJournalHeaderLen;
+  return reader;
+}
 
-  // Each record is parsed from a view of `bytes`; the first damaged one
-  // (torn frame, bad CRC, or a body that does not decode to exactly its
-  // length) ends the valid prefix.
-  replay.valid_bytes = kHeaderLen;
-  BinaryReader frames(std::string_view(bytes).substr(kHeaderLen));
-  while (frames.remaining() > 0) {
+bool JournalRecordReader::Next(JournalEvent* event) {
+  if (done_) return false;
+  const size_t left = bytes_.size() - valid_bytes_;
+  if (left >= kRecordHeaderLen) {
+    const char* frame = bytes_.data() + valid_bytes_;
     uint32_t len = 0;
     uint32_t crc = 0;
-    std::string_view payload;
-    if (!frames.ReadU32(&len).ok() || !frames.ReadU32(&crc).ok() ||
-        len > kMaxJournalRecordLen || !frames.ReadView(len, &payload).ok() ||
-        Crc32(payload.data(), payload.size()) != crc) {
-      break;
+    std::memcpy(&len, frame, 4);
+    std::memcpy(&crc, frame + 4, 4);
+    len = serde_internal::ToLittle(len);
+    crc = serde_internal::ToLittle(crc);
+    if (len <= kMaxJournalRecordLen && len <= left - kRecordHeaderLen) {
+      const std::string_view body(frame + kRecordHeaderLen, len);
+      if (Crc32(body.data(), body.size()) == crc &&
+          DeserializeEvent(body, event)) {
+        valid_bytes_ += kRecordHeaderLen + len;
+        return true;
+      }
     }
-    BinaryReader reader(payload);
-    JournalEvent event;
-    if (!DeserializeEvent(reader, &event).ok() || reader.remaining() != 0) {
-      break;
-    }
-    replay.events.push_back(std::move(event));
-    replay.valid_bytes = kHeaderLen + frames.position();
   }
-  replay.torn_tail = replay.valid_bytes < bytes.size();
-  if (replay.torn_tail) JournalInstruments::Get().torn_tails.Increment();
+  // The first damaged record (or the clean end of the stream) ends the
+  // valid prefix.
+  done_ = true;
+  if (torn_tail()) JournalInstruments::Get().torn_tails.Increment();
+  return false;
+}
+
+void JournalRecordReader::SkipRest() {
+  JournalEvent scratch;
+  while (Next(&scratch)) {
+  }
+}
+
+Result<JournalReplay> LoadJournal(const std::string& bytes) {
+  SCEC_ASSIGN_OR_RETURN(JournalRecordReader reader,
+                        JournalRecordReader::Open(bytes));
+  JournalReplay replay;
+  replay.version = reader.version();
+  replay.snapshot_crc = reader.snapshot_crc();
+  // Each record is decoded straight into its slot of the list.
+  while (reader.Next(&replay.events.emplace_back())) {
+  }
+  replay.events.pop_back();
+  replay.torn_tail = reader.torn_tail();
+  replay.valid_bytes = reader.valid_bytes();
+  replay.total_bytes = reader.total_bytes();
   return replay;
 }
 
@@ -261,119 +350,195 @@ Result<JournalReplay> LoadJournal(std::istream& is) {
   return LoadJournal(ReadAll(is));
 }
 
-Result<ReplayState> BuildReplayState(const JournalReplay& replay) {
-  ReplayState state;
-  auto remove_from = [](std::vector<size_t>* list, size_t device) {
-    for (size_t i = 0; i < list->size(); ++i) {
-      if ((*list)[i] == device) {
-        list->erase(list->begin() + i);
-        return;
-      }
-    }
-  };
-  auto add_once = [](std::vector<size_t>* list, size_t device) {
-    for (const size_t d : *list) {
-      if (d == device) return;
-    }
-    list->push_back(device);
-  };
+namespace {
 
-  for (const JournalEvent& event : replay.events) {
-    if (event.generation > state.last_generation) {
-      state.last_generation = event.generation;
+// The replay rules, applied one event at a time in stream order. Events
+// are read, never kept: whatever the state needs is copied out, so the
+// caller may reuse the event's storage for the next record.
+class ReplayFold {
+ public:
+  Status Apply(const JournalEvent& event);
+  ReplayState Finish() && { return std::move(state_); }
+
+ private:
+  // This generation's tally; map nodes are stable, and a journal holds
+  // long runs of one generation, so the lookup is cached.
+  GenerationTally& TallyFor(uint32_t generation) {
+    if (tally_ == nullptr || tally_generation_ != generation) {
+      tally_ = &state_.tally[generation];
+      tally_generation_ = generation;
     }
-    GenerationTally& tally = state.tally[event.generation];
-    switch (event.kind) {
-      case JournalEventKind::kStageDone:
-      case JournalEventKind::kRestart:
-      case JournalEventKind::kMaskedQuery:
-        break;
-      case JournalEventKind::kSegmentAdded: {
-        if (!event.segment_record.has_value()) {
-          return DecodeFailure("segment_added record without a segment body");
-        }
-        const JournalSegmentRecord& rec = *event.segment_record;
-        if (rec.m == 0 || rec.r == 0 || rec.r > rec.m) {
-          return DecodeFailure("journaled segment has an invalid (m, r)");
-        }
-        size_t total_rows = 0;
-        for (const size_t c : rec.row_counts) total_rows += c;
-        if (total_rows != rec.m + rec.r) {
-          return DecodeFailure(
-              "journaled segment row_counts do not sum to m + r");
-        }
-        if (rec.phys.size() != rec.row_counts.size()) {
-          return DecodeFailure(
-              "journaled segment phys/row_counts length mismatch");
-        }
-        if (rec.data_rows.size() != rec.m) {
-          return DecodeFailure("journaled segment data_rows length != m");
-        }
-        state.prior_segments.push_back(rec);
-        break;
-      }
-      case JournalEventKind::kQueryBegin:
-        if (state.has_in_flight && state.in_flight_id == event.query_id) {
-          // Resumption marker from a later incarnation: keep the responses
-          // accumulated so far (they were verified against the same x).
-        } else {
-          state.has_in_flight = true;
-          state.in_flight_id = event.query_id;
-          state.in_flight_x = event.values;
-          state.in_flight_responses.clear();
-        }
-        if (event.query_id + 1 > state.next_query_id) {
-          state.next_query_id = event.query_id + 1;
-        }
-        break;
-      case JournalEventKind::kDispatch:
-        if (event.attempt == 0) {
-          ++tally.canary_dispatches;
-        } else {
-          ++tally.dispatches;
-          tally.dispatch_bytes += event.bytes;
-        }
-        break;
-      case JournalEventKind::kResponse:
-        ++tally.responses;
-        tally.response_values += event.values.size();
-        if (state.has_in_flight && event.query_id == state.in_flight_id &&
-            event.segment == 0) {
-          state.in_flight_responses[event.local] = event.values;
-        }
-        break;
-      case JournalEventKind::kEvict:
-        ++tally.evictions;
-        switch (event.attempt) {
-          case kEvictReasonTimeout:
-          case kEvictReasonCorrupt:
-            add_once(&state.evicted_devices, event.device);
-            break;
-          case kEvictReasonQuarantine:
-            add_once(&state.quarantined_devices, event.device);
-            break;
-          case kEvictReasonReadmit:
-            remove_from(&state.quarantined_devices, event.device);
-            break;
-          default:
-            return DecodeFailure("journaled eviction has an unknown reason");
-        }
-        break;
-      case JournalEventKind::kQueryResult:
-        ++tally.queries_completed;
-        state.completed.emplace_back(event.query_id, event.values);
-        if (state.has_in_flight && state.in_flight_id == event.query_id) {
-          state.has_in_flight = false;
-          state.in_flight_x.clear();
-          state.in_flight_responses.clear();
-        }
-        if (event.query_id + 1 > state.next_query_id) {
-          state.next_query_id = event.query_id + 1;
-        }
-        break;
+    return *tally_;
+  }
+
+  // in_flight_responses[local] = values. A journal drops the in-flight
+  // responses once per query; their map nodes, vectors included, are kept
+  // in `spare_` and refilled here, so a steady run of queries allocates
+  // nothing for them.
+  void PutResponse(uint64_t local, const std::vector<double>& values) {
+    ResponseMap& responses = state_.in_flight_responses;
+    const auto it = responses.find(local);
+    if (it != responses.end()) {
+      it->second = values;
+    } else if (spare_.empty()) {
+      responses.emplace(local, values);
+    } else {
+      ResponseMap::node_type node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = local;
+      node.mapped() = values;
+      responses.insert(std::move(node));
     }
   }
-  return state;
+  void DropResponses() {
+    ResponseMap& responses = state_.in_flight_responses;
+    while (!responses.empty()) {
+      spare_.push_back(responses.extract(responses.begin()));
+    }
+  }
+
+  using ResponseMap = std::map<uint64_t, std::vector<double>>;
+  ReplayState state_;
+  std::vector<ResponseMap::node_type> spare_;
+  GenerationTally* tally_ = nullptr;
+  uint32_t tally_generation_ = 0;
+};
+
+void RemoveFrom(std::vector<size_t>* list, size_t device) {
+  for (size_t i = 0; i < list->size(); ++i) {
+    if ((*list)[i] == device) {
+      list->erase(list->begin() + i);
+      return;
+    }
+  }
+}
+
+void AddOnce(std::vector<size_t>* list, size_t device) {
+  for (const size_t d : *list) {
+    if (d == device) return;
+  }
+  list->push_back(device);
+}
+
+Status ReplayFold::Apply(const JournalEvent& event) {
+  ReplayState& state = state_;
+  if (event.generation > state.last_generation) {
+    state.last_generation = event.generation;
+  }
+  GenerationTally& tally = TallyFor(event.generation);
+  switch (event.kind) {
+    case JournalEventKind::kStageDone:
+    case JournalEventKind::kRestart:
+    case JournalEventKind::kMaskedQuery:
+      break;
+    case JournalEventKind::kSegmentAdded: {
+      if (!event.segment_record.has_value()) {
+        return DecodeFailure("segment_added record without a segment body");
+      }
+      const JournalSegmentRecord& rec = *event.segment_record;
+      if (rec.m == 0 || rec.r == 0 || rec.r > rec.m) {
+        return DecodeFailure("journaled segment has an invalid (m, r)");
+      }
+      size_t total_rows = 0;
+      for (const size_t c : rec.row_counts) total_rows += c;
+      if (total_rows != rec.m + rec.r) {
+        return DecodeFailure(
+            "journaled segment row_counts do not sum to m + r");
+      }
+      if (rec.phys.size() != rec.row_counts.size()) {
+        return DecodeFailure(
+            "journaled segment phys/row_counts length mismatch");
+      }
+      if (rec.data_rows.size() != rec.m) {
+        return DecodeFailure("journaled segment data_rows length != m");
+      }
+      state.prior_segments.push_back(rec);
+      break;
+    }
+    case JournalEventKind::kQueryBegin:
+      if (state.has_in_flight && state.in_flight_id == event.query_id) {
+        // Resumption marker from a later incarnation: keep the responses
+        // accumulated so far (they were verified against the same x).
+      } else {
+        state.has_in_flight = true;
+        state.in_flight_id = event.query_id;
+        state.in_flight_x = event.values;
+        DropResponses();
+      }
+      if (event.query_id + 1 > state.next_query_id) {
+        state.next_query_id = event.query_id + 1;
+      }
+      break;
+    case JournalEventKind::kDispatch:
+      if (event.attempt == 0) {
+        ++tally.canary_dispatches;
+      } else {
+        ++tally.dispatches;
+        tally.dispatch_bytes += event.bytes;
+      }
+      break;
+    case JournalEventKind::kResponse:
+      ++tally.responses;
+      tally.response_values += event.values.size();
+      if (state.has_in_flight && event.query_id == state.in_flight_id &&
+          event.segment == 0) {
+        PutResponse(event.local, event.values);
+      }
+      break;
+    case JournalEventKind::kEvict:
+      ++tally.evictions;
+      switch (event.attempt) {
+        case kEvictReasonTimeout:
+        case kEvictReasonCorrupt:
+          AddOnce(&state.evicted_devices, event.device);
+          break;
+        case kEvictReasonQuarantine:
+          AddOnce(&state.quarantined_devices, event.device);
+          break;
+        case kEvictReasonReadmit:
+          RemoveFrom(&state.quarantined_devices, event.device);
+          break;
+        default:
+          return DecodeFailure("journaled eviction has an unknown reason");
+      }
+      break;
+    case JournalEventKind::kQueryResult:
+      ++tally.queries_completed;
+      state.completed.emplace_back(event.query_id, event.values);
+      if (state.has_in_flight && state.in_flight_id == event.query_id) {
+        state.has_in_flight = false;
+        state.in_flight_x.clear();
+        DropResponses();
+      }
+      if (event.query_id + 1 > state.next_query_id) {
+        state.next_query_id = event.query_id + 1;
+      }
+      break;
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ReplayState> BuildReplayState(const JournalReplay& replay) {
+  ReplayFold fold;
+  for (const JournalEvent& event : replay.events) {
+    SCEC_RETURN_IF_ERROR(fold.Apply(event));
+  }
+  return std::move(fold).Finish();
+}
+
+Result<ReplayState> FoldJournal(JournalRecordReader& reader) {
+  ReplayFold fold;
+  JournalEvent event;
+  while (reader.Next(&event)) {
+    Status status = fold.Apply(event);
+    if (!status.ok()) {
+      reader.SkipRest();
+      return status;
+    }
+  }
+  return std::move(fold).Finish();
 }
 
 }  // namespace scec::recovery

@@ -11,14 +11,16 @@
 // can never leave a half-written record the reader trusts. Append frames
 // each record in place in the batch buffer (header reserved, event encoded
 // after it, length and CRC patched over the payload), and the buffer keeps
-// its capacity across commits. LoadJournal parses every record from a view
-// of the input and recovers the longest valid prefix of a torn or
+// its capacity across commits. JournalRecordReader walks the records from a
+// view of the input and recovers the longest valid prefix of a torn or
 // bit-flipped stream; a record whose body does not decode to exactly its
-// framed length ends the prefix like a bad CRC does. BuildReplayState
-// folds that prefix into everything a restarted coordinator needs —
-// completed query results, the in-flight query and its already-paid-for
-// responses, evictions, quarantines, provisioned segments, and
-// per-generation double-entry cost tallies.
+// framed length ends the prefix like a bad CRC does. The replay fold turns
+// that prefix into everything a restarted coordinator needs — completed
+// query results, the in-flight query and its already-paid-for responses,
+// evictions, quarantines, provisioned segments, and per-generation
+// double-entry cost tallies. A restart runs reader and fold in one pass
+// (FoldJournal); LoadJournal and BuildReplayState run the same two as
+// separate steps, with an event list between them.
 
 #pragma once
 
@@ -29,6 +31,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -150,8 +153,47 @@ struct JournalReplay {
   size_t total_bytes = 0;
 };
 
-// A bad header (magic/version) is an error; a damaged record merely ends
-// the valid prefix. The stream form reads `is` once, to its end.
+// Walks the CRC-framed records of one journal stream in order, over a view
+// of its bytes (which must outlive the reader). Open() checks the header;
+// each Next() deserialises the next record in place into the caller's
+// event, reusing the storage of its vectors, and returns false at the end
+// of the longest valid prefix. A torn frame, a length past
+// kMaxJournalRecordLen, a bad CRC, or a body that does not decode to
+// exactly its framed length ends the prefix. A walk that ends before the
+// end of the stream counts one torn tail (scec_recovery_torn_tails_total).
+class JournalRecordReader {
+ public:
+  // A bad magic or an unsupported version is an error.
+  static Result<JournalRecordReader> Open(std::string_view bytes);
+
+  uint32_t version() const { return version_; }
+  uint64_t snapshot_crc() const { return snapshot_crc_; }
+
+  // The next valid record into `*event`; false once the prefix is over.
+  // After a false return `*event` holds nothing meaningful.
+  bool Next(JournalEvent* event);
+  // Walks to the end of the valid prefix without keeping the records, so
+  // a replay abandoned early still counts a torn tail like a full one.
+  void SkipRest();
+
+  // Meaningful once Next() has returned false.
+  bool torn_tail() const { return valid_bytes_ < bytes_.size(); }
+  size_t valid_bytes() const { return valid_bytes_; }
+  size_t total_bytes() const { return bytes_.size(); }
+
+ private:
+  explicit JournalRecordReader(std::string_view bytes) : bytes_(bytes) {}
+
+  std::string_view bytes_;
+  uint32_t version_ = 0;
+  uint64_t snapshot_crc_ = 0;
+  size_t valid_bytes_ = 0;  // end of the last record Next() returned
+  bool done_ = false;
+};
+
+// The reader's records gathered into a list. A bad header (magic/version)
+// is an error; a damaged record merely ends the valid prefix. The stream
+// form reads `is` once, to its end.
 Result<JournalReplay> LoadJournal(const std::string& bytes);
 Result<JournalReplay> LoadJournal(std::istream& is);
 
@@ -188,6 +230,14 @@ struct ReplayState {
   std::map<uint32_t, GenerationTally> tally;
 };
 
+// Both fold events in stream order by the same replay rules; an event that
+// breaks them (a malformed segment record, an unknown evict reason) is a
+// kDecodeFailure. BuildReplayState folds a loaded list. FoldJournal is the
+// single pass a restart takes: it deserialises each record `reader` has
+// left into one reused event and folds it at once, so no event list is
+// built. After a fold error it still walks the rest of the stream (see
+// SkipRest) before returning the error.
 Result<ReplayState> BuildReplayState(const JournalReplay& replay);
+Result<ReplayState> FoldJournal(JournalRecordReader& reader);
 
 }  // namespace scec::recovery

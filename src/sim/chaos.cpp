@@ -219,6 +219,13 @@ bool DeriveScenario(const ChaosMix& mix, Xoshiro256StarStar& rng,
     options.straggler.shift = 1.0;
     options.straggler.multiplier_cap = 25.0;  // bounded tail: no stalls
   }
+  if (episode->transport_kind == ChaosTransport::kSim) {
+    // No draw here, so a mix's sim tuning moves no other draw.
+    options.straggler.rate *= mix.straggler_rate_scale;
+    for (size_t d = 0; d < problem.fleet.size(); ++d) {
+      problem.fleet[d].compute_rate_flops /= mix.compute_slowdown;
+    }
+  }
   if (episode->lossy) {
     options.loss_probability = kLossProbability;
     options.loss_seed = episode->seed ^ 0x105Eull;
@@ -626,8 +633,14 @@ std::vector<ChaosMix> DefaultChaosMixes() {
       {.name = "transient", .transient = 0.6},
       {.name = "lossy", .crash = 0.25, .transient = 0.3, .lossy_links = 1.0},
       {.name = "stragglers", .straggler = 1.0},
+      // Shares of about 10^6 times the work, so compute (up to hundreds of
+      // simulated ms) outweighs link latency, and a tail rate of 0.125-1:
+      // an RPC outlasts the cold-start hedge delay (twice the modelled
+      // round trip) with probability about e^-rate, 0.37-0.88.
       {.name = "hedged-stragglers",
        .straggler = 1.0,
+       .compute_slowdown = 1e6,
+       .straggler_rate_scale = 0.25,
        .hedging = true,
        .adaptive_timeouts = true},
       {.name = "kitchen-sink",

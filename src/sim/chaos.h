@@ -89,6 +89,13 @@ struct ChaosMix {
   double corruption = 0.0;
   double transient = 0.0;
   double straggler = 0.0;    // P(episode runs kShiftedExponential stragglers)
+  // Simulated fleets only. Devices compute `compute_slowdown` times slower
+  // than their profiles, and the drawn straggler tail rate is multiplied by
+  // `straggler_rate_scale` (below 1: a heavier tail). At the episode shapes
+  // a share computes in microseconds against millisecond links, so only a
+  // slowed fleet with a heavy tail straggles past a hedge deadline.
+  double compute_slowdown = 1.0;
+  double straggler_rate_scale = 1.0;
   double lossy_links = 0.0;  // P(episode loses query-path messages)
   bool hedging = false;
   bool adaptive_timeouts = false;
@@ -103,7 +110,8 @@ struct ChaosMix {
 };
 
 // The standard soak rotation: every fault kind alone, the kitchen sink, and
-// the resilience features on top of stragglers (hedging on/off A/B).
+// the resilience features on top of stragglers (hedging with adaptive
+// timeouts, on a slowed fleet whose stragglers outlast a hedge deadline).
 std::vector<ChaosMix> DefaultChaosMixes();
 
 enum class ChaosTransport { kSim, kSocket };

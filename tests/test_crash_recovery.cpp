@@ -20,7 +20,9 @@
 #include <vector>
 
 #include "linalg/matrix_ops.h"
+#include "obs/metrics.h"
 #include "recovery/crash.h"
+#include "replay_differential.h"
 #include "workload/device_profiles.h"
 
 namespace scec::recovery {
@@ -66,6 +68,7 @@ struct DrillResult {
   std::vector<std::optional<std::vector<double>>> answers;
   std::string snapshot;
   std::string journal;
+  std::string journal_at_crash;  // what the restart replayed
   uint64_t resumed_responses = 0;
   uint64_t restored_segments = 0;
   bool all_secure = false;
@@ -111,6 +114,7 @@ DrillResult RunDrill(const Fixture& f, const CrashSpec& spec,
 
   if (out.crashed) {
     coordinator.reset();  // the dead incarnation's callbacks must not outlive it
+    out.journal_at_crash = journal_gen0.str();
     auto restarted = DurableCoordinator::Restart(
         out.snapshot, journal_gen0.str(), &f.a, f.problem.fleet.devices(),
         &journal_gen1, options);
@@ -185,6 +189,36 @@ TEST(CrashRecovery, EveryCrashPointRecoversEveryAnswerExactly) {
       if (drill.crashed) {
         EXPECT_EQ(drill.generation, 1u);
       }
+    }
+  }
+}
+
+// The restart's single-pass replay against LoadJournal + BuildReplayState
+// on the journal each crash point leaves, and on the combined journal after
+// the restarted incarnation finished the run.
+TEST(CrashRecovery, SinglePassReplayMatchesTheTwoStepReplayAtEveryCrashPoint) {
+  const Fixture f = MakeFixture(27);
+  const CrashPoint points[] = {
+      CrashPoint::kAfterStage,         CrashPoint::kOnQueryBegin,
+      CrashPoint::kOnDispatch,         CrashPoint::kOnResponse,
+      CrashPoint::kOnSegmentAdded,     CrashPoint::kOnEvict,
+      CrashPoint::kBeforeResultCommit, CrashPoint::kAfterResultCommit,
+  };
+  for (const CrashPoint point : points) {
+    for (const bool lose_tail : {false, true}) {
+      SCOPED_TRACE(std::string(CrashPointName(point)) +
+                   (lose_tail ? " lose_tail" : ""));
+      CrashSpec spec;
+      spec.point = point;
+      spec.occurrence = 1;
+      spec.lose_tail = lose_tail;
+      const DrillResult drill = RunDrill(f, spec, /*byzantine_tolerance=*/1);
+      // kOnEvict never fires on a healthy fleet; every other point does.
+      EXPECT_EQ(drill.crashed, point != CrashPoint::kOnEvict);
+      if (drill.crashed) {
+        testutil::ExpectSinglePassMatchesTwoStep(drill.journal_at_crash);
+      }
+      testutil::ExpectSinglePassMatchesTwoStep(drill.journal);
     }
   }
 }
@@ -304,6 +338,34 @@ TEST(CrashRecovery, JournalFromAnotherSnapshotRejected) {
       options);
   EXPECT_FALSE(restarted.ok());
   EXPECT_EQ(restarted.status().code(), ErrorCode::kFailedPrecondition);
+}
+
+TEST(CrashRecovery, TornTailIsCountedWhenTheSnapshotBindingFails) {
+  const Fixture f = MakeFixture(28);
+  DurableCoordinatorOptions options;
+  options.sealing_key = 0x5EA1ull;
+  std::string snapshot;
+  std::ostringstream journal;
+  auto started = DurableCoordinator::Start(f.deployment, &f.a,
+                                           f.problem.fleet.devices(),
+                                           &snapshot, &journal, options);
+  ASSERT_TRUE(started.ok());
+  ASSERT_TRUE((*started)->Query(f.xs[0]).ok());
+  started->reset();
+
+  // The binding check fails before any record is folded; the torn tail is
+  // still counted, as when the whole journal was loaded first.
+  std::string other_snapshot = snapshot;
+  other_snapshot.back() = static_cast<char>(other_snapshot.back() ^ 1);
+  const obs::Counter& torn_tails =
+      obs::MetricsRegistry::Global().GetCounter("scec_recovery_torn_tails_total");
+  const uint64_t before = torn_tails.value();
+  std::ostringstream tail;
+  const auto restarted = DurableCoordinator::Restart(
+      other_snapshot, journal.str() + "torn", &f.a, f.problem.fleet.devices(),
+      &tail, options);
+  EXPECT_EQ(restarted.status().code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(torn_tails.value(), before + 1);
 }
 
 TEST(CrashRecovery, TornJournalTailStillRestarts) {

@@ -3,19 +3,22 @@
 // Write-ahead query journal: framing round-trips, group-commit atomicity
 // (a died coordinator loses its buffered tail, never half a record), torn
 // and bit-flipped streams recovering the longest valid prefix, and the
-// replay fold (BuildReplayState) that a restarted coordinator trusts.
+// replay fold (BuildReplayState) that a restarted coordinator trusts, and
+// the restart's single pass (FoldJournal) checked against it byte by byte.
 
 #include "recovery/journal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "hostile_bytes.h"
 #include "recovery/crc32.h"
+#include "replay_differential.h"
 
 namespace scec::recovery {
 namespace {
@@ -371,6 +374,68 @@ TEST(QueryJournal, HostileRecordBodiesBehindValidCrcFailTyped) {
   }
 }
 
+TEST(FoldJournal, MatchesTheTwoStepReplayOnEveryCut) {
+  const std::string bytes = CommittedStream(AllKindsFixture());
+  for (size_t cut = 0; cut <= bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    testutil::ExpectSinglePassMatchesTwoStep(bytes.substr(0, cut));
+  }
+}
+
+TEST(FoldJournal, MatchesTheTwoStepReplayOnEveryByteFlip) {
+  const std::string bytes = CommittedStream(AllKindsFixture(), 0x5EEDull);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    SCOPED_TRACE("flip at " + std::to_string(i));
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0xFF);
+    testutil::ExpectSinglePassMatchesTwoStep(flipped);
+  }
+}
+
+// The single pass decodes every record into one reused event, so nothing a
+// record leaves in it may leak into the next: every ordered pair of
+// records, including a segment_added without its body after one with it.
+TEST(FoldJournal, MatchesTheTwoStepReplayOnEveryPairOfRecords) {
+  std::vector<JournalEvent> events = AllKindsFixture();
+  events.push_back(Event(JournalEventKind::kSegmentAdded));  // no body
+  for (size_t i = 0; i < events.size(); ++i) {
+    for (size_t j = 0; j < events.size(); ++j) {
+      SCOPED_TRACE("records " + std::to_string(i) + ", " + std::to_string(j));
+      testutil::ExpectSinglePassMatchesTwoStep(
+          CommittedStream({events[i], events[j]}));
+    }
+  }
+}
+
+// Hostile bodies behind a valid CRC reach the deserialiser and, when they
+// decode, the fold's own checks. Each stream is also replayed with a torn
+// tail, so a fold error followed by damage counts its torn tail too.
+TEST(FoldJournal, MatchesTheTwoStepReplayOnHostileBodies) {
+  const std::vector<JournalEvent> events = AllKindsFixture();
+  std::ostringstream header_os;
+  { QueryJournal journal(&header_os, 0x4242ull); }
+  std::vector<std::string> frames;
+  for (const JournalEvent& event : events) {
+    frames.push_back(RecordFrame(event));
+  }
+  uint64_t seed = 0x10ADull;
+  for (size_t i = 0; i < events.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i) + " (" +
+                 JournalEventKindName(events[i].kind) + ")");
+    std::string prefix = header_os.str();
+    for (size_t k = 0; k < i; ++k) prefix += frames[k];
+    std::string suffix;
+    for (size_t k = i + 1; k < frames.size(); ++k) suffix += frames[k];
+    const std::string payload = frames[i].substr(8);
+    for (const auto& variant : testutil::HostileVariants(
+             payload, CountOffsets(events[i]), seed++)) {
+      const std::string stream = prefix + Reframe(variant.bytes) + suffix;
+      testutil::ExpectSinglePassMatchesTwoStep(stream);
+      testutil::ExpectSinglePassMatchesTwoStep(stream + "\x13\x37torn");
+    }
+  }
+}
+
 TEST(BuildReplayState, FoldsCompletedInFlightAndStandings) {
   std::vector<JournalEvent> events;
   events.push_back(Event(JournalEventKind::kStageDone));
@@ -416,6 +481,45 @@ TEST(BuildReplayState, FoldsCompletedInFlightAndStandings) {
   EXPECT_EQ(state->next_query_id, 2u);
   EXPECT_EQ(state->evicted_devices, std::vector<size_t>({3}));
   EXPECT_EQ(state->quarantined_devices, std::vector<size_t>({5}));
+}
+
+TEST(BuildReplayState, InFlightResponsesComeFromTheLastQueryOnly) {
+  // Each query drops the responses of the one before; the in-flight
+  // query's own responses must come out keyed and valued as journaled.
+  std::vector<JournalEvent> events;
+  for (uint64_t query = 0; query < 3; ++query) {
+    JournalEvent begin = Event(JournalEventKind::kQueryBegin);
+    begin.query_id = query;
+    begin.values = {static_cast<double>(query)};
+    events.push_back(begin);
+    for (const uint64_t local : {query, query + 2, query + 5}) {
+      JournalEvent resp = Event(JournalEventKind::kResponse);
+      resp.query_id = query;
+      resp.local = local;
+      resp.values.assign(local + 1, 10.0 * query + local);
+      events.push_back(resp);
+    }
+    if (query < 2) {
+      JournalEvent result = Event(JournalEventKind::kQueryResult);
+      result.query_id = query;
+      result.values = {1.0};
+      events.push_back(result);
+    }
+  }
+  const std::string bytes = CommittedStream(events);
+  const auto replay = LoadJournal(bytes);
+  ASSERT_TRUE(replay.ok());
+  const auto state = BuildReplayState(*replay);
+  ASSERT_TRUE(state.ok()) << state.status();
+  const std::map<uint64_t, std::vector<double>> want = {
+      {2, std::vector<double>(3, 22.0)},
+      {4, std::vector<double>(5, 24.0)},
+      {7, std::vector<double>(8, 27.0)},
+  };
+  EXPECT_TRUE(state->has_in_flight);
+  EXPECT_EQ(state->in_flight_id, 2u);
+  EXPECT_EQ(state->in_flight_responses, want);
+  testutil::ExpectSinglePassMatchesTwoStep(bytes);
 }
 
 TEST(BuildReplayState, RejectsUnknownEvictReason) {
