@@ -4,18 +4,25 @@
 // then measure Query / QueryBatch rates across matrix sizes and scalar
 // types, plus the one-time Deploy cost itself (planning + pad generation +
 // encoding + ITS verification). BM_JournalReplay times the durable
-// coordinator's recovery from a 256-query journal.
+// coordinator's recovery from a 256-query journal. BM_SessionOpen and
+// BM_NetSetup time set-up at m = l = 1024 on an 8-device fleet and count
+// the minor page faults it takes (first touches of fresh pages).
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "telemetry.h"
 
+#include "common/thread_pool.h"
 #include "core/scec.h"
 #include "linalg/matrix_ops.h"
+#include "net/driver.h"
+#include "net/sim_transport.h"
 #include "recovery/coordinator.h"
 #include "recovery/journal.h"
 #include "workload/device_profiles.h"
@@ -106,6 +113,101 @@ void BM_QueryBatch32(benchmark::State& state) {
                           static_cast<int64_t>(m * l * batch));
 }
 BENCHMARK(BM_QueryBatch32)->RangeMultiplier(4)->Range(16, 1024);
+
+// Set-up at the repo benchmark's shapes (perfbench serve_gf61 and
+// net_loopback): m = l = 1024 on 8 devices of equal speed whose
+// communication costs differ.
+constexpr size_t kSetupM = 1024;
+constexpr size_t kSetupL = 1024;
+
+scec::McscecProblem LoopbackProblem() {
+  std::vector<scec::EdgeDevice> specs;
+  for (size_t d = 0; d < 8; ++d) {
+    scec::EdgeDevice device;
+    device.name = "edge-" + std::to_string(d);
+    device.costs.comm = 1.0 + 0.1 * static_cast<double>(d % 7);
+    device.compute_rate_flops = 1e9;
+    device.uplink_bps = 1e8;
+    device.downlink_bps = 1e8;
+    device.link_latency_s = 1e-3;
+    specs.push_back(device);
+  }
+  scec::McscecProblem problem;
+  problem.m = kSetupM;
+  problem.l = kSetupL;
+  problem.fleet = scec::DeviceFleet(std::move(specs));
+  return problem;
+}
+
+uint64_t MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_minflt);
+}
+
+// Serving-tier session opens (plan, pads, encode on the pool, ITS check,
+// panel plan), as each DeploymentCache miss runs one: range(0) sessions
+// held open at once, one per tenant; serve_gf61 opens 8. They are closed
+// untimed.
+void BM_SessionOpen(benchmark::State& state) {
+  using scec::Gf61;
+  const size_t tenants = static_cast<size_t>(state.range(0));
+  const scec::McscecProblem problem = LoopbackProblem();
+  scec::ChaCha20Rng data_rng(1);
+  const scec::Matrix<Gf61> a =
+      scec::GeneratePadRows<Gf61>(kSetupM, kSetupL, data_rng);
+  scec::ThreadPool pool(scec::ThreadPool::DefaultThreads());
+  scec::SessionOptions options;
+  options.pool = &pool;
+  uint64_t seed = 0;
+  uint64_t faults = 0;
+  for (auto _ : state) {
+    std::vector<scec::DeploymentSession<Gf61>> sessions;
+    const uint64_t before = MinorFaults();
+    for (size_t t = 0; t < tenants; ++t) {
+      scec::ChaCha20Rng rng(++seed);
+      auto session =
+          scec::DeploymentSession<Gf61>::Open(problem, a, rng, options);
+      SCEC_CHECK(session.ok()) << session.status();
+      sessions.push_back(std::move(*session));
+    }
+    faults += MinorFaults() - before;
+    benchmark::DoNotOptimize(sessions.data());
+    state.PauseTiming();
+    sessions.clear();
+    state.ResumeTiming();
+  }
+  state.counters["minflt_per_iter"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SessionOpen)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+// NetCoordinator::Setup over SimTransport: plan, pads, encode and stage
+// every share, ITS check. The coordinator's copy of A is made untimed.
+void BM_NetSetup(benchmark::State& state) {
+  const scec::McscecProblem problem = LoopbackProblem();
+  scec::Xoshiro256StarStar rng(2);
+  const auto a = scec::RandomMatrix<double>(kSetupM, kSetupL, rng);
+  uint64_t faults = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto coordinator = std::make_unique<scec::net::NetCoordinator>(
+        a, problem.fleet, scec::net::NetCoordinatorOptions{});
+    auto transport = std::make_unique<scec::net::SimTransport>(
+        problem.fleet.devices(), scec::net::SimTransportOptions{});
+    state.ResumeTiming();
+    const uint64_t before = MinorFaults();
+    SCEC_CHECK(coordinator->Setup(transport.get()).ok());
+    faults += MinorFaults() - before;
+    state.PauseTiming();
+    coordinator.reset();
+    transport.reset();
+    state.ResumeTiming();
+  }
+  state.counters["minflt_per_iter"] = benchmark::Counter(
+      static_cast<double>(faults), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_NetSetup)->Unit(benchmark::kMillisecond);
 
 // The durable coordinator's remains after 256 journaled queries at
 // m = l = 64 on a 12-device campus fleet: the sealed snapshot and the

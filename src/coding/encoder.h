@@ -64,10 +64,29 @@ std::vector<T> EncodeRow(const Matrix<T>& a, const Matrix<T>& pads,
   return row;
 }
 
+// Encodes the out.rows() coded rows of B from global row `first_row` on
+// into `out` (a device's share B_j·T when `first_row` is its first row).
+// `data_rows`, when not empty, maps each data position of the code to the
+// row of `a` that holds it, so a subset of A encodes without a gathered
+// copy; empty means position p is row p.
+template <typename T>
+void EncodeShareInto(const StructuredCode& code, size_t first_row,
+                     const Matrix<T>& a, std::span<const size_t> data_rows,
+                     const Matrix<T>& pads, Matrix<T>& out) {
+  for (size_t row = 0; row < out.rows(); ++row) {
+    CodedRowSpec spec = code.RowSpec(first_row + row);
+    if (spec.data_row.has_value() && !data_rows.empty()) {
+      spec.data_row = data_rows[*spec.data_row];
+    }
+    EncodeRowInto(a, pads, spec, out.Row(row));
+  }
+}
+
 // Full encode: all device shares for a scheme. `a` is the m×l data matrix.
 // With a pool, devices are encoded in parallel: each device's share is a
 // pure function of (a, pads, scheme), so the result is bit-identical to the
-// serial encode for every pool size.
+// serial encode for every pool size. Each share is allocated by the thread
+// that encodes it, so its first-touch page faults run in parallel too.
 template <typename T>
 std::vector<DeviceShare<T>> EncodeShares(const StructuredCode& code,
                                          const LcecScheme& scheme,
@@ -87,17 +106,12 @@ std::vector<DeviceShare<T>> EncodeShares(const StructuredCode& code,
     starts[device] = next_row;
     next_row += scheme.row_counts[device];
     shares[device].device = device;
-    shares[device].coded_rows =
-        Matrix<T>(scheme.row_counts[device], a.cols());
   }
   SCEC_CHECK_EQ(next_row, code.total_rows());
   auto encode_device = [&](size_t device) {
-    DeviceShare<T>& share = shares[device];
-    const size_t count = scheme.row_counts[device];
-    for (size_t row = 0; row < count; ++row) {
-      const CodedRowSpec spec = code.RowSpec(starts[device] + row);
-      EncodeRowInto(a, pads, spec, share.coded_rows.Row(row));
-    }
+    Matrix<T>& out = shares[device].coded_rows;
+    out = Matrix<T>(scheme.row_counts[device], a.cols());
+    EncodeShareInto(code, starts[device], a, {}, pads, out);
   };
   if (pool != nullptr && pool->num_threads() > 1 && num_devices > 1) {
     pool->ParallelFor(0, num_devices, encode_device);

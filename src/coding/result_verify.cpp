@@ -40,37 +40,57 @@ template <typename T>
 ResultVerifier<T> ResultVerifier<T>::Create(
     const std::vector<DeviceShare<T>>& shares, ChaCha20Rng& rng,
     size_t num_digests) {
+  std::vector<size_t> row_counts;
+  row_counts.reserve(shares.size());
+  for (const DeviceShare<T>& share : shares) {
+    row_counts.push_back(share.coded_rows.rows());
+  }
+  ResultVerifier verifier = DrawWeights(row_counts, rng, num_digests);
+  for (size_t device = 0; device < shares.size(); ++device) {
+    verifier.SetDigests(device, shares[device].coded_rows);
+  }
+  return verifier;
+}
+
+template <typename T>
+ResultVerifier<T> ResultVerifier<T>::DrawWeights(
+    std::span<const size_t> row_counts, ChaCha20Rng& rng,
+    size_t num_digests) {
   SCEC_CHECK_GE(num_digests, 1u);
   ResultVerifier verifier;
   verifier.num_digests_ = num_digests;
-  verifier.entries_.reserve(shares.size());
+  verifier.entries_.resize(row_counts.size());
   // Draw order (per device, then per probe, then per row) keeps d = 1
   // bit-identical to the historical single-digest construction for any
   // given rng state.
-  for (const DeviceShare<T>& share : shares) {
-    const Matrix<T>& s = share.coded_rows;
-    Entry entry;
-    entry.probes.reserve(num_digests);
-    for (size_t d = 0; d < num_digests; ++d) {
-      Probe probe;
-      probe.weights.reserve(s.rows());
-      for (size_t row = 0; row < s.rows(); ++row) {
+  for (size_t device = 0; device < row_counts.size(); ++device) {
+    std::vector<Probe>& probes = verifier.entries_[device].probes;
+    probes.resize(num_digests);
+    for (Probe& probe : probes) {
+      probe.weights.reserve(row_counts[device]);
+      for (size_t row = 0; row < row_counts[device]; ++row) {
         probe.weights.push_back(FieldTraits<T>::Random(rng));
       }
-      // u = wᵀ·S — one pass over the share, done once at staging time.
-      probe.digest.assign(s.cols(), FieldTraits<T>::Zero());
-      for (size_t row = 0; row < s.rows(); ++row) {
-        const T w = probe.weights[row];
-        auto coded = s.Row(row);
-        for (size_t col = 0; col < s.cols(); ++col) {
-          probe.digest[col] += w * coded[col];
-        }
-      }
-      entry.probes.push_back(std::move(probe));
     }
-    verifier.entries_.push_back(std::move(entry));
   }
   return verifier;
+}
+
+template <typename T>
+void ResultVerifier<T>::SetDigests(size_t device, const Matrix<T>& share) {
+  SCEC_CHECK_LT(device, entries_.size());
+  for (Probe& probe : entries_[device].probes) {
+    SCEC_CHECK_EQ(share.rows(), probe.weights.size());
+    // u = wᵀ·S — one pass over the share, done once at staging time.
+    probe.digest.assign(share.cols(), FieldTraits<T>::Zero());
+    for (size_t row = 0; row < share.rows(); ++row) {
+      const T w = probe.weights[row];
+      auto coded = share.Row(row);
+      for (size_t col = 0; col < share.cols(); ++col) {
+        probe.digest[col] += w * coded[col];
+      }
+    }
+  }
 }
 
 template <typename T>

@@ -62,6 +62,16 @@ class ResultVerifier {
   static ResultVerifier Create(const std::vector<DeviceShare<T>>& shares,
                                ChaCha20Rng& rng, size_t num_digests = 1);
 
+  // Create in two phases, for a caller that holds one share at a time.
+  // DrawWeights draws every device's weights for shares of `row_counts`
+  // rows, in Create's order (device, then probe, then row), so it leaves
+  // `rng` where Create does. SetDigests then computes one device's digests
+  // from its share; once every device has them the verifier equals
+  // Create's.
+  static ResultVerifier DrawWeights(std::span<const size_t> row_counts,
+                                    ChaCha20Rng& rng, size_t num_digests = 1);
+  void SetDigests(size_t device, const Matrix<T>& share);
+
   size_t num_devices() const { return entries_.size(); }
   size_t num_digests() const { return num_digests_; }
 
@@ -74,13 +84,18 @@ class ResultVerifier {
   bool Check(size_t device, std::span<const T> x,
              std::span<const T> response) const;
 
+  // Same weights and digests.
+  bool operator==(const ResultVerifier&) const = default;
+
  private:
   struct Probe {
     std::vector<T> weights;  // w_j, one per coded row of device j (secret)
     std::vector<T> digest;   // u_j = w_jᵀ·S_j, length l
+    bool operator==(const Probe&) const = default;
   };
   struct Entry {
     std::vector<Probe> probes;  // num_digests_ independent probes
+    bool operator==(const Entry&) const = default;
   };
   std::vector<Entry> entries_;
   size_t num_digests_ = 1;

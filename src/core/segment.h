@@ -89,17 +89,30 @@ Result<CodedSegment> PlanSegment(std::vector<size_t> data_rows, size_t l,
 CodedSegment PairSegment(std::vector<size_t> rows, size_t pad_device,
                          size_t mixed_device);
 
-// Gathers the segment's rows of `a` and encodes them (pads drawn from `rng`).
+// Encodes slot `slot` of `seg` into `out`, resized to the slot's rows × l:
+// the share EncodeSegment gives that slot when `pads` are the pads it drew.
+// A's rows are read in place, so a subset of A needs no gathered copy.
+template <typename T>
+void EncodeSlotInto(const CodedSegment& seg, const Matrix<T>& a,
+                    const Matrix<T>& pads, size_t slot, Matrix<T>* out) {
+  out->Resize(seg.scheme().row_counts[slot], a.cols());
+  EncodeShareInto(seg.code(), seg.scheme().BlockStart(slot), a,
+                  std::span<const size_t>(seg.data_rows()), pads, *out);
+}
+
+// Encodes the segment's rows of `a`, one share per slot (pads drawn from
+// `rng`).
 template <typename T>
 EncodedDeployment<T> EncodeSegment(const CodedSegment& seg,
                                    const Matrix<T>& a, ChaCha20Rng& rng) {
-  const std::vector<size_t>& rows = seg.data_rows();
-  bool all_of_a = rows.size() == a.rows();
-  for (size_t p = 0; all_of_a && p < rows.size(); ++p) all_of_a = rows[p] == p;
-  if (all_of_a) return EncodeDeployment(seg.code(), seg.scheme(), a, rng);
-  Matrix<T> gathered(rows.size(), a.cols());
-  for (size_t p = 0; p < rows.size(); ++p) gathered.SetRow(p, a.Row(rows[p]));
-  return EncodeDeployment(seg.code(), seg.scheme(), gathered, rng);
+  EncodedDeployment<T> out;
+  out.pads = GeneratePadRows<T>(seg.code().r(), a.cols(), rng);
+  out.shares.resize(seg.num_slots());
+  for (size_t slot = 0; slot < seg.num_slots(); ++slot) {
+    out.shares[slot].device = slot;
+    EncodeSlotInto(seg, a, out.pads, slot, &out.shares[slot].coded_rows);
+  }
+  return out;
 }
 
 // One query's verified answer per slot (nullopt: the slot did not answer).

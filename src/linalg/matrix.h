@@ -76,6 +76,15 @@ class Matrix {
     return std::span<const T>(data_.data() + row * cols_, cols_);
   }
 
+  // Reshapes to rows × cols for the caller to overwrite. The storage keeps
+  // its capacity, so a buffer reused for smaller and then larger shapes
+  // within that capacity allocates (and first-touches) nothing new.
+  void Resize(size_t rows, size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize(rows * cols);
+  }
+
   std::span<T> Data() { return data_; }
   std::span<const T> Data() const { return data_; }
 

@@ -353,7 +353,11 @@ Status NetCoordinator::Setup(Transport* transport) {
     Trace([&] { return "plan adopted m=" + S(a_.rows()) +
                        " r=" + S(layout.code().r()) +
                        " devices=" + S(layout.num_slots()); });
-    SCEC_RETURN_IF_ERROR(AddSegment(std::move(layout), base_->shares));
+    SCEC_RETURN_IF_ERROR(AddSegment(
+        std::move(layout), [this](const CodedSegment&, size_t slot)
+                               -> const Matrix<double>& {
+          return base_->shares[slot].coded_rows;
+        }));
   } else {
     Result<CodedSegment> planned =
         PlanSegment(AllRows(a_.rows()), a_.cols(), fleet_,
@@ -403,12 +407,24 @@ void NetCoordinator::ProvisionGuards() {
 
 Status NetCoordinator::EncodeAndStage(CodedSegment layout) {
   // FRESH pads (pad_rng_ never rewinds).
-  EncodedDeployment<double> encoded = EncodeSegment(layout, a_, pad_rng_);
-  return AddSegment(std::move(layout), encoded.shares);
+  const Matrix<double> pads =
+      GeneratePadRows<double>(layout.code().r(), a_.cols(), pad_rng_);
+  // Each slot is encoded into this one buffer just before it is staged
+  // (the transport copies what it ships). Sized for the largest slot first,
+  // so the smaller ones reuse its pages.
+  const std::vector<size_t>& counts = layout.scheme().row_counts;
+  Matrix<double> rows(*std::max_element(counts.begin(), counts.end()),
+                      a_.cols());
+  return AddSegment(std::move(layout),
+                    [&](const CodedSegment& seg,
+                        size_t slot) -> const Matrix<double>& {
+                      EncodeSlotInto(seg, a_, pads, slot, &rows);
+                      return rows;
+                    });
 }
 
-Status NetCoordinator::AddSegment(
-    CodedSegment layout, const std::vector<DeviceShare<double>>& shares) {
+Status NetCoordinator::AddSegment(CodedSegment layout,
+                                  const ShareSource& share_of) {
   const size_t index = segments_.size();
   // Write-ahead the segment's SHAPE (never its pads) so a restarted
   // coordinator re-accounts its pad columns. Segment 0 is rebuilt from the
@@ -418,14 +434,16 @@ Status NetCoordinator::AddSegment(
              .segment_record = SegmentRecord(layout, index)},
             /*committed=*/true);
   }
-  Segment seg{std::move(layout),
-              ResultVerifier<double>::Create(shares, digest_rng_,
-                                             options_.num_digests),
-              {}, true};
+  // Every slot's weights are drawn before the first share is staged, so
+  // digest_rng_ moves the same whichever slot fails to stage.
+  ResultVerifier<double> verifier = ResultVerifier<double>::DrawWeights(
+      layout.scheme().row_counts, digest_rng_, options_.num_digests);
+  Segment seg{std::move(layout), std::move(verifier), {}, true};
   for (size_t slot = 0; slot < seg.layout.num_slots(); ++slot) {
     const uint64_t share_id = next_share_id_++;
     seg.share_ids.push_back(share_id);
-    const Matrix<double>& rows = shares[slot].coded_rows;
+    const Matrix<double>& rows = share_of(seg.layout, slot);
+    seg.verifier.SetDigests(slot, rows);
     const size_t device = seg.layout.devices()[slot];
     Status staged = transport_->StageShare(device, share_id, rows);
     if (!staged.ok()) {

@@ -314,8 +314,13 @@ class NetCoordinator {
   // cumulative views, even when a later slot fails; the failing device is
   // evicted and the result is kUnavailable.
   Status EncodeAndStage(CodedSegment layout);
-  Status AddSegment(CodedSegment layout,
-                    const std::vector<DeviceShare<double>>& shares);
+  // A slot's share, valid until the next call: adopted (the base
+  // deployment's) or freshly encoded into a reused buffer.
+  using ShareSource = std::function<const Matrix<double>&(
+      const CodedSegment& layout, size_t slot)>;
+  // Stages `layout` slot by slot from `share_of` (the staging loop of
+  // EncodeAndStage, also used for an adopted segment 0).
+  Status AddSegment(CodedSegment layout, const ShareSource& share_of);
   Status VerifyCumulativeOrAbort(const char* stage);
   void ProvisionGuards();
 

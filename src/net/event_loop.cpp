@@ -20,80 +20,40 @@ namespace scec::net {
 // ---------------------------------------------------------------------------
 // TimerWheel
 
-TimerWheel::TimerWheel(uint64_t tick_ns, size_t num_slots)
-    : tick_ns_(tick_ns), slots_(num_slots) {
-  SCEC_CHECK_GT(tick_ns, 0u);
-  SCEC_CHECK_GT(num_slots, 0u);
-}
-
 uint64_t TimerWheel::Add(uint64_t deadline_ns, Callback fn) {
   SCEC_CHECK(fn != nullptr);
   const uint64_t id = next_id_++;
-  slots_[SlotFor(deadline_ns)].push_back(Entry{id, deadline_ns, std::move(fn)});
-  ++pending_;
+  timers_.emplace(Key{deadline_ns, id}, std::move(fn));
+  deadline_of_.emplace(id, deadline_ns);
   return id;
 }
 
 bool TimerWheel::Cancel(uint64_t id) {
-  for (auto& slot : slots_) {
-    for (auto it = slot.begin(); it != slot.end(); ++it) {
-      if (it->id == id) {
-        slot.erase(it);
-        --pending_;
-        return true;
-      }
-    }
-  }
-  return false;
+  auto it = deadline_of_.find(id);
+  if (it == deadline_of_.end()) return false;
+  timers_.erase(Key{it->second, id});
+  deadline_of_.erase(it);
+  return true;
 }
 
 size_t TimerWheel::Advance(uint64_t now_ns) {
-  if (pending_ == 0) {
-    last_advance_ns_ = now_ns;
-    return 0;
+  // Take the whole due batch out first: a callback that cancels a due
+  // entry is too late to stop it, and one that adds a due entry leaves it
+  // for the next advance.
+  std::vector<Callback> due;
+  auto it = timers_.begin();
+  for (; it != timers_.end() && it->first.first <= now_ns; ++it) {
+    due.push_back(std::move(it->second));
+    deadline_of_.erase(it->first.second);
   }
-  // Visit every slot the clock passed since the last advance; if a full
-  // revolution (or more) elapsed, one pass over all slots suffices.
-  const uint64_t from_tick = last_advance_ns_ / tick_ns_;
-  const uint64_t to_tick = now_ns / tick_ns_;
-  const size_t span = static_cast<size_t>(
-      std::min<uint64_t>(to_tick - from_tick + 1, slots_.size()));
-
-  size_t fired = 0;
-  std::vector<Entry> due;
-  for (size_t i = 0; i < span; ++i) {
-    auto& slot = slots_[static_cast<size_t>((from_tick + i) % slots_.size())];
-    for (auto it = slot.begin(); it != slot.end();) {
-      if (it->deadline_ns <= now_ns) {
-        due.push_back(std::move(*it));
-        it = slot.erase(it);
-        --pending_;
-      } else {
-        ++it;
-      }
-    }
-  }
-  last_advance_ns_ = now_ns;
-  std::sort(due.begin(), due.end(), [](const Entry& a, const Entry& b) {
-    if (a.deadline_ns != b.deadline_ns) return a.deadline_ns < b.deadline_ns;
-    return a.id < b.id;  // FIFO tiebreak, like sim::EventQueue
-  });
-  for (Entry& entry : due) {
-    entry.fn();
-    ++fired;
-  }
-  return fired;
+  timers_.erase(timers_.begin(), it);
+  for (Callback& fn : due) fn();
+  return due.size();
 }
 
 uint64_t TimerWheel::NextDeadlineNs() const {
-  uint64_t best = std::numeric_limits<uint64_t>::max();
-  if (pending_ == 0) return best;
-  for (const auto& slot : slots_) {
-    for (const Entry& entry : slot) {
-      best = std::min(best, entry.deadline_ns);
-    }
-  }
-  return best;
+  return timers_.empty() ? std::numeric_limits<uint64_t>::max()
+                         : timers_.begin()->first.first;
 }
 
 // ---------------------------------------------------------------------------

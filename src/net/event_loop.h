@@ -4,8 +4,8 @@
 // event loop with
 //
 //   * fd readiness dispatch (level-triggered epoll),
-//   * a hashed deadline-timer wheel (per-RPC deadlines, heartbeat intervals,
-//     reconnect backoff — hundreds of timers, O(1) add/cancel),
+//   * deadline timers (per-RPC deadlines, heartbeat intervals, reconnect
+//     backoff — hundreds of timers, O(log n) add/cancel/next-deadline),
 //   * a thread-safe Post() queue woken by an eventfd, and
 //   * a Strand (serialized executor) for callers that need FIFO execution
 //     of tasks submitted from multiple threads.
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -33,48 +34,38 @@
 
 namespace scec::net {
 
-// Hashed timer wheel over absolute monotonic nanosecond deadlines. Entries
-// hash into slots by deadline/tick; firing scans only the slots the clock
-// passed, so a dense population of short deadlines (the common case: one
-// per in-flight RPC) costs O(1) per timer. Not thread-safe; owned and
-// driven by EventLoop on its thread.
+// The loop's deadline timers, over absolute monotonic nanosecond deadlines
+// (per-RPC deadlines, heartbeat intervals, reconnect backoff). Entries are
+// kept sorted by (deadline, id), so firing pops the due prefix in deadline
+// order with insertion order breaking ties (the simulator's FIFO tie-break),
+// the next deadline is the first entry, and Cancel finds its entry through
+// an id index: O(log n) each, and nothing walks idle time slots. Not
+// thread-safe; owned and driven by EventLoop on its thread.
 class TimerWheel {
  public:
   using Callback = std::function<void()>;
-
-  explicit TimerWheel(uint64_t tick_ns = 1'000'000 /* 1 ms */,
-                      size_t num_slots = 1024);
 
   // Registers `fn` to fire once `now_ns` reaches `deadline_ns`.
   uint64_t Add(uint64_t deadline_ns, Callback fn);
   // Returns false if the timer already fired or is unknown.
   bool Cancel(uint64_t id);
 
-  // Fires every entry with deadline <= now_ns, in deadline order within a
-  // slot. Returns the number fired.
+  // Fires every entry with deadline <= now_ns, in (deadline, insertion)
+  // order. Entries that the callbacks add or cancel meanwhile do not change
+  // this batch. Returns the number fired.
   size_t Advance(uint64_t now_ns);
 
-  // Earliest pending deadline, or UINT64_MAX when empty. O(num_slots).
+  // Earliest pending deadline, or UINT64_MAX when empty.
   uint64_t NextDeadlineNs() const;
 
-  size_t pending() const { return pending_; }
+  size_t pending() const { return timers_.size(); }
 
  private:
-  struct Entry {
-    uint64_t id = 0;
-    uint64_t deadline_ns = 0;
-    Callback fn;
-  };
+  using Key = std::pair<uint64_t, uint64_t>;  // (deadline_ns, id)
 
-  size_t SlotFor(uint64_t deadline_ns) const {
-    return static_cast<size_t>((deadline_ns / tick_ns_) % slots_.size());
-  }
-
-  uint64_t tick_ns_;
   uint64_t next_id_ = 1;
-  uint64_t last_advance_ns_ = 0;
-  size_t pending_ = 0;
-  std::vector<std::vector<Entry>> slots_;
+  std::map<Key, Callback> timers_;
+  std::unordered_map<uint64_t, uint64_t> deadline_of_;  // id -> deadline_ns
 };
 
 class EventLoop {

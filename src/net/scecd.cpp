@@ -125,7 +125,7 @@ void ScecDaemon::CloseConnection(Connection* conn) {
   loop_.Post([doomed]() {});
 }
 
-void ScecDaemon::AnswerQuery(Connection* conn, QueryMsg query) {
+void ScecDaemon::AnswerQuery(Connection* conn, const QueryMsg& query) {
   auto share_it = shares_.find(query.share_id);
   if (share_it == shares_.end() ||
       query.x.size() != share_it->second.cols()) {

@@ -71,7 +71,7 @@ class ScecDaemon {
   void HandleAccept();
   void HandleFrame(Connection* conn, WireType type, std::string_view payload);
   void CloseConnection(Connection* conn);
-  void AnswerQuery(Connection* conn, QueryMsg query);
+  void AnswerQuery(Connection* conn, const QueryMsg& query);
 
   ScecdOptions options_;
   uint16_t port_ = 0;

@@ -46,7 +46,6 @@ constexpr double kSocketDelayProb = 0.15;
 constexpr double kSocketDelayS = 0.02;
 constexpr double kSocketReorderProb = 0.1;
 constexpr double kSocketStragglerProb = 0.2;
-constexpr double kSocketStragglerDelayS = 0.05;  // divided by the drawn rate
 
 size_t DrawInRange(Xoshiro256StarStar& rng, size_t lo, size_t hi) {
   SCEC_CHECK_LE(lo, hi);
@@ -265,7 +264,8 @@ class SocketFleet {
     for (auto& daemon : daemons_) daemon->Stop();
   }
 
-  Status Start(const ChaosEpisode& episode, const ChaosScenario& scenario) {
+  Status Start(const ChaosMix& mix, const ChaosEpisode& episode,
+               const ChaosScenario& scenario) {
     net::ChaosProxyOptions link;
     if (episode.lossy) {
       link.drop_prob = kSocketDropProb;
@@ -277,7 +277,7 @@ class SocketFleet {
       link.delay_prob = std::max(link.delay_prob, kSocketStragglerProb);
       link.delay_s = std::max(
           link.delay_s,
-          kSocketStragglerDelayS / scenario.options.straggler.rate);
+          mix.socket_straggler_delay_s / scenario.options.straggler.rate);
     }
     for (size_t d = 0; d < scenario.problem.fleet.size(); ++d) {
       daemons_.push_back(std::make_unique<net::ScecDaemon>(
@@ -400,7 +400,7 @@ Status BuildFleet(ChaosTransport kind, const ChaosMix& mix,
                            " has liars scecd cannot play");
   }
   fleet->sockets = std::make_unique<SocketFleet>();
-  Status up = fleet->sockets->Start(episode, *scenario);
+  Status up = fleet->sockets->Start(mix, episode, *scenario);
   if (!up.ok()) return up;
   fleet->transport = std::make_unique<net::SocketTransport>(
       fleet->sockets->ports(), SocketOptions(episode.seed));
@@ -636,11 +636,14 @@ std::vector<ChaosMix> DefaultChaosMixes() {
       // Shares of about 10^6 times the work, so compute (up to hundreds of
       // simulated ms) outweighs link latency, and a tail rate of 0.125-1:
       // an RPC outlasts the cold-start hedge delay (twice the modelled
-      // round trip) with probability about e^-rate, 0.37-0.88.
+      // round trip) with probability about e^-rate, 0.37-0.88. Over
+      // sockets a straggling link holds a frame 1 s / rate, 0.25-2 s: past
+      // the cold-start hedge delay, half the 0.35 s deadline floor.
       {.name = "hedged-stragglers",
        .straggler = 1.0,
        .compute_slowdown = 1e6,
        .straggler_rate_scale = 0.25,
+       .socket_straggler_delay_s = 1.0,
        .hedging = true,
        .adaptive_timeouts = true},
       {.name = "kitchen-sink",

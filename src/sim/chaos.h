@@ -96,6 +96,9 @@ struct ChaosMix {
   // slowed fleet with a heavy tail straggles past a hedge deadline.
   double compute_slowdown = 1.0;
   double straggler_rate_scale = 1.0;
+  // Socket fleets only: a straggling link holds a frame this many wall
+  // seconds divided by the drawn tail rate (0.5-4).
+  double socket_straggler_delay_s = 0.05;
   double lossy_links = 0.0;  // P(episode loses query-path messages)
   bool hedging = false;
   bool adaptive_timeouts = false;

@@ -330,6 +330,33 @@ TEST(ChaosSoak, ScriptedFaultsLandOnDistinctDevicesOverSockets) {
   EXPECT_GT(multi_fault, 0u) << "no episode scripted two faults";
 }
 
+TEST(ChaosSoak, HedgingMixesLaunchHedgesOverSockets) {
+  // The CI socket soak (seed 1, 18 episodes, 3 queries) must hedge in every
+  // hedged-stragglers episode, whose straggling links hold frames past the
+  // cold-start hedge delay, and in the kitchen-sink mix at least once.
+  ChaosConfig config;
+  config.seed = 1;
+  config.episodes = 18;
+  config.queries_per_episode = 3;
+  config.transport = ChaosTransport::kSocket;
+  const std::vector<ChaosMix> mixes = ChaosMixesFor(config.transport);
+  std::map<std::string, uint64_t> launched;
+  for (size_t i = 0; i < config.episodes; ++i) {
+    const ChaosMix& mix = mixes[i % mixes.size()];
+    if (!mix.hedging) continue;
+    const ChaosEpisode episode = RunChaosEpisode(config, i);
+    EXPECT_TRUE(episode.ok()) << DescribeSchedule(episode) << episode.failure;
+    if (mix.name == "hedged-stragglers") {
+      EXPECT_GT(episode.stats.hedges_launched, 0u) << DescribeSchedule(episode);
+    }
+    launched[mix.name] += episode.stats.hedges_launched;
+  }
+  for (const ChaosMix& mix : mixes) {
+    if (!mix.hedging) continue;
+    EXPECT_GT(launched[mix.name], 0u) << mix.name;
+  }
+}
+
 TEST(ChaosSoak, ByzantineFamilyMasksAndQuarantinesOverSockets) {
   const ChaosConfig config = SocketConfig();
   const size_t first = SocketMixIndex("byzantine-masked");

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace scec::net {
@@ -58,8 +60,8 @@ TEST(TimerWheel, NextDeadlineTracksEarliest) {
 }
 
 TEST(TimerWheel, DistantDeadlinesDoNotFireEarly) {
-  // Slots wrap (1024 slots at 1ms tick ≈ 1.024s): a deadline a full wheel
-  // revolution away must survive intermediate advances through its slot.
+  // A deadline seconds away must survive many intermediate advances (a
+  // hashed wheel of 1024 1 ms slots would pass its slot twice).
   TimerWheel wheel;
   int fired = 0;
   wheel.Add(2'000'000'000, [&] { ++fired; });  // 2s
@@ -69,6 +71,83 @@ TEST(TimerWheel, DistantDeadlinesDoNotFireEarly) {
   EXPECT_EQ(fired, 0);
   wheel.Advance(2'100'000'000);
   EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerWheel, CancelAfterAdvanceStopsAPendingTimer) {
+  TimerWheel wheel;
+  std::vector<int> fired;
+  wheel.Add(1'000'000, [&] { fired.push_back(1); });
+  const uint64_t later = wheel.Add(5'000'000, [&] { fired.push_back(5); });
+  wheel.Add(7'000'000, [&] { fired.push_back(7); });
+  EXPECT_EQ(wheel.Advance(2'000'000), 1u);
+  EXPECT_TRUE(wheel.Cancel(later));
+  EXPECT_EQ(wheel.pending(), 1u);
+  EXPECT_EQ(wheel.NextDeadlineNs(), 7'000'000u);
+  EXPECT_EQ(wheel.Advance(10'000'000), 1u);
+  EXPECT_EQ(fired, (std::vector<int>{1, 7}));
+}
+
+TEST(TimerWheel, CancelOfAFiredIdFails) {
+  TimerWheel wheel;
+  int fired = 0;
+  const uint64_t first = wheel.Add(1'000'000, [&] { ++fired; });
+  uint64_t second = 0;
+  // A callback cancelling an entry of its own due batch is too late: the
+  // batch was taken out before the first callback ran.
+  wheel.Add(1'000'000, [&] { EXPECT_FALSE(wheel.Cancel(second)); });
+  second = wheel.Add(1'000'000, [&] { fired += 10; });
+  EXPECT_EQ(wheel.Advance(1'000'000), 3u);
+  EXPECT_EQ(fired, 11);
+  EXPECT_FALSE(wheel.Cancel(first));
+  EXPECT_FALSE(wheel.Cancel(second));
+  EXPECT_FALSE(wheel.Cancel(12345));  // never issued
+  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(wheel.NextDeadlineNs(), UINT64_MAX);
+}
+
+TEST(TimerWheel, ManyTimersInOneTickFireByDeadlineThenInsertion) {
+  // 300 timers inside one 1 ms tick, deadlines out of order with repeats,
+  // every third one cancelled.
+  TimerWheel wheel;
+  std::vector<std::pair<uint64_t, int>> expected;
+  std::vector<int> fired;
+  for (int i = 0; i < 300; ++i) {
+    const uint64_t deadline = 4'000'000 + 997 * ((7 * i) % 50);
+    const uint64_t id =
+        wheel.Add(deadline, [&fired, i] { fired.push_back(i); });
+    if (i % 3 == 0) {
+      EXPECT_TRUE(wheel.Cancel(id));
+    } else {
+      expected.emplace_back(deadline, i);
+    }
+  }
+  EXPECT_EQ(wheel.pending(), 200u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  EXPECT_EQ(wheel.NextDeadlineNs(), expected.front().first);
+  EXPECT_EQ(wheel.Advance(4'999'999), 200u);
+  std::vector<int> order;
+  for (const auto& entry : expected) order.push_back(entry.second);
+  EXPECT_EQ(fired, order);
+}
+
+TEST(TimerWheel, NextDeadlineAfterCancellingTheEarliest) {
+  TimerWheel wheel;
+  const uint64_t a = wheel.Add(3'000'000, [] {});
+  const uint64_t b = wheel.Add(3'000'000, [] {});
+  const uint64_t c = wheel.Add(9'000'000, [] {});
+  wheel.Add(2'000'000'000, [] {});
+  EXPECT_EQ(wheel.NextDeadlineNs(), 3'000'000u);
+  EXPECT_TRUE(wheel.Cancel(a));
+  EXPECT_EQ(wheel.NextDeadlineNs(), 3'000'000u);  // b shares the deadline
+  EXPECT_TRUE(wheel.Cancel(b));
+  EXPECT_EQ(wheel.NextDeadlineNs(), 9'000'000u);
+  EXPECT_TRUE(wheel.Cancel(c));
+  EXPECT_EQ(wheel.NextDeadlineNs(), 2'000'000'000u);
+  EXPECT_EQ(wheel.Advance(1'000'000'000), 0u);
+  EXPECT_EQ(wheel.NextDeadlineNs(), 2'000'000'000u);
 }
 
 struct LoopRig {

@@ -3,9 +3,11 @@
 // Share staging: the SHARE frame written in place equals the frame built
 // from ShareMsg::Encode, a share fed to the daemon in arbitrary pieces
 // lands byte for byte in its matrix, hostile SHARE bodies are refused with
-// a typed error, and the value bytes are allocated once per side. Also the
-// transport's Drain: it returns on the last DRAIN_ACK and times out on a
-// peer that never sends one.
+// a typed error, and the value bytes are allocated once per side. Set-up
+// memory: a pooled encode allocates each share on the thread that encodes
+// it, and the driver stages its shares one at a time through one buffer,
+// byte-equal to the segment encode. Also the transport's Drain: it returns
+// on the last DRAIN_ACK and times out on a peer that never sends one.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -22,10 +24,16 @@
 #include <thread>
 #include <vector>
 
+#include "coding/encoder.h"
 #include "common/rng.h"
 #include "common/serde.h"
+#include "common/thread_pool.h"
+#include "core/segment.h"
+#include "field/gf_prime.h"
 #include "linalg/matrix_ops.h"
+#include "net/driver.h"
 #include "net/scecd.h"
+#include "net/sim_transport.h"
 #include "net/socket.h"
 #include "net/socket_transport.h"
 #include "net/wire.h"
@@ -380,6 +388,206 @@ TEST(NetTransportStaging, ShareSizedAllocationsPerStagedShare) {
   EXPECT_EQ(d1.shares_held(), 1u);
   d0.Stop();
   d1.Stop();
+}
+
+// --- Set-up memory -------------------------------------------------------
+
+// The perfbench loopback fleet: 8 devices of equal speed whose
+// communication costs differ.
+DeviceFleet LoopbackFleet() {
+  std::vector<EdgeDevice> specs;
+  for (size_t d = 0; d < 8; ++d) {
+    EdgeDevice device;
+    device.name = "edge-" + std::to_string(d);
+    device.costs.comm = 1.0 + 0.1 * static_cast<double>(d % 7);
+    device.compute_rate_flops = 1e9;
+    device.uplink_bps = 1e8;
+    device.downlink_bps = 1e8;
+    device.link_latency_s = 1e-3;
+    specs.push_back(device);
+  }
+  return DeviceFleet(std::move(specs));
+}
+
+Matrix<double> RandomA(size_t m, size_t l, uint64_t seed) {
+  Matrix<double> a(m, l);
+  Xoshiro256StarStar rng(seed);
+  for (double& value : a.Data()) value = rng.NextDouble();
+  return a;
+}
+
+// Forwards to a SimTransport and keeps a copy of every staged share.
+class RecordingTransport : public Transport {
+ public:
+  struct Staged {
+    size_t device = 0;
+    uint64_t share_id = 0;
+    Matrix<double> rows;
+  };
+
+  explicit RecordingTransport(SimTransport* inner) : inner_(inner) {}
+  const std::vector<Staged>& staged() const { return staged_; }
+
+  size_t num_devices() const override { return inner_->num_devices(); }
+  double Now() const override { return inner_->Now(); }
+  Status StageShare(size_t device, uint64_t share_id,
+                    const Matrix<double>& rows) override {
+    staged_.push_back({device, share_id, rows});
+    return inner_->StageShare(device, share_id, rows);
+  }
+  uint64_t SubmitQuery(size_t device, uint64_t share_id,
+                       const std::vector<double>& x, double deadline_s,
+                       double start_delay_s) override {
+    return inner_->SubmitQuery(device, share_id, x, deadline_s,
+                               start_delay_s);
+  }
+  uint64_t AddAlarm(double delay_s) override {
+    return inner_->AddAlarm(delay_s);
+  }
+  bool Cancel(uint64_t id) override { return inner_->Cancel(id); }
+  size_t PollInto(std::vector<Completion>* out, double max_wait_s) override {
+    return inner_->PollInto(out, max_wait_s);
+  }
+  const NetTransportStats& stats() const override { return inner_->stats(); }
+  Status Drain(double timeout_s) override { return inner_->Drain(timeout_s); }
+
+ private:
+  SimTransport* inner_;
+  std::vector<Staged> staged_;
+};
+
+// Under sanitizers only the allocation counts are skipped: the pooled
+// encode, each share allocated on a pool thread, still runs under TSan.
+TEST(SetupMemory, PooledEncodeAllocatesEachShareOnItsEncodingThread) {
+  // Gf61 at m = l = 1024 in nine 128-row blocks of 1 MiB.
+  const size_t m = 1024, r = 128, l = 1024;
+  const StructuredCode code(m, r);
+  LcecScheme scheme;
+  scheme.m = m;
+  scheme.r = r;
+  scheme.row_counts.assign((m + r) / r, r);
+  ChaCha20Rng rng(5);
+  const Matrix<Gf61> a = GeneratePadRows<Gf61>(m, l, rng);
+  const Matrix<Gf61> pads = GeneratePadRows<Gf61>(r, l, rng);
+  const size_t share_bytes = r * l * sizeof(Gf61);
+  const size_t devices = scheme.num_devices();
+
+  // Serially every share is allocated on the calling thread.
+  const BigAllocs serial = CountBigAllocs(share_bytes / 2, [&] {
+    EXPECT_EQ(EncodeShares(code, scheme, a, pads).size(), devices);
+  });
+  if (SCEC_ALLOC_COUNTER) {
+    EXPECT_EQ(serial.caller, devices);
+    EXPECT_EQ(serial.total, devices);
+  }
+
+  // Pooled, each share is allocated by the thread that encodes it. The
+  // calling thread takes part in ParallelFor, so it still allocates the
+  // shares it encodes itself, but never all of them up front: across a few
+  // runs the workers must allocate some. (Allocating every share before
+  // the fan-out puts all of them on the caller in every run.)
+  ThreadPool pool(4);
+  const std::vector<DeviceShare<Gf61>> reference =
+      EncodeShares(code, scheme, a, pads);
+  size_t fewest_on_caller = devices;
+  for (int run = 0; run < 20 && fewest_on_caller == devices; ++run) {
+    std::vector<DeviceShare<Gf61>> shares;
+    const BigAllocs pooled = CountBigAllocs(share_bytes / 2, [&] {
+      shares = EncodeShares(code, scheme, a, pads, &pool);
+    });
+    if (SCEC_ALLOC_COUNTER) {
+      EXPECT_EQ(pooled.total, devices);
+      fewest_on_caller = std::min(fewest_on_caller, pooled.caller);
+    } else {
+      fewest_on_caller = 0;  // nothing counted: one run
+    }
+    ASSERT_EQ(shares.size(), devices);
+    for (size_t j = 0; j < devices; ++j) {
+      EXPECT_EQ(shares[j].device, j);
+      EXPECT_EQ(shares[j].coded_rows, reference[j].coded_rows);
+    }
+  }
+  EXPECT_LT(fewest_on_caller, devices);
+}
+
+TEST(SetupMemory, SetupStagesThroughOneBufferOnTheCaller) {
+  if (!SCEC_ALLOC_COUNTER) {
+    GTEST_SKIP() << "allocation counting is off under sanitizers";
+  }
+  const size_t m = 1024, l = 1024;
+  const DeviceFleet fleet = LoopbackFleet();
+  NetCoordinatorOptions options;
+  options.record_trace = true;
+  NetCoordinator coordinator(RandomA(m, l, 3), fleet, options);
+  SimTransport transport(fleet.devices(), SimTransportOptions{});
+  // Share-sized: far above a digest (l values) or any per-row index, below
+  // the smallest share and the pads (hundreds of rows of l values).
+  const BigAllocs setup = CountBigAllocs(256 << 10, [&] {
+    ASSERT_TRUE(coordinator.Setup(&transport).ok());
+  });
+  size_t slots = 0;
+  for (const std::string& line : coordinator.trace()) {
+    slots += line.rfind("stage seg=0 ", 0) == 0;
+  }
+  ASSERT_GE(slots, 2u);
+  // The pads, one staging buffer, and SimTransport's copy of each share as
+  // it lands on its device. Encoding every share before staging the first
+  // adds one share-sized buffer per slot and drops the staging buffer.
+  EXPECT_EQ(setup.caller, 2 + slots);
+  EXPECT_EQ(setup.total, setup.caller);
+}
+
+TEST(SetupMemory, SetupStagesTheSegmentEncodeByteForByte) {
+  // One guard pair on top of the base segment: two fresh-pad segments from
+  // one pad stream.
+  const size_t m = 256, l = 64;
+  const DeviceFleet fleet = LoopbackFleet();
+  const Matrix<double> a = RandomA(m, l, 9);
+  NetCoordinatorOptions options;
+  options.byzantine_tolerance = 1;
+  options.pad_seed = 1234;
+  NetCoordinator coordinator(a, fleet, options);
+  SimTransport sim(fleet.devices(), SimTransportOptions{});
+  RecordingTransport transport(&sim);
+  ASSERT_TRUE(coordinator.Setup(&transport).ok());
+  ASSERT_EQ(coordinator.byzantine_tolerance_effective(), 1u);
+
+  Result<CodedSegment> base =
+      PlanSegment(AllRows(m), l, fleet, [](size_t) { return true; },
+                  TaAlgorithm::kAuto);
+  ASSERT_TRUE(base.ok()) << base.status();
+  const std::vector<RecordingTransport::Staged>& staged = transport.staged();
+  const size_t base_slots = base->num_slots();
+  ASSERT_EQ(staged.size(), base_slots + 2);
+  const CodedSegment guard = PairSegment(
+      AllRows(m), staged[base_slots].device, staged[base_slots + 1].device);
+
+  ChaCha20Rng pad_rng(options.pad_seed);
+  const EncodedDeployment<double> base_encoded =
+      EncodeSegment(*base, a, pad_rng);
+  const EncodedDeployment<double> guard_encoded =
+      EncodeSegment(guard, a, pad_rng);
+  std::vector<std::pair<size_t, const Matrix<double>*>> expected;
+  for (size_t slot = 0; slot < base_slots; ++slot) {
+    expected.emplace_back(base->devices()[slot],
+                          &base_encoded.shares[slot].coded_rows);
+  }
+  for (size_t slot = 0; slot < 2; ++slot) {
+    expected.emplace_back(guard.devices()[slot],
+                          &guard_encoded.shares[slot].coded_rows);
+  }
+  for (size_t i = 0; i < staged.size(); ++i) {
+    EXPECT_EQ(staged[i].share_id, i + 1);
+    EXPECT_EQ(staged[i].device, expected[i].first) << i;
+    EXPECT_TRUE(SameBytes(staged[i].rows, *expected[i].second)) << i;
+  }
+  EXPECT_EQ(ReconcileLedgers(coordinator.stats(), sim.stats(), l), "");
+
+  // Queries decode exactly through the staged shares.
+  const std::vector<double> x(l, 0.5);
+  Result<std::vector<double>> y = coordinator.Query(x);
+  ASSERT_TRUE(y.ok()) << y.status();
+  EXPECT_EQ(ReconcileLedgers(coordinator.stats(), sim.stats(), l), "");
 }
 
 // A header's length is only a claim: a peer that sends a CRC-valid header

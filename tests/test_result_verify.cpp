@@ -104,6 +104,44 @@ TEST(ResultVerifierRepetition, DigestValuesScaleLinearlyWithRepetition) {
   EXPECT_EQ(d2.DigestValues(), 8u) << "cost scales linearly in d";
 }
 
+// --- Two-phase construction ----------------------------------------------
+
+// DrawWeights then SetDigests per device equals Create, for every field and
+// repetition count, and leaves the rng where Create does, even when a
+// caller stops before the last device (a staging failure at that slot).
+template <typename T>
+void ExpectTwoPhaseEqualsCreate() {
+  ChaCha20Rng data_rng(31);
+  std::vector<DeviceShare<T>> shares;
+  std::vector<size_t> row_counts;
+  for (size_t rows : {3u, 1u, 5u, 2u}) {
+    shares.push_back(OneRandomShare<T>(rows, 6, data_rng)[0]);
+    shares.back().device = shares.size() - 1;
+    row_counts.push_back(rows);
+  }
+  for (size_t d = 1; d <= 3; ++d) {
+    ChaCha20Rng create_rng(500 + d);
+    const auto created = ResultVerifier<T>::Create(shares, create_rng, d);
+    const uint64_t after_create = create_rng.NextUint64();
+    for (size_t stop = 0; stop <= shares.size(); ++stop) {
+      ChaCha20Rng rng(500 + d);
+      auto verifier = ResultVerifier<T>::DrawWeights(row_counts, rng, d);
+      for (size_t device = 0; device < stop; ++device) {
+        verifier.SetDigests(device, shares[device].coded_rows);
+      }
+      EXPECT_EQ(rng.NextUint64(), after_create) << "d=" << d << " stop=" << stop;
+      EXPECT_EQ(verifier == created, stop == shares.size())
+          << "d=" << d << " stop=" << stop;
+    }
+  }
+}
+
+TEST(ResultVerifierTwoPhase, EqualsCreateInWeightsDigestsAndRngState) {
+  ExpectTwoPhaseEqualsCreate<double>();
+  ExpectTwoPhaseEqualsCreate<Gf61>();
+  ExpectTwoPhaseEqualsCreate<Gf256>();
+}
+
 // --- Predictable-RNG negative test ---------------------------------------
 
 // An adversary who can REPRODUCE the weight stream (predictable seed) reads
