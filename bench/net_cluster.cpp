@@ -1,30 +1,21 @@
 // SPDX-License-Identifier: MIT
 //
-// Loopback-cluster harness for the networked coordinator:
+// Loopback-cluster harness for the networked coordinator: runs the SAME
+// fault-free workload through the simulator transport and a live cluster of
+// in-process scecd daemons and diffs the coordinator's decision traces
+// byte-by-byte — the sim/socket trace-identity acceptance check.
 //
-//   --mode=bench     1 coordinator + N in-process scecd daemons over
-//                    loopback TCP; measures staging time, queries/sec, and
-//                    per-query p50/p99 latency; emits one JSON object
-//                    (--out writes it to a file for BENCH_pr10.json).
-//   --mode=identity  runs the SAME fault-free workload through the
-//                    simulator transport and a live socket cluster and
-//                    diffs the coordinator's decision traces byte-by-byte —
-//                    the sim/socket trace-identity acceptance check.
-//
-// Socket chaos episodes run through bench/chaos_soak --transport=socket.
+// Socket chaos episodes run through bench/chaos_soak --transport=socket;
+// the loopback cluster's throughput and latency are measured by the
+// repository benchmark's net_loopback workload (perfbench/).
 
 #include <algorithm>
-#include <chrono>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/cli.h"
-#include "common/stats.h"
-#include "linalg/matrix_ops.h"
 #include "net/driver.h"
 #include "net/scecd.h"
 #include "net/sim_transport.h"
@@ -36,7 +27,6 @@ using scec::CliParser;
 using scec::DeviceFleet;
 using scec::EdgeDevice;
 using scec::Matrix;
-using scec::SortedQuantile;
 using scec::Xoshiro256StarStar;
 using scec::net::NetCoordinator;
 using scec::net::NetCoordinatorOptions;
@@ -66,99 +56,6 @@ Matrix<double> MakeMatrix(size_t m, size_t l, uint64_t seed) {
   Xoshiro256StarStar rng(seed);
   for (double& value : a.Data()) value = 2.0 * rng.NextDouble() - 1.0;
   return a;
-}
-
-double WallSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-int RunBench(size_t devices, size_t m, size_t l, size_t queries,
-             uint64_t seed, const std::string& out_path) {
-  const Matrix<double> a = MakeMatrix(m, l, seed);
-  DeviceFleet fleet(MakeSpecs(devices));
-
-  std::vector<std::unique_ptr<ScecDaemon>> daemons;
-  std::vector<uint16_t> ports;
-  for (size_t d = 0; d < devices; ++d) {
-    auto daemon = std::make_unique<ScecDaemon>(ScecdOptions{.daemon_id = d});
-    if (!daemon->Start().ok()) {
-      std::cerr << "failed to start daemon " << d << "\n";
-      return 1;
-    }
-    ports.push_back(daemon->port());
-    daemons.push_back(std::move(daemon));
-  }
-
-  NetCoordinatorOptions options;
-  options.rpc_deadline_s = 5.0;
-  NetCoordinator coordinator(a, fleet, options);
-
-  double stage_s = 0.0;
-  double run_s = 0.0;
-  std::vector<double> latencies;
-  {
-    SocketTransport transport(ports, SocketTransportOptions{});
-    const double stage_start = WallSeconds();
-    scec::Status setup = coordinator.Setup(&transport);
-    stage_s = WallSeconds() - stage_start;
-    if (!setup.ok()) {
-      std::cerr << "setup failed: " << setup.message() << "\n";
-      return 1;
-    }
-
-    Xoshiro256StarStar xrng(seed + 1);
-    const double run_start = WallSeconds();
-    for (size_t q = 0; q < queries; ++q) {
-      std::vector<double> x(l);
-      for (double& value : x) value = 2.0 * xrng.NextDouble() - 1.0;
-      const double t0 = WallSeconds();
-      auto answer = coordinator.Query(x);
-      const double t1 = WallSeconds();
-      if (!answer.ok()) {
-        std::cerr << "query " << q << " failed: " << answer.status().message()
-                  << "\n";
-        return 1;
-      }
-      latencies.push_back(t1 - t0);
-    }
-    run_s = WallSeconds() - run_start;
-    (void)transport.Drain(2.0);
-
-    std::sort(latencies.begin(), latencies.end());
-    const double qps =
-        run_s > 0.0 ? static_cast<double>(queries) / run_s : 0.0;
-    const auto& dstats = coordinator.stats();
-    const auto& tstats = transport.stats();
-
-    std::ostringstream json;
-    json << "{\"bench\":\"net_cluster\",\"seed\":" << seed
-         << ",\"devices\":" << devices << ",\"m\":" << m << ",\"l\":" << l
-         << ",\"queries\":" << queries << ",\"stage_s\":" << stage_s
-         << ",\"run_s\":" << run_s << ",\"queries_per_s\":" << qps
-         << ",\"p50_s\":" << SortedQuantile(latencies, 0.50)
-         << ",\"p99_s\":" << SortedQuantile(latencies, 0.99)
-         << ",\"dispatches\":" << dstats.dispatches
-         << ",\"responses_used\":" << dstats.responses_used
-         << ",\"retries\":" << dstats.retries
-         << ",\"evictions\":" << dstats.evictions
-         << ",\"staged_value_bytes\":" << dstats.staged_value_bytes
-         << ",\"query_value_bytes\":" << dstats.query_value_bytes
-         << ",\"response_value_bytes\":" << dstats.response_value_bytes
-         << ",\"transport\":{\"queries_sent\":" << tstats.queries_sent
-         << ",\"responses_delivered\":" << tstats.responses_delivered
-         << ",\"timeouts\":" << tstats.timeouts
-         << ",\"reconnects\":" << tstats.reconnects << "}}";
-
-    std::cout << json.str() << "\n";
-    if (!out_path.empty()) {
-      std::ofstream out(out_path);
-      out << json.str() << "\n";
-    }
-  }
-  for (auto& daemon : daemons) daemon->Stop();
-  return 0;
 }
 
 int RunIdentity(size_t devices, size_t m, size_t l, size_t queries,
@@ -237,33 +134,19 @@ int RunIdentity(size_t devices, size_t m, size_t l, size_t queries,
 
 int main(int argc, char** argv) {
   CliParser cli("net_cluster",
-                "Loopback cluster bench / trace identity");
-  std::string mode = "bench";
+                "sim/socket decision-trace identity on a loopback cluster");
   uint64_t seed = 20190707;
   int64_t devices = 16;
   int64_t m = 64;
   int64_t l = 32;
   int64_t queries = 32;
-  std::string out_path;
-  cli.AddString("mode", &mode, "bench | identity");
   cli.AddUint("seed", &seed, "base seed");
   cli.AddInt("devices", &devices, "edge daemons in the cluster");
   cli.AddInt("m", &m, "matrix rows");
   cli.AddInt("l", &l, "matrix cols");
   cli.AddInt("queries", &queries, "queries per run");
-  cli.AddString("out", &out_path, "bench: write the JSON line here too");
   if (!cli.Parse(argc, argv)) return 1;
-
-  if (mode == "bench") {
-    return RunBench(static_cast<size_t>(devices), static_cast<size_t>(m),
-                    static_cast<size_t>(l), static_cast<size_t>(queries),
-                    seed, out_path);
-  }
-  if (mode == "identity") {
-    return RunIdentity(static_cast<size_t>(devices), static_cast<size_t>(m),
-                       static_cast<size_t>(l), static_cast<size_t>(queries),
-                       seed);
-  }
-  std::cerr << "unknown --mode=" << mode << "\n" << cli.Usage();
-  return 1;
+  return RunIdentity(static_cast<size_t>(devices), static_cast<size_t>(m),
+                     static_cast<size_t>(l), static_cast<size_t>(queries),
+                     seed);
 }

@@ -2,9 +2,11 @@
 //
 // Remark 1 of the paper: because Lemma 1 caps every device's load at r rows,
 // the per-device work — and hence the completion-time distribution — is
-// bounded. This harness runs the discrete-event simulator across the
-// feasible range of r (few big shares ↔ many small shares) with and without
-// stragglers and reports staging and query completion times.
+// bounded. This harness serves one query through the protocol driver over
+// the simulated fleet (net::SimTransport) across the feasible range of r
+// (few big shares ↔ many small shares), with and without stragglers, and
+// reports staging and query completion times. Staging ships the shares one
+// at a time, so its time is the sum of the share transfers.
 
 #include <algorithm>
 #include <cmath>
@@ -14,11 +16,25 @@
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "core/pipeline.h"
-#include "sim/simulation.h"
+#include "linalg/matrix_ops.h"
+#include "recovery/coordinator.h"
 #include "telemetry.h"
 #include "workload/distributions.h"
 
 namespace {
+
+// True when `decoded` is A·x to within 1e-9 of each value's magnitude: the
+// structured decode is one subtraction per value.
+bool DecodesProduct(const scec::Result<std::vector<double>>& decoded,
+                    const std::vector<double>& expected) {
+  if (!decoded.ok() || decoded->size() != expected.size()) return false;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const double scale =
+        std::max({1.0, std::fabs((*decoded)[i]), std::fabs(expected[i])});
+    if (std::fabs((*decoded)[i] - expected[i]) > 1e-9 * scale) return false;
+  }
+  return true;
+}
 
 scec::McscecProblem MakeProblem(size_t m, size_t l, size_t k, uint64_t seed) {
   scec::Xoshiro256StarStar rng(seed);
@@ -66,6 +82,8 @@ int main(int argc, char** argv) {
   const auto a =
       scec::RandomMatrix<double>(problem.m, problem.l, data_rng);
   const auto x = scec::RandomVector<double>(problem.l, data_rng);
+  const std::vector<double> expected =
+      scec::MatVec(a, std::span<const double>(x));
 
   const std::vector<double> fleet_costs = problem.FleetUnitCosts();
   const auto sorted = scec::SortCosts(fleet_costs);
@@ -76,7 +94,6 @@ int main(int argc, char** argv) {
   const size_t r_min =
       scec::CeilDiv(problem.m, problem.fleet.size() - 1);
   int failures = 0;
-  double prev_query = -1.0;
   for (size_t r = r_min; r <= problem.m;
        r = (r < 4 * r_min ? r + std::max<size_t>(1, r_min / 2) : r * 2)) {
     const auto alloc =
@@ -101,25 +118,15 @@ int main(int argc, char** argv) {
                                           coding_rng);
     deployment.shares = std::move(encoded.shares);
 
-    std::vector<scec::EdgeDevice> specs;
-    for (size_t idx : plan.participating) specs.push_back(problem.fleet[idx]);
+    scec::recovery::SimDriver clean(deployment, a, problem.fleet);
+    const double staging_s = clean.transport.Now();
+    const bool clean_ok = DecodesProduct(clean.driver.Query(x), expected);
 
-    const auto clean =
-        scec::sim::SimulateDeployment(deployment, specs, a, x);
-    if (!clean.ok()) {
-      std::cerr << clean.status() << "\n";
-      return 1;
-    }
-
-    scec::sim::SimOptions straggly;
+    scec::net::SimTransportOptions straggly;
     straggly.straggler.kind = scec::sim::StragglerKind::kExponentialSlowdown;
     straggly.straggler.rate = 2.0;
-    const auto slow =
-        scec::sim::SimulateDeployment(deployment, specs, a, x, straggly);
-    if (!slow.ok()) {
-      std::cerr << slow.status() << "\n";
-      return 1;
-    }
+    scec::recovery::SimDriver slow(deployment, a, problem.fleet, straggly);
+    const bool slow_ok = DecodesProduct(slow.driver.Query(x), expected);
 
     size_t max_rows = 0;
     for (size_t rows : plan.scheme.row_counts) {
@@ -128,17 +135,11 @@ int main(int argc, char** argv) {
     table.AddRow({std::to_string(r),
                   std::to_string(plan.scheme.num_devices()),
                   std::to_string(max_rows),
-                  scec::FormatDouble(clean->metrics.staging_completion_time, 5),
-                  scec::FormatDouble(clean->metrics.query_completion_time, 5),
-                  scec::FormatDouble(slow->metrics.query_completion_time, 5)});
-
-    if (!clean->metrics.decoded_correctly ||
-        !slow->metrics.decoded_correctly) {
-      ++failures;
-    }
-    prev_query = clean->metrics.query_completion_time;
+                  scec::FormatDouble(staging_s, 5),
+                  scec::FormatDouble(clean.driver.stats().last_query_s, 5),
+                  scec::FormatDouble(slow.driver.stats().last_query_s, 5)});
+    if (!clean_ok || !slow_ok) ++failures;
   }
-  (void)prev_query;
   table.Print(std::cout);
   scec::bench::ExportTelemetry(telemetry);
 

@@ -7,8 +7,9 @@
 //
 // The example builds a synthetic classifier, deploys it with MCSCEC onto a
 // heterogeneous simulated fleet, classifies a batch of inputs through the
-// discrete-event simulator, and reports accuracy-parity with local
-// inference plus per-query latency and resource accounting.
+// protocol driver over the discrete-event simulator, and reports
+// accuracy-parity with local inference plus per-query latency and the
+// fleet's Eq. (1) op ledger.
 //
 // Run:  ./build/examples/secure_inference [--classes N] [--features N]
 
@@ -19,7 +20,7 @@
 #include "common/stats.h"
 #include "core/scec.h"
 #include "linalg/matrix_ops.h"
-#include "sim/simulation.h"
+#include "recovery/coordinator.h"
 
 namespace {
 
@@ -89,10 +90,8 @@ int main(int argc, char** argv) {
             << "%).\nNo single device can reconstruct any row of W (ITS"
             << " verified over GF(2^61-1)).\n\n";
 
-  std::vector<scec::EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
+  // Shares are staged once; every inference is one driver query.
+  scec::recovery::SimDriver run(*deployment, w, problem.fleet);
 
   scec::RunningStat latency_ms;
   size_t agreement = 0;
@@ -105,13 +104,13 @@ int main(int argc, char** argv) {
       x[f] = signal + 0.3 * rng.NextGaussian();
     }
 
-    const auto sim = scec::sim::SimulateDeployment(*deployment, specs, w, x);
-    if (!sim.ok()) {
-      std::cerr << sim.status() << "\n";
+    const auto scores = run.driver.Query(x);
+    if (!scores.ok()) {
+      std::cerr << scores.status() << "\n";
       return 1;
     }
-    latency_ms.Add(sim->metrics.query_completion_time * 1e3);
-    const size_t secure_pred = ArgMax(sim->decoded);
+    latency_ms.Add(run.driver.stats().last_query_s * 1e3);
+    const size_t secure_pred = ArgMax(*scores);
     const auto local = scec::MatVec(w, std::span<const double>(x));
     if (secure_pred == ArgMax(local)) ++agreement;
   }
@@ -122,5 +121,15 @@ int main(int argc, char** argv) {
             << "  simulated query latency: mean " << latency_ms.mean()
             << " ms, min " << latency_ms.min() << " ms, max "
             << latency_ms.max() << " ms\n";
+  scec::net::DeviceOps total;
+  for (const scec::net::DeviceOps& ops : run.transport.stats().device_ops) {
+    total.staged_values += ops.staged_values;
+    total.mults += ops.mults;
+    total.adds += ops.adds;
+    total.values_returned += ops.values_returned;
+  }
+  std::cout << "  Eq. (1) op ledger over the fleet: " << total.staged_values
+            << " values staged, " << total.mults << " mults, " << total.adds
+            << " adds, " << total.values_returned << " values returned\n";
   return agreement == static_cast<size_t>(queries) ? 0 : 1;
 }

@@ -49,10 +49,9 @@ struct RetryPolicy {
 // Deterministic multiplicative jitter on retry delays:
 // delay *= 1 + U(-jitter, +jitter), drawn from a dedicated PRNG seeded with
 // `seed`, so reruns of the same seed replay the exact schedule while distinct
-// seeds decorrelate retry storms. One policy is shared by every retransmit
-// scheduler — the fault-tolerant sim protocol, ReliableChannel wire
-// retransmissions, and the socket transport's reconnect backoff — so sim and
-// wall-clock schedules jitter identically.
+// seeds decorrelate retry storms. One policy is shared by every retry
+// scheduler — the protocol driver's RPC retries and the socket transport's
+// reconnect backoff — so sim and wall-clock schedules jitter identically.
 class BackoffJitter {
  public:
   BackoffJitter(double jitter, uint64_t seed) : jitter_(jitter), rng_(seed) {

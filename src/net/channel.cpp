@@ -9,7 +9,7 @@ namespace scec::net {
 namespace {
 
 // Global scec_net_* counters (one lookup at first channel construction,
-// relaxed-atomic updates after; same idiom as ReliableChannel::ChannelMetrics).
+// relaxed-atomic updates after).
 struct NetMetrics {
   obs::Counter& connects;
   obs::Counter& reconnect_attempts;

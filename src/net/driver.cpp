@@ -224,6 +224,12 @@ std::string ReconcileLedgers(const NetCoordinatorStats& driver,
                              uint64_t swept, uint64_t swept_value_bytes) {
   const auto n = [](double bytes) { return static_cast<uint64_t>(bytes); };
   const uint64_t x_bytes = 8 * l;
+  uint64_t staged_values = 0;
+  uint64_t values_returned = 0;
+  for (const DeviceOps& ops : transport.device_ops) {
+    staged_values += ops.staged_values;
+    values_returned += ops.values_returned;
+  }
   // Each row must balance: what, left side, right side.
   const std::tuple<const char*, uint64_t, uint64_t> balances[] = {
       {"staged bytes: driver counted vs devices acknowledged",
@@ -237,10 +243,22 @@ std::string ReconcileLedgers(const NetCoordinatorStats& driver,
       {"response bytes: transport delivered vs driver saw + swept",
        transport.response_value_bytes_delivered,
        n(driver.response_value_bytes_seen) + swept_value_bytes},
+      {"staged values x 8, summed over devices, vs staged bytes",
+       8 * staged_values, transport.staged_value_bytes},
+      {"returned values x 8, summed over devices, vs response bytes",
+       8 * values_returned, transport.response_value_bytes_delivered},
   };
   for (const auto& [what, left, right] : balances) {
     if (left != right) {
       return std::string(what) + ": " + S(left) + " != " + S(right);
+    }
+  }
+  // Eq. (1) per device: an answer of width l costs l mults per l−1 adds.
+  for (size_t d = 0; d < transport.device_ops.size(); ++d) {
+    const DeviceOps& ops = transport.device_ops[d];
+    if (ops.mults * (l - 1) != ops.adds * l) {
+      return "device " + S(d) + " ops: mults " + S(ops.mults) +
+             " x (l-1) != adds " + S(ops.adds) + " x l, l = " + S(l);
     }
   }
   if (transport.queries_sent > driver.dispatches) {

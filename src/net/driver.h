@@ -211,7 +211,10 @@ std::string ToCsvRow(const NetCoordinatorStats& stats);
 // the driver did not dispatch; every delivered response, and every one of
 // its value bytes, seen by the driver (plus `swept` responses carrying
 // `swept_value_bytes`, drained after it stopped polling); and no more
-// response bytes used than seen. Returns the first mismatch, or "".
+// response bytes used than seen. The transport's Eq. (1) op ledger must
+// agree too: per-device staged and returned values sum to the staged and
+// response byte totals, and every device's ops satisfy
+// mults·(l−1) == adds·l. Returns the first mismatch, or "".
 std::string ReconcileLedgers(const NetCoordinatorStats& driver,
                              const NetTransportStats& transport, size_t l,
                              uint64_t swept = 0,

@@ -146,7 +146,12 @@ void ScecDaemon::AnswerQuery(Connection* conn, const QueryMsg& query) {
   if (behavior == Behavior::kCorrupt && !response.values.empty()) {
     response.values[0] += 1.0;  // Byzantine lie; caught by Freivalds digests
   }
+  const uint64_t rows = response.values.size();
+  const uint64_t l = query.x.size();
   queries_served_.fetch_add(1);
+  mults_.fetch_add(rows * l);
+  adds_.fetch_add(rows * (l - 1));
+  values_returned_.fetch_add(rows);
   ScecdMetrics::Get().queries.Increment();
   conn->socket->Send(EncodeFrame(WireType::kResponse, response.Encode()));
 }
@@ -186,6 +191,7 @@ void ScecDaemon::HandleFrame(Connection* conn, WireType type,
       }
       SCEC_CHECK(BinaryReader(share->values).ReadDoubles(rows.Data()).ok());
       shares_held_.store(shares_.size());
+      staged_values_.fetch_add(rows.size());
       ScecdMetrics::Get().shares.Increment();
       ack.share_id = share->share_id;
       conn->socket->Send(EncodeFrame(WireType::kShareAck, ack.Encode()));

@@ -36,6 +36,7 @@
 #include "linalg/matrix.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
+#include "net/transport.h"
 #include "net/wire.h"
 
 namespace scec::net {
@@ -64,6 +65,13 @@ class ScecDaemon {
 
   uint64_t shares_held() const { return shares_held_.load(); }
   uint64_t queries_served() const { return queries_served_.load(); }
+  // What this daemon computed: values staged, V·l mults and V·(l−1) adds
+  // per answered query, values returned. A transport's op ledger for this
+  // device never exceeds it.
+  DeviceOps ops() const {
+    return {staged_values_.load(), mults_.load(), adds_.load(),
+            values_returned_.load()};
+  }
 
  private:
   struct Connection;
@@ -84,6 +92,10 @@ class ScecDaemon {
   std::atomic<double> behavior_delay_s_{0.0};
   std::atomic<uint64_t> shares_held_{0};
   std::atomic<uint64_t> queries_served_{0};
+  std::atomic<uint64_t> staged_values_{0};
+  std::atomic<uint64_t> mults_{0};
+  std::atomic<uint64_t> adds_{0};
+  std::atomic<uint64_t> values_returned_{0};
 
   // Loop-thread state.
   std::unordered_map<uint64_t, Matrix<double>> shares_;

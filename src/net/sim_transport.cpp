@@ -21,6 +21,7 @@ SimTransport::SimTransport(std::vector<EdgeDevice> fleet,
   SCEC_CHECK(options_.loss_probability >= 0.0 &&
              options_.loss_probability < 1.0);
   devices_.reserve(fleet.size());
+  stats_.device_ops.resize(fleet.size());
   for (EdgeDevice& spec : fleet) {
     const size_t d = devices_.size();
     const sim::NodeId node = sim::DeviceNode(d);
@@ -51,6 +52,7 @@ Status SimTransport::StageShare(size_t device, uint64_t share_id,
                 [this, device, share_id, bytes, &rows, &delivered]() {
                   devices_[device].shares[share_id] = rows;
                   stats_.staged_value_bytes += bytes;
+                  stats_.device_ops[device].staged_values += rows.size();
                   delivered = true;
                 });
   while (!delivered && queue_.RunOne()) {
@@ -110,6 +112,9 @@ void SimTransport::Compute(uint64_t rpc_id, size_t device, uint64_t share_id,
   // Single-core device: queue behind the in-flight query; Eq. (1) compute
   // term V_j·l mults + V_j·(l−1) adds.
   const Matrix<double>& share = share_it->second;
+  DeviceOps& ops = stats_.device_ops[device];
+  ops.mults += share.rows() * share.cols();
+  ops.adds += share.rows() * (share.cols() - 1);
   const double flops = static_cast<double>(
       share.rows() * share.cols() + share.rows() * (share.cols() - 1));
   const double duration = options_.straggler.Apply(
@@ -156,6 +161,7 @@ void SimTransport::Reply(uint64_t rpc_id, size_t device,
         }
         ++stats_.responses_delivered;
         stats_.response_value_bytes_delivered += bytes;
+        stats_.device_ops[device].values_returned += values.size();
         ready_.push_back({.kind = Completion::Kind::kResponse, .id = rpc_id,
                           .device = device, .values = std::move(values)});
       });

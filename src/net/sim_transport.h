@@ -1,20 +1,25 @@
 // SPDX-License-Identifier: MIT
 //
-// Transport backed by the deterministic discrete-event simulator. Devices
-// are modeled like EdgeDeviceActor (sim/actors.h): a star topology of
-// latency+bandwidth links around the user node, single-core devices whose
-// queries queue behind the one in progress, straggler-inflated compute —
-// exposed through the poll-based Transport interface so the protocol
-// driver runs the same code path as over real sockets.
+// Transport backed by the deterministic discrete-event simulator: a star
+// topology of latency+bandwidth links around the user node (user -> device
+// on the device's downlink, device -> user on its uplink), single-core
+// devices whose queries queue behind the one in progress, and
+// straggler-inflated compute, exposed through the poll-based Transport
+// interface so the protocol driver runs the same code path as over real
+// sockets. Sequential simulated SCEC runs go through the driver over this
+// transport: the Remark 1 timing and lossy-link benches,
+// examples/secure_inference, and the chaos soak.
 //
 // Faults follow the simulator's one model (SimTransportOptions): a scripted
 // sim::FaultSchedule (crash, omission, corruption, transient outage), the
 // Byzantine specs, the straggler model, and message loss. Every fault acts
-// on the query path; staging stays reliable. A lost or withheld message
-// surfaces the way it does on sockets: the RPC's deadline fires as a
-// kTimeout. A query for an unknown share, or with the wrong length, gets a
-// kProtocol error after the link round trip, as scecd replies. Values are
-// 8-byte doubles on every link.
+// on the query path; staging stays reliable and ships one share at a time.
+// A lost or withheld message surfaces the way it does on sockets: the
+// RPC's deadline fires as a kTimeout, and the driver retries. A query for
+// an unknown share, or with the wrong length, gets a kProtocol error after
+// the link round trip, as scecd replies. Values are 8-byte doubles on every
+// link. The Eq. (1) op ledger (NetTransportStats::device_ops) counts what
+// each device model computes, whether or not its answer arrives.
 //
 // PollInto() advances the simulation one event at a time until a completion
 // materialises, so the driver's interleaving of decisions matches the
@@ -35,8 +40,7 @@
 
 namespace scec::net {
 
-// The simulated fleet's faults and timing noise. Field names and defaults
-// follow sim::SimOptions.
+// The simulated fleet's faults and timing noise.
 struct SimTransportOptions {
   sim::StragglerModel straggler;  // inflates device compute times
   uint64_t straggler_seed = 7;

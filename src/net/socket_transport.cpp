@@ -54,6 +54,7 @@ SocketTransport::SocketTransport(std::vector<uint16_t> ports,
       options_(options),
       device_gone_(ports_.size(), false) {
   SCEC_CHECK(!ports_.empty());
+  stats_.device_ops.resize(ports_.size());
   TransportMetrics::Get();
   channels_.reserve(ports_.size());
   for (size_t d = 0; d < ports_.size(); ++d) {
@@ -215,6 +216,7 @@ uint64_t SocketTransport::SubmitQuery(size_t device, uint64_t share_id,
               start_delay_s]() mutable {
     Rpc rpc;
     rpc.device = device;
+    rpc.l = x.size();
     auto [it, inserted] = rpcs_.emplace(rpc_id, rpc);
     SCEC_CHECK(inserted);
     if (start_delay_s == 0.0) {
@@ -281,12 +283,17 @@ void SocketTransport::HandleFrame(size_t device, WireType type,
       if (it->second.deadline_timer != 0) {
         loop_.CancelTimer(it->second.deadline_timer);
       }
+      const uint64_t l = it->second.l;
       rpcs_.erase(it);
       {
+        const uint64_t rows = response->values.size();
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.responses_delivered;
-        stats_.response_value_bytes_delivered +=
-            response->values.size() * sizeof(double);
+        stats_.response_value_bytes_delivered += rows * sizeof(double);
+        DeviceOps& ops = stats_.device_ops[device];
+        ops.mults += rows * l;
+        ops.adds += rows * (l - 1);
+        ops.values_returned += rows;
       }
       TransportMetrics::Get().rpcs_response.Increment();
       PushCompletion({.kind = Completion::Kind::kResponse,
@@ -318,6 +325,8 @@ void SocketTransport::HandleFrame(size_t device, WireType type,
       if (ack->ok != 0) {
         std::lock_guard<std::mutex> lock(mutex_);
         stats_.staged_value_bytes += waiter->value_bytes;
+        stats_.device_ops[waiter->device].staged_values +=
+            waiter->value_bytes / sizeof(double);
       }
       waiter->promise.set_value(
           ack->ok != 0 ? Status::Ok()

@@ -71,6 +71,7 @@ class SocketTransport : public Transport {
   // deadline timer.
   struct Rpc {
     size_t device = 0;
+    size_t l = 0;                 // query length: the ops a response bills
     uint64_t deadline_timer = 0;  // loop timer id; 0 = none pending
     uint64_t delay_timer = 0;     // start-delay timer id
   };

@@ -29,6 +29,16 @@
 
 namespace scec::net {
 
+// One device's Eq. (1) op ledger: the coded values staged on it, the scalar
+// multiplications and additions of the answers it computed (V_j·l and
+// V_j·(l−1) per query), and the answer values it returned.
+struct DeviceOps {
+  uint64_t staged_values = 0;
+  uint64_t mults = 0;
+  uint64_t adds = 0;
+  uint64_t values_returned = 0;
+};
+
 // Transport-level accounting, shared across implementations. Value-byte
 // tallies count protocol payload only (8 bytes per double), excluding frame
 // headers, so they reconcile exactly with the driver's cost ledger — the
@@ -47,6 +57,11 @@ struct NetTransportStats {
   // Responses that arrived after their RPC was answered, failed, or
   // cancelled: counted, then dropped — never delivered twice.
   uint64_t stale_responses = 0;
+  // Per device id: staged values as acknowledged, returned values as
+  // delivered. SimTransport counts the ops its device model computes;
+  // SocketTransport bills each delivered response rows·l mults and
+  // rows·(l−1) adds.
+  std::vector<DeviceOps> device_ops;
 };
 
 struct Completion {

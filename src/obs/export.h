@@ -40,7 +40,7 @@ bool ExportTraceFile(const std::string& path);
 bool ExportMetricsJsonFile(const std::string& path);
 bool ExportPrometheusFile(const std::string& path);
 
-// JSON string escaping shared by the exporters (and sim/metrics ToJson).
+// JSON string escaping shared by the exporters.
 std::string JsonEscape(const std::string& text);
 
 namespace internal {

@@ -7,7 +7,6 @@
 
 #include "linalg/matrix_ops.h"
 #include "sim/faults.h"
-#include "sim/reliable.h"
 
 namespace scec::sim {
 
@@ -37,34 +36,25 @@ EdgeDeviceActor::EdgeDeviceActor(size_t index, const EdgeDevice& spec,
                                  EventQueue* queue, Network* network,
                                  const SimOptions* options,
                                  Xoshiro256StarStar* straggler_rng,
-                                 ResponseSink respond,
-                                 ReliableChannel* channel)
+                                 ResponseSink respond)
     : index_(index),
       spec_(spec),
       queue_(queue),
       network_(network),
       options_(options),
       straggler_rng_(straggler_rng),
-      respond_(std::move(respond)),
-      channel_(channel) {
+      respond_(std::move(respond)) {
   SCEC_CHECK(queue_ != nullptr);
   SCEC_CHECK(network_ != nullptr);
   SCEC_CHECK(options_ != nullptr);
   SCEC_CHECK(straggler_rng_ != nullptr);
   SCEC_CHECK(respond_ != nullptr);
-  metrics_.name = spec.name;
 }
 
 void EdgeDeviceActor::OnShareDelivered(Matrix<double> share) {
   SCEC_CHECK(!has_share_) << "device " << index_ << " staged twice";
   share_ = std::move(share);
   has_share_ = true;
-  metrics_.coded_rows = share_.rows();
-  // Eq. (1) storage term: l (input) + V_j·l (coded rows) + V_j (result
-  // slots) = l + (l+1)·V_j values.
-  const uint64_t l = share_.cols();
-  const uint64_t v = share_.rows();
-  metrics_.stored_values = l + (l + 1) * v;
 }
 
 void EdgeDeviceActor::OnQueryDelivered(std::vector<double> x) {
@@ -78,16 +68,12 @@ void EdgeDeviceActor::OnQueryDelivered(std::vector<double> x) {
     return;
   }
 
+  // Eq. (1) computation term: V_j·l multiplications, V_j·(l−1) additions.
   const uint64_t l = share_.cols();
   const uint64_t v = share_.rows();
-  // Eq. (1) computation term: V_j·l multiplications, V_j·(l−1) additions.
-  metrics_.multiplications += v * l;
-  metrics_.additions += v * (l - 1);
-
   const double flops = static_cast<double>(v * l + v * (l - 1));
   const double nominal = flops / spec_.compute_rate_flops;
   const double duration = options_->straggler.Apply(nominal, *straggler_rng_);
-  metrics_.compute_seconds += duration;
   // Single-core device: this query starts after any in-flight one finishes.
   const SimTime start = std::max(queue_->now(), busy_until_);
   const SimTime done = start + duration;
@@ -115,38 +101,9 @@ void EdgeDeviceActor::OnQueryDelivered(std::vector<double> x) {
     }
     const uint64_t bytes = static_cast<uint64_t>(
         static_cast<double>(response.size()) * options_->value_bytes);
-    metrics_.values_sent += response.size();
-    auto deliver = [this, response]() {
-      metrics_.response_time = queue_->now();
-      respond_(index_, response);
-    };
-    if (channel_ != nullptr) {
-      channel_->Send(DeviceNode(index_), kUserNode, bytes,
-                     std::move(deliver), /*on_failure=*/nullptr,
-                     options_->retransmit_timeout_s, options_->max_retries);
-    } else {
-      network_->Send(DeviceNode(index_), kUserNode, bytes,
-                     std::move(deliver));
-    }
+    network_->Send(DeviceNode(index_), kUserNode, bytes,
+                   [this, response]() { respond_(index_, response); });
   });
-}
-
-ResponseCollector::ResponseCollector(size_t num_devices,
-                                     std::function<void()> on_complete)
-    : responses_(num_devices),
-      seen_(num_devices, false),
-      on_complete_(std::move(on_complete)) {
-  SCEC_CHECK_GT(num_devices, 0u);
-}
-
-void ResponseCollector::OnResponse(size_t device,
-                                   std::vector<double> response) {
-  SCEC_CHECK_LT(device, responses_.size());
-  SCEC_CHECK(!seen_[device]) << "duplicate response from device " << device;
-  seen_[device] = true;
-  responses_[device] = std::move(response);
-  ++received_;
-  if (Complete() && on_complete_ != nullptr) on_complete_();
 }
 
 }  // namespace scec::sim

@@ -17,13 +17,11 @@
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "sim/event_queue.h"
-#include "sim/metrics.h"
 #include "sim/network.h"
 #include "sim/straggler.h"
 
 namespace scec::sim {
 
-class ReliableChannel;
 class FaultSchedule;
 
 // Fixed node ids: cloud = 0, user = 1, device d = kFirstDeviceNode + d.
@@ -64,17 +62,6 @@ struct SimOptions {
   // consulted by every EdgeDeviceActor; see sim/faults.h. Faults act on the
   // query path (arrival + response), not on staging. Not owned.
   const FaultSchedule* faults = nullptr;
-  // Lossy transport: when > 0, every message (data and ack) is dropped with
-  // this probability and the protocol runs over the reliable channel
-  // (ack/timeout/retransmit, see sim/reliable.h).
-  double loss_probability = 0.0;
-  uint64_t loss_seed = 99;
-  double retransmit_timeout_s = 0.05;
-  size_t max_retries = 25;
-  // Shared BackoffJitter policy (common/retry.h) applied to ReliableChannel
-  // retransmission timeouts. 0 = legacy unjittered schedule bit-for-bit.
-  double retransmit_jitter = 0.0;
-  uint64_t retransmit_jitter_seed = 0x2545F4914F6CDD1DULL;
 };
 
 // Applies every spec of `device` in `specs` whose lie budget and seeded
@@ -93,15 +80,11 @@ class EdgeDeviceActor {
   using ResponseSink =
       std::function<void(size_t device, std::vector<double> response)>;
 
-  // `channel` may be null (perfect links); when set, responses ride the
-  // reliable ack/retransmit transport instead of raw network sends.
   EdgeDeviceActor(size_t index, const EdgeDevice& spec, EventQueue* queue,
                   Network* network, const SimOptions* options,
-                  Xoshiro256StarStar* straggler_rng, ResponseSink respond,
-                  ReliableChannel* channel = nullptr);
+                  Xoshiro256StarStar* straggler_rng, ResponseSink respond);
 
-  // Called (via the network) when the staged share arrives. Storage
-  // accounting: x (l values) + share ((l+1)·V_j values incl. result slots).
+  // Called (via the network) when the staged share arrives.
   void OnShareDelivered(Matrix<double> share);
 
   // Called when a query vector arrives; computes share·x over the device's
@@ -114,7 +97,6 @@ class EdgeDeviceActor {
 
   bool HasShare() const { return has_share_; }
   size_t index() const { return index_; }
-  const DeviceMetrics& metrics() const { return metrics_; }
 
  private:
   size_t index_;
@@ -124,38 +106,12 @@ class EdgeDeviceActor {
   const SimOptions* options_;
   Xoshiro256StarStar* straggler_rng_;
   ResponseSink respond_;
-  ReliableChannel* channel_;
   Matrix<double> share_;
   bool has_share_ = false;
   SimTime busy_until_ = 0.0;  // compute queue tail
-  DeviceMetrics metrics_;
   // ByzantineSpec bookkeeping: coin draws and lies told, per spec index.
   uint64_t byzantine_draws_ = 0;
   std::vector<size_t> byzantine_lies_;
-};
-
-// The user-side response collector: counts responses per device (in scheme
-// order) and fires `on_complete` once every participating device answered.
-class ResponseCollector {
- public:
-  ResponseCollector(size_t num_devices, std::function<void()> on_complete);
-
-  void OnResponse(size_t device, std::vector<double> response);
-
-  bool Complete() const { return received_ == responses_.size(); }
-  const std::vector<std::vector<double>>& responses() const {
-    return responses_;
-  }
-  // Arrival time of the last response (== query completion, pre-decode).
-  double last_arrival() const { return last_arrival_; }
-  void NoteArrivalTime(double when) { last_arrival_ = when; }
-
- private:
-  std::vector<std::vector<double>> responses_;
-  std::vector<bool> seen_;
-  size_t received_ = 0;
-  double last_arrival_ = 0.0;
-  std::function<void()> on_complete_;
 };
 
 }  // namespace scec::sim

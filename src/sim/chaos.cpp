@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "common/rng.h"
@@ -338,6 +339,9 @@ class SocketFleet {
     if (healer_.joinable()) healer_.join();
   }
 
+  // What device `d`'s daemon says it computed.
+  net::DeviceOps daemon_ops(size_t d) const { return daemons_[d]->ops(); }
+
   net::ChaosProxyStats stats() const {
     net::ChaosProxyStats sum;
     for (const auto& proxy : proxies_) {
@@ -552,6 +556,33 @@ void CheckFinalIncarnation(const ChaosMix& mix,
   }
 }
 
+// Invariant 3 on sockets: the transport bills a device only for answers
+// that device's daemon computed, so no op count of its ledger exceeds what
+// the in-process daemon counted.
+void CheckDaemonOps(const SocketFleet& sockets, ChaosEpisode* episode) {
+  const std::vector<net::DeviceOps>& billed = episode->transport.device_ops;
+  for (size_t d = 0; d < billed.size(); ++d) {
+    const net::DeviceOps computed = sockets.daemon_ops(d);
+    const std::tuple<const char*, uint64_t, uint64_t> counts[] = {
+        {"staged values", billed[d].staged_values, computed.staged_values},
+        {"mults", billed[d].mults, computed.mults},
+        {"adds", billed[d].adds, computed.adds},
+        {"values returned", billed[d].values_returned,
+         computed.values_returned},
+    };
+    for (const auto& [what, transport, daemon] : counts) {
+      if (transport > daemon) {
+        Fail(&ChaosInvariants::ledger,
+             "ledger: device " + std::to_string(d) + " " + what +
+                 ": transport counted " + std::to_string(transport) +
+                 ", daemon computed " + std::to_string(daemon),
+             episode);
+        return;
+      }
+    }
+  }
+}
+
 // Crash spec of a crash-injected episode, drawn AFTER the scenario so the
 // scenario itself stays bit-identical to the plain episode. Dispatch- and
 // response-pinned crashes strike within the first few shares; query-pinned
@@ -736,7 +767,10 @@ ChaosEpisode RunChaosEpisode(const ChaosConfig& config, size_t index,
   CheckSecurity(driver, &episode);
   CheckFinalIncarnation(mix, driver, *fleet.transport, sabotage,
                         /*ran_queries=*/true, &episode);
-  if (fleet.sockets) episode.proxies = fleet.sockets->stats();
+  if (fleet.sockets) {
+    episode.proxies = fleet.sockets->stats();
+    CheckDaemonOps(*fleet.sockets, &episode);
+  }
   episode.wall_s = wall.ElapsedSeconds();
   if (episode.wall_s > kEpisodeWallCapS) {
     Fail(&ChaosInvariants::liveness,

@@ -40,8 +40,12 @@
 //                  × l × 8 on both sides, the transport never sends more
 //                  queries than the driver dispatched, every response and
 //                  response byte the transport delivered was seen by the
-//                  driver or the sweep, and the driver never used more
-//                  response bytes than it saw;
+//                  driver or the sweep, the driver never used more
+//                  response bytes than it saw, and the transport's Eq. (1)
+//                  op ledger holds mults·(l−1) == adds·l per device with
+//                  its value counts summing to the byte totals. Over
+//                  sockets, no device's op count exceeds what its
+//                  in-process scecd says it computed;
 //   4. liveness  — the protocol terminates with an explicit outcome:
 //                  decoded, kInfeasible (fleet collapsed below k = 2) or
 //                  kInternal (recovery budget exhausted), within a wall

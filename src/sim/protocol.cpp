@@ -28,29 +28,8 @@ ScecProtocol::ScecProtocol(const Deployment<double>* deployment,
   BuildTopology();
 }
 
-void ScecProtocol::SendMsg(NodeId from, NodeId to, uint64_t bytes,
-                           EventQueue::Callback on_delivered) {
-  if (channel_ != nullptr) {
-    channel_->Send(from, to, bytes, std::move(on_delivered),
-                   /*on_failure=*/
-                   []() {
-                     SCEC_CHECK(false)
-                         << "reliable transfer exhausted its retry budget";
-                   },
-                   options_.retransmit_timeout_s, options_.max_retries);
-  } else {
-    network_.Send(from, to, bytes, std::move(on_delivered));
-  }
-}
-
 void ScecProtocol::BuildTopology() {
-  if (options_.loss_probability > 0.0) {
-    channel_ = std::make_unique<ReliableChannel>(
-        &queue_, &network_, options_.loss_probability, options_.loss_seed,
-        options_.retransmit_jitter, options_.retransmit_jitter_seed);
-  }
-  // Star topology around the user, plus cloud links for staging. Reverse
-  // links exist for every pair we send on, so acks (lossy mode) can ride.
+  // Star topology around the user, plus cloud links for staging.
   for (size_t d = 0; d < specs_.size(); ++d) {
     const EdgeDevice& spec = specs_[d];
     const NodeId node = DeviceNode(d);
@@ -71,34 +50,23 @@ void ScecProtocol::BuildTopology() {
                 "device_response", query_start_, queue_.now() - query_start_,
                 /*tid=*/device);
           }
-          if (stream_inbox_ != nullptr) {
-            (*stream_inbox_)[device].emplace_back(queue_.now(),
-                                                  std::move(response));
-            return;
-          }
-          collector_->NoteArrivalTime(queue_.now());
-          collector_->OnResponse(device, std::move(response));
-        },
-        channel_.get()));
+          inbox_[device].emplace_back(queue_.now(), std::move(response));
+        }));
   }
 }
 
 void ScecProtocol::Stage() {
   SCEC_CHECK(!staged_) << "Stage() must run exactly once";
-  uint64_t total_bytes = 0;
   for (size_t d = 0; d < devices_.size(); ++d) {
     const Matrix<double>& share = deployment_->shares[d].coded_rows;
     const uint64_t bytes = static_cast<uint64_t>(
         static_cast<double>(share.size()) * options_.value_bytes);
-    total_bytes += bytes;
     EdgeDeviceActor* device = devices_[d].get();
-    SendMsg(kCloudNode, DeviceNode(d), bytes,
+    network_.Send(kCloudNode, DeviceNode(d), bytes,
                   [device, share]() { device->OnShareDelivered(share); });
   }
   const SimTime stage_start = queue_.now();
   queue_.RunUntilEmpty();
-  metrics_.staging_completion_time = queue_.now();
-  metrics_.staging_bytes = total_bytes;
   if (obs::Tracer::Enabled()) {
     obs::Tracer::Global().RecordSimSpan("stage", stage_start,
                                         queue_.now() - stage_start,
@@ -111,61 +79,12 @@ void ScecProtocol::Stage() {
 }
 
 std::vector<double> ScecProtocol::RunQuery(const std::vector<double>& x) {
-  SCEC_CHECK(staged_) << "RunQuery() requires Stage() first";
-  SCEC_CHECK_EQ(x.size(), deployment_->l);
-
-  const SimTime query_start = queue_.now();
-  query_start_ = query_start;
-  collector_ = std::make_unique<ResponseCollector>(devices_.size(), nullptr);
-
-  // Phase 2: broadcast x (one unicast per device over its downlink).
-  const uint64_t x_bytes = static_cast<uint64_t>(
-      static_cast<double>(x.size()) * options_.value_bytes);
-  for (size_t d = 0; d < devices_.size(); ++d) {
-    EdgeDeviceActor* device = devices_[d].get();
-    SendMsg(kUserNode, DeviceNode(d), x_bytes,
-                  [device, x]() { device->OnQueryDelivered(x); });
-    metrics_.query_uplink_bytes += x_bytes;
-  }
-  queue_.RunUntilEmpty();
-  SCEC_CHECK(collector_->Complete()) << "devices failed to respond";
-
-  // Phase 3: decode. The subtraction decoder performs exactly m
-  // subtractions (§IV-B); we account them and verify against the direct
-  // product in SimulateQuery (simulation.h).
-  const std::vector<double> y =
-      ConcatenateResponses(deployment_->plan.scheme, collector_->responses());
-  std::vector<double> result =
-      SubtractionDecode(deployment_->code, std::span<const double>(y));
-
-  if (obs::Tracer::Enabled()) {
-    obs::Tracer& tracer = obs::Tracer::Global();
-    tracer.RecordSimSpan("query", query_start,
-                         collector_->last_arrival() - query_start,
-                         ProtocolTid(devices_.size()));
-    tracer.RecordSimInstant("decode", collector_->last_arrival(),
-                            ProtocolTid(devices_.size()));
-  }
-  metrics_.query_completion_time = collector_->last_arrival() - query_start;
-  metrics_.decode_subtractions += deployment_->code.m();
-  for (const std::vector<double>& response : collector_->responses()) {
-    metrics_.query_downlink_bytes += static_cast<uint64_t>(
-        static_cast<double>(response.size()) * options_.value_bytes);
-  }
-  metrics_.devices.clear();
-  for (const auto& device : devices_) {
-    metrics_.devices.push_back(device->metrics());
-  }
-  return result;
+  return RunQueryStream({x}).decoded[0];
 }
 
 ScecProtocol::StreamResult ScecProtocol::RunQueryStream(
     const std::vector<std::vector<double>>& xs) {
   SCEC_CHECK(staged_) << "RunQueryStream() requires Stage() first";
-  // Stream mode matches responses to queries by per-device arrival ORDER;
-  // retransmissions can reorder responses, so it requires loss-free links.
-  SCEC_CHECK(channel_ == nullptr)
-      << "RunQueryStream() does not support lossy links";
   const size_t num_queries = xs.size();
   SCEC_CHECK_GE(num_queries, 1u);
   for (const auto& x : xs) SCEC_CHECK_EQ(x.size(), deployment_->l);
@@ -174,12 +93,7 @@ ScecProtocol::StreamResult ScecProtocol::RunQueryStream(
   query_start_ = start;
   const size_t devices = devices_.size();
 
-  // Per-device FIFO of (arrival time, response). Ordered channels: the q-th
-  // response from device d answers query q.
-  std::vector<std::vector<std::pair<SimTime, std::vector<double>>>> inbox(
-      devices);
-  collector_.reset();  // not used in stream mode
-  stream_inbox_ = &inbox;
+  inbox_.assign(devices, {});
 
   const uint64_t x_bytes = static_cast<uint64_t>(
       static_cast<double>(deployment_->l) * options_.value_bytes);
@@ -187,14 +101,13 @@ ScecProtocol::StreamResult ScecProtocol::RunQueryStream(
     const std::vector<double>& x = xs[q];
     for (size_t d = 0; d < devices; ++d) {
       EdgeDeviceActor* device = devices_[d].get();
-      SendMsg(kUserNode, DeviceNode(d), x_bytes,
+      network_.Send(kUserNode, DeviceNode(d), x_bytes,
                     [device, x]() { device->OnQueryDelivered(x); });
-      metrics_.query_uplink_bytes += x_bytes;
     }
   }
   queue_.RunUntilEmpty();
-  stream_inbox_ = nullptr;
 
+  // Phase 3 per query: decode, exactly m subtractions (§IV-B).
   StreamResult result;
   result.decoded.reserve(num_queries);
   result.completion_times.reserve(num_queries);
@@ -202,16 +115,20 @@ ScecProtocol::StreamResult ScecProtocol::RunQueryStream(
     std::vector<std::vector<double>> responses(devices);
     SimTime last_arrival = 0.0;
     for (size_t d = 0; d < devices; ++d) {
-      SCEC_CHECK_EQ(inbox[d].size(), num_queries)
+      SCEC_CHECK_EQ(inbox_[d].size(), num_queries)
           << "device " << d << " answered a different number of queries";
-      last_arrival = std::max(last_arrival, inbox[d][q].first);
-      responses[d] = inbox[d][q].second;
+      last_arrival = std::max(last_arrival, inbox_[d][q].first);
+      responses[d] = std::move(inbox_[d][q].second);
     }
     const std::vector<double> y =
         ConcatenateResponses(deployment_->plan.scheme, responses);
     result.decoded.push_back(
         SubtractionDecode(deployment_->code, std::span<const double>(y)));
     result.completion_times.push_back(last_arrival - start);
+    if (obs::Tracer::Enabled()) {
+      obs::Tracer::Global().RecordSimSpan("query", start, last_arrival - start,
+                                          ProtocolTid(devices));
+    }
   }
   result.makespan = queue_.now() - start;
   return result;

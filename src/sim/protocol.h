@@ -10,6 +10,11 @@
 // ScecProtocol owns the actors and wires them through the Network. It runs
 // against a `Deployment<double>` from core/pipeline.h, so the exact same
 // planning/encoding path is exercised in-process and under simulation.
+//
+// A sequential run (one query at a time, with or without faults or loss)
+// goes through the protocol driver over net::SimTransport instead; this
+// class remains for what the driver cannot do yet: several queries in
+// flight at once (RunQueryStream, bench/sim_throughput).
 
 #pragma once
 
@@ -18,8 +23,6 @@
 
 #include "core/pipeline.h"
 #include "sim/actors.h"
-#include "sim/metrics.h"
-#include "sim/reliable.h"
 
 namespace scec::sim {
 
@@ -27,21 +30,21 @@ class ScecProtocol {
  public:
   // `fleet_specs` must contain one EdgeDevice per *participating* device of
   // the deployment, in scheme order (the planner's `participating` indices
-  // resolve fleet devices; SimulateQuery in simulation.h does this mapping).
+  // resolve fleet devices).
   ScecProtocol(const Deployment<double>* deployment,
                std::vector<EdgeDevice> fleet_specs, SimOptions options);
 
   // Phase 1. Runs the event queue to completion of staging.
   void Stage();
 
-  // Phases 2–3 for one query. Returns the decoded A·x.
+  // Phases 2–3 for one query (a stream of one). Returns the decoded A·x.
   std::vector<double> RunQuery(const std::vector<double>& x);
 
   // Pipelined execution of several queries: all are dispatched back-to-back
   // (links and single-core devices queue them), responses are matched to
-  // queries by per-device arrival order. Throughput beats sequential
-  // RunQuery calls because transfer and compute of consecutive queries
-  // overlap across devices.
+  // queries by per-device arrival order over the loss-free, in-order links.
+  // Throughput beats sequential RunQuery calls because transfer and compute
+  // of consecutive queries overlap across devices.
   struct StreamResult {
     std::vector<std::vector<double>> decoded;   // one A·x per query
     std::vector<double> completion_times;       // per query, since dispatch
@@ -49,20 +52,10 @@ class ScecProtocol {
   };
   StreamResult RunQueryStream(const std::vector<std::vector<double>>& xs);
 
-  const RunMetrics& metrics() const { return metrics_; }
   EventQueue& queue() { return queue_; }
-  Network& network() { return network_; }
-
 
  private:
   void BuildTopology();
-
-  // Sends a message over the raw network or, under lossy options, the
-  // reliable channel. A transfer that exhausts its retry budget aborts the
-  // simulation — the base protocol (like the paper) requires every selected
-  // device to eventually answer; tune max_retries for the loss rate.
-  void SendMsg(NodeId from, NodeId to, uint64_t bytes,
-               EventQueue::Callback on_delivered);
 
   const Deployment<double>* deployment_;
   std::vector<EdgeDevice> specs_;
@@ -70,15 +63,11 @@ class ScecProtocol {
 
   EventQueue queue_;
   Network network_{&queue_};
-  std::unique_ptr<ReliableChannel> channel_;  // non-null iff lossy links
   Xoshiro256StarStar straggler_rng_;
   std::vector<std::unique_ptr<EdgeDeviceActor>> devices_;
-  std::unique_ptr<ResponseCollector> collector_;
-  // When non-null (stream mode), device responses append here — per-device
-  // FIFO of (arrival time, values) — instead of feeding `collector_`.
-  std::vector<std::vector<std::pair<SimTime, std::vector<double>>>>*
-      stream_inbox_ = nullptr;
-  RunMetrics metrics_;
+  // Per-device FIFO of (arrival time, response): the q-th response from
+  // device d answers the stream's query q.
+  std::vector<std::vector<std::pair<SimTime, std::vector<double>>>> inbox_;
   bool staged_ = false;
   // Dispatch time of the in-flight query (or stream), so the per-device
   // response callback can emit a sim-time span without plumbing state

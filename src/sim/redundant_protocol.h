@@ -14,7 +14,6 @@
 #include "core/pipeline.h"
 #include "core/redundancy.h"
 #include "sim/actors.h"
-#include "sim/metrics.h"
 
 namespace scec::sim {
 

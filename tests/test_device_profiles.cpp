@@ -7,7 +7,7 @@
 #include "allocation/cost_model.h"
 #include "core/pipeline.h"
 #include "linalg/matrix_ops.h"
-#include "sim/simulation.h"
+#include "recovery/coordinator.h"
 
 namespace scec {
 namespace {
@@ -85,9 +85,15 @@ TEST(DeviceProfiles, CampusFleetRunsTheFullPipeline) {
   ChaCha20Rng coding_rng(9);
   const auto a = RandomMatrix<double>(problem.m, problem.l, rng);
   const auto x = RandomVector<double>(problem.l, rng);
-  const auto result = sim::SimulateScec(problem, a, x, coding_rng);
+  const auto deployment = Deploy(problem, a, coding_rng);
+  ASSERT_TRUE(deployment.ok()) << deployment.status();
+  recovery::SimDriver run(*deployment, a, problem.fleet);
+  const auto result = run.driver.Query(x);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->metrics.decoded_correctly);
+  const auto expected = MatVec(a, std::span<const double>(x));
+  EXPECT_LT(MaxAbsDiff(std::span<const double>(*result),
+                       std::span<const double>(expected)),
+            1e-9);
 }
 
 TEST(DeviceProfiles, UnitCostOrderingMatchesIntuition) {

@@ -9,9 +9,9 @@
 #include "coding/result_verify.h"
 #include "common/retry.h"
 #include "linalg/matrix_ops.h"
-#include "sim/faults.h"
-#include "sim/protocol.h"
+#include "op_ledger_cost.h"
 #include "recovery/coordinator.h"
+#include "sim/faults.h"
 #include "workload/distributions.h"
 
 namespace scec::sim {
@@ -426,32 +426,34 @@ TEST(FaultTolerantProtocol, InfeasibleWhenFleetCollapses) {
 }
 
 TEST(FaultTolerantProtocol, FaultFreeCostMatchesPlainProtocol) {
-  // Without faults the driver performs the same staging and the same
-  // per-device work as the base protocol — detection must be free when
-  // nothing fails.
+  // Without faults the driver stages every planned row once and does the
+  // planned per-device work once: its Eq. (1) bill, rebuilt from the op
+  // ledger, is the planner's objective — detection is free when nothing
+  // fails.
   Rig rig(16, 5, 8, 39);
-  std::vector<EdgeDevice> participating_specs;
-  for (size_t fleet_index : rig.deployment.plan.participating) {
-    participating_specs.push_back(rig.problem.fleet[fleet_index]);
-  }
-  ScecProtocol base(&rig.deployment, participating_specs, {});
-  base.Stage();
-  (void)base.RunQuery(rig.x);
-
   SimDriver run(rig.deployment, rig.a, rig.problem.fleet);
   ExpectDecodes(rig, run.driver.Query(rig.x));
   const net::NetCoordinatorStats& stats = run.driver.stats();
+  const Plan& plan = rig.deployment.plan;
 
-  EXPECT_EQ(stats.staged_value_bytes,
-            static_cast<double>(base.metrics().staging_bytes));
-  EXPECT_EQ(stats.query_value_bytes,
-            static_cast<double>(base.metrics().query_uplink_bytes));
-  EXPECT_EQ(stats.response_value_bytes,
-            static_cast<double>(base.metrics().query_downlink_bytes));
+  EXPECT_EQ(stats.base_plan_cost, plan.allocation.total_cost);
+  const double bill =
+      OpLedgerCost(run.transport.stats(), rig.problem.fleet, rig.problem.l);
+  EXPECT_NEAR(bill, PlannedBill(plan, rig.problem.fleet, rig.problem.l),
+              1e-9 * (1.0 + bill));
+  uint64_t share_values = 0;
+  for (const auto& share : rig.deployment.shares) {
+    share_values += share.coded_rows.size();
+  }
+  EXPECT_EQ(stats.staged_value_bytes, 8.0 * share_values);
   // One sub-query per participating device, each answer used once.
-  EXPECT_EQ(stats.dispatches, base.metrics().devices.size());
-  EXPECT_EQ(stats.responses_used, base.metrics().devices.size());
+  EXPECT_EQ(stats.dispatches, plan.participating.size());
+  EXPECT_EQ(stats.responses_used, plan.participating.size());
+  EXPECT_EQ(stats.retries + stats.timeouts + stats.recovery_rounds, 0u);
   EXPECT_EQ(run.transport.stats().queries_sent, stats.dispatches);
+  EXPECT_EQ(net::ReconcileLedgers(stats, run.transport.stats(),
+                                  rig.problem.l),
+            "");
 }
 
 // --- Hedged queries -----------------------------------------------------

@@ -1,15 +1,17 @@
 // SPDX-License-Identifier: MIT
 //
 // Cross-module integration tests: the full MCSCEC framework — plan, encode,
-// verify ITS, simulate the protocol, mount attacks, and reconcile the
-// simulator's accounting with the analytic cost model the optimiser used.
+// verify ITS, serve a query through the protocol driver over the simulated
+// fleet, mount attacks, and reconcile the transport's op ledger with the
+// analytic cost model the optimiser used.
 
 #include <gtest/gtest.h>
 
 #include "core/scec.h"
+#include "op_ledger_cost.h"
+#include "recovery/coordinator.h"
 #include "security/collusion_attack.h"
 #include "security/eavesdropper.h"
-#include "sim/simulation.h"
 #include "workload/distributions.h"
 #include "workload/experiment.h"
 
@@ -47,20 +49,21 @@ TEST(Integration, PlanEncodeSimulateAttackPipeline) {
   const auto deployment = Deploy(problem, a, coding_rng);
   ASSERT_TRUE(deployment.ok()) << deployment.status();
 
-  // 2. Simulated protocol decodes correctly.
-  std::vector<EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
+  // 2. The driver decodes correctly over the simulated fleet.
   const auto x = RandomVector<double>(problem.l, drng);
-  const auto sim = sim::SimulateDeployment(*deployment, specs, a, x);
-  ASSERT_TRUE(sim.ok()) << sim.status();
-  EXPECT_TRUE(sim->metrics.decoded_correctly);
+  recovery::SimDriver run(*deployment, a, problem.fleet);
+  const auto decoded = run.driver.Query(x);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const auto expected = MatVec(a, std::span<const double>(x));
+  EXPECT_LT(MaxAbsDiff(std::span<const double>(*decoded),
+                       std::span<const double>(expected)),
+            1e-9);
 
-  // 3. The simulator's per-device row counts match the optimiser's plan.
-  for (size_t d = 0; d < sim->metrics.devices.size(); ++d) {
-    EXPECT_EQ(sim->metrics.devices[d].coded_rows,
-              deployment->plan.scheme.row_counts[d]);
+  // 3. The rows staged on each device match the optimiser's plan.
+  const auto& ops = run.transport.stats().device_ops;
+  for (size_t d = 0; d < deployment->plan.participating.size(); ++d) {
+    EXPECT_EQ(ops[deployment->plan.participating[d]].staged_values,
+              deployment->plan.scheme.row_counts[d] * problem.l);
   }
 
   // 4. Every device fails the strongest linear attack.
@@ -72,36 +75,26 @@ TEST(Integration, PlanEncodeSimulateAttackPipeline) {
 }
 
 TEST(Integration, SimulatorAccountingReproducesPlannedCost) {
-  // Rebuild Eq. (1) from the simulator's raw counters using each device's
-  // resource prices; the result must equal the planner's objective value
-  // plus the fixed Σ l·c^s term.
+  // Rebuild Eq. (1) from the transport's op ledger using each device's
+  // resource prices; one query's bill must equal the planner's objective
+  // value plus the fixed Σ l·c^s term.
   const McscecProblem problem = MakeFleetProblem(30, 8, 10, 2);
   ChaCha20Rng coding_rng(200);
   Xoshiro256StarStar drng(201);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
   const auto x = RandomVector<double>(problem.l, drng);
-  const auto sim = sim::SimulateScec(problem, a, x, coding_rng);
-  ASSERT_TRUE(sim.ok());
+  const auto deployment = Deploy(problem, a, coding_rng);
+  ASSERT_TRUE(deployment.ok());
+  recovery::SimDriver run(*deployment, a, problem.fleet);
+  ASSERT_TRUE(run.driver.Query(x).ok());
 
   // Planner's view.
   const auto plan = PlanMcscec(problem);
   ASSERT_TRUE(plan.ok());
 
-  // Rebuild total variable cost from simulator counters:
-  //   Σ_j V_j·c_j  =  Σ_j [ (l+1)V_j·c^s + V_j·l·c^m + V_j(l−1)c^a + V_j·c^d ]
-  double rebuilt = 0.0;
-  for (size_t d = 0; d < sim->metrics.devices.size(); ++d) {
-    const auto& counters = sim->metrics.devices[d];
-    const size_t fleet_idx = plan->participating[d];
-    const ResourceCosts& prices = problem.fleet[fleet_idx].costs;
-    const double stored_variable =
-        static_cast<double>(counters.stored_values - problem.l);
-    rebuilt += stored_variable * prices.storage +
-               static_cast<double>(counters.multiplications) * prices.mul +
-               static_cast<double>(counters.additions) * prices.add +
-               static_cast<double>(counters.values_sent) * prices.comm;
-  }
-  EXPECT_NEAR(rebuilt, plan->allocation.total_cost,
+  const double rebuilt =
+      OpLedgerCost(run.transport.stats(), problem.fleet, problem.l);
+  EXPECT_NEAR(rebuilt, PlannedBill(*plan, problem.fleet, problem.l),
               1e-9 * (1.0 + rebuilt));
 }
 

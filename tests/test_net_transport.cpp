@@ -23,6 +23,7 @@
 #include "net/scecd.h"
 #include "net/sim_transport.h"
 #include "net/socket_transport.h"
+#include "op_ledger_cost.h"
 #include "recovery/crash.h"
 #include "recovery/journal.h"
 #include "sim/faults.h"
@@ -500,12 +501,32 @@ TEST(NetCoordinator, LedgerReconcilesStagedAndResponseBytesExactly) {
   forged.response_value_bytes_delivered += 8;
   EXPECT_NE(ReconcileLedgers(driver, forged, l).find("response bytes"),
             std::string::npos);
-  // Bytes drained after the driver stopped polling balance the books.
+  // A one-value response drained after the driver stopped polling balances
+  // the books, once its device's op ledger bills it too.
   forged.responses_delivered += 1;
+  EXPECT_NE(ReconcileLedgers(driver, forged, l, 1, 8).find("returned values"),
+            std::string::npos);
+  DeviceOps& swept_ops = forged.device_ops[2];
+  swept_ops.values_returned += 1;
+  swept_ops.mults += l;
+  swept_ops.adds += l - 1;
   EXPECT_EQ(ReconcileLedgers(driver, forged, l, 1, 8), "");
   NetCoordinatorStats overused = driver;
   overused.response_value_bytes += 8;
   EXPECT_NE(ReconcileLedgers(overused, transport.stats(), l), "");
+
+  // The op ledger: a forged value count breaks its byte total, and a forged
+  // op count breaks the device's Eq. (1) identity, naming the device.
+  forged = transport.stats();
+  forged.device_ops[1].staged_values += 1;
+  EXPECT_NE(ReconcileLedgers(driver, forged, l).find("staged values"),
+            std::string::npos);
+  for (uint64_t DeviceOps::*count : {&DeviceOps::mults, &DeviceOps::adds}) {
+    forged = transport.stats();
+    forged.device_ops[3].*count += 1;
+    EXPECT_NE(ReconcileLedgers(driver, forged, l).find("device 3 ops"),
+              std::string::npos);
+  }
 }
 
 // Forwards everything to a SimTransport, except that StageShare call number
@@ -763,6 +784,68 @@ TEST(NetCoordinator, MasksLyingScecdInOneRoundWithOneGuard) {
               sim::DeviceStanding::kQuarantined);
     EXPECT_TRUE(coordinator.VerifyCumulativeSecurity().all_secure);
     (void)transport.Drain(1.0);
+  }
+}
+
+// --- The Eq. (1) bill of a fault-free query, from the op ledger -----------
+
+// A problem whose devices price every Eq. (1) resource, so each op class
+// moves the bill.
+McscecProblem PricedProblem(size_t k, size_t m, size_t l) {
+  std::vector<EdgeDevice> specs = MakeSpecs(k);
+  for (size_t d = 0; d < k; ++d) {
+    specs[d].costs.storage = 0.01 + 0.002 * static_cast<double>(d);
+    specs[d].costs.add = 0.001;
+    specs[d].costs.mul = 0.002 + 0.0005 * static_cast<double>(d % 3);
+  }
+  McscecProblem problem;
+  problem.m = m;
+  problem.l = l;
+  problem.fleet = DeviceFleet{std::move(specs)};
+  return problem;
+}
+
+// Serves one fault-free query of a planned deployment over `transport` and
+// checks the bill rebuilt from the transport's op ledger.
+void ExpectPlannedBill(const McscecProblem& problem, Transport* transport) {
+  const Matrix<double> a = MakeMatrix(problem.m, problem.l);
+  ChaCha20Rng coding_rng(13);
+  auto session = DeploymentSession<double>::Open(problem, a, coding_rng);
+  ASSERT_TRUE(session.ok()) << session.status();
+  NetCoordinator coordinator(*session, a, problem.fleet,
+                             IdentityDriverOptions());
+  ASSERT_TRUE(coordinator.Setup(transport).ok());
+  ASSERT_TRUE(coordinator.Query(std::vector<double>(problem.l, 0.5)).ok());
+  (void)transport->Drain(1.0);
+  EXPECT_EQ(coordinator.stats().retries, 0u);
+  EXPECT_EQ(ReconcileLedgers(coordinator.stats(), transport->stats(),
+                             problem.l),
+            "");
+  const double bill =
+      OpLedgerCost(transport->stats(), problem.fleet, problem.l);
+  EXPECT_NEAR(bill, PlannedBill(session->plan(), problem.fleet, problem.l),
+              1e-9 * (1.0 + bill));
+}
+
+TEST(NetCoordinator, FaultFreeOpLedgerBillsThePlannedCostInSim) {
+  const McscecProblem problem = PricedProblem(6, 12, 7);
+  SimTransport transport(problem.fleet.devices(), SimTransportOptions{});
+  ExpectPlannedBill(problem, &transport);
+}
+
+TEST(NetCoordinator, FaultFreeOpLedgerBillsThePlannedCostOverScecd) {
+  const McscecProblem problem = PricedProblem(6, 12, 7);
+  Cluster cluster(problem.fleet.size());
+  SocketTransport transport(cluster.ports, SocketTransportOptions{});
+  ExpectPlannedBill(problem, &transport);
+  // The transport bills no more than each daemon computed.
+  for (size_t d = 0; d < cluster.daemons.size(); ++d) {
+    const DeviceOps computed = cluster.daemons[d]->ops();
+    const DeviceOps& billed = transport.stats().device_ops[d];
+    EXPECT_EQ(billed.staged_values, computed.staged_values) << d;
+    EXPECT_EQ(billed.mults, computed.mults) << d;
+    EXPECT_EQ(billed.adds, computed.adds) << d;
+    EXPECT_EQ(billed.values_returned, computed.values_returned) << d;
   }
 }
 

@@ -1,10 +1,16 @@
 // SPDX-License-Identifier: MIT
+//
+// SCEC over the simulated fleet: sequential runs through the protocol
+// driver (net/driver.h over net/sim_transport.h), and the pipelined
+// ScecProtocol that still keeps several queries in flight.
 
 #include "sim/protocol.h"
 
 #include <gtest/gtest.h>
 
-#include "sim/simulation.h"
+#include "net/driver.h"
+#include "net/sim_transport.h"
+#include "recovery/coordinator.h"
 #include "workload/distributions.h"
 
 namespace scec::sim {
@@ -31,60 +37,79 @@ McscecProblem MakeProblem(size_t m, size_t l, size_t k, uint64_t seed) {
   return problem;
 }
 
-TEST(SimProtocol, DecodesCorrectly) {
-  const McscecProblem problem = MakeProblem(24, 8, 10, 1);
-  ChaCha20Rng coding_rng(10);
-  Xoshiro256StarStar drng(11);
-  const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
-  const auto x = RandomVector<double>(problem.l, drng);
-  const auto result = SimulateScec(problem, a, x, coding_rng);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->metrics.decoded_correctly);
+// Plans and encodes `problem` (TA1/TA2 via kAuto).
+Deployment<double> Planned(const McscecProblem& problem,
+                           const Matrix<double>& a, uint64_t seed) {
+  ChaCha20Rng coding_rng(seed);
+  auto deployment = Deploy(problem, a, coding_rng);
+  SCEC_CHECK(deployment.ok()) << deployment.status();
+  return *std::move(deployment);
+}
+
+void ExpectProduct(const Matrix<double>& a, const std::vector<double>& x,
+                   const Result<std::vector<double>>& decoded) {
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
   const auto expected = MatVec(a, std::span<const double>(x));
-  EXPECT_LT(MaxAbsDiff(std::span<const double>(result->decoded),
+  EXPECT_LT(MaxAbsDiff(std::span<const double>(*decoded),
                        std::span<const double>(expected)),
             1e-9);
 }
 
+TEST(SimProtocol, DecodesCorrectly) {
+  const McscecProblem problem = MakeProblem(24, 8, 10, 1);
+  Xoshiro256StarStar drng(11);
+  const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
+  const auto x = RandomVector<double>(problem.l, drng);
+  recovery::SimDriver run(Planned(problem, a, 10), a, problem.fleet);
+  ExpectProduct(a, x, run.driver.Query(x));
+}
+
 TEST(SimProtocol, AccountingMatchesEquationOne) {
-  // The simulator's per-device counters must reproduce Eq. (1)'s units:
-  // storage l + (l+1)V, multiplications V·l, additions V·(l−1), sent V.
+  // The transport's per-device op ledger must reproduce Eq. (1)'s units:
+  // V·l values staged, V·l multiplications, V·(l−1) additions, V sent.
   const McscecProblem problem = MakeProblem(30, 6, 8, 2);
-  ChaCha20Rng coding_rng(20);
   Xoshiro256StarStar drng(21);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
   const auto x = RandomVector<double>(problem.l, drng);
-  const auto result = SimulateScec(problem, a, x, coding_rng);
-  ASSERT_TRUE(result.ok());
+  const Deployment<double> deployment = Planned(problem, a, 20);
+  recovery::SimDriver run(deployment, a, problem.fleet);
+  ASSERT_TRUE(run.driver.Query(x).ok());
 
+  const std::vector<net::DeviceOps>& ops = run.transport.stats().device_ops;
+  ASSERT_EQ(ops.size(), problem.fleet.size());
   const uint64_t l = problem.l;
   uint64_t total_rows = 0;
-  for (const DeviceMetrics& device : result->metrics.devices) {
-    const uint64_t v = device.coded_rows;
+  std::vector<bool> serving(problem.fleet.size(), false);
+  for (size_t d = 0; d < deployment.plan.participating.size(); ++d) {
+    const size_t device = deployment.plan.participating[d];
+    serving[device] = true;
+    const uint64_t v = deployment.plan.scheme.row_counts[d];
     EXPECT_GE(v, 1u);
-    EXPECT_EQ(device.stored_values, l + (l + 1) * v);
-    EXPECT_EQ(device.multiplications, v * l);
-    EXPECT_EQ(device.additions, v * (l - 1));
-    EXPECT_EQ(device.values_sent, v);
+    EXPECT_EQ(ops[device].staged_values, v * l);
+    EXPECT_EQ(ops[device].mults, v * l);
+    EXPECT_EQ(ops[device].adds, v * (l - 1));
+    EXPECT_EQ(ops[device].values_returned, v);
     total_rows += v;
   }
+  for (size_t device = 0; device < ops.size(); ++device) {
+    if (serving[device]) continue;
+    EXPECT_EQ(ops[device].staged_values + ops[device].mults, 0u)
+        << "device " << device << " holds no share";
+  }
   // Total coded rows must be m + r.
-  EXPECT_GT(total_rows, problem.m);
-  // Decode is exactly m subtractions (§IV-B).
-  EXPECT_EQ(result->metrics.decode_subtractions, problem.m);
+  EXPECT_EQ(total_rows, problem.m + deployment.code.r());
 }
 
 TEST(SimProtocol, CompletionTimeIsPositiveAndBounded) {
   const McscecProblem problem = MakeProblem(16, 4, 6, 3);
-  ChaCha20Rng coding_rng(30);
   Xoshiro256StarStar drng(31);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
   const auto x = RandomVector<double>(problem.l, drng);
-  const auto result = SimulateScec(problem, a, x, coding_rng);
-  ASSERT_TRUE(result.ok());
-  EXPECT_GT(result->metrics.staging_completion_time, 0.0);
-  EXPECT_GT(result->metrics.query_completion_time, 0.0);
-  EXPECT_LT(result->metrics.query_completion_time, 10.0)
+  recovery::SimDriver run(Planned(problem, a, 30), a, problem.fleet);
+  EXPECT_GT(run.transport.Now(), 0.0) << "staging takes simulated time";
+  ASSERT_TRUE(run.driver.Query(x).ok());
+  EXPECT_GT(run.driver.stats().last_query_s, 0.0);
+  EXPECT_LT(run.driver.stats().last_query_s, 10.0)
       << "sanity ceiling for these link rates";
 }
 
@@ -93,62 +118,60 @@ TEST(SimProtocol, StragglersOnlySlowThingsDown) {
   Xoshiro256StarStar drng(41);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
   const auto x = RandomVector<double>(problem.l, drng);
+  const Deployment<double> deployment = Planned(problem, a, 50);
 
-  ChaCha20Rng rng_a(50);
-  SimOptions fast;
-  const auto base = SimulateScec(problem, a, x, rng_a, fast);
-  ASSERT_TRUE(base.ok());
+  recovery::SimDriver fast(deployment, a, problem.fleet);
+  ASSERT_TRUE(fast.driver.Query(x).ok());
 
-  ChaCha20Rng rng_b(50);
-  SimOptions slow;
+  net::SimTransportOptions slow;
   slow.straggler.kind = StragglerKind::kExponentialSlowdown;
   slow.straggler.rate = 0.5;  // heavy stragglers
-  const auto straggly = SimulateScec(problem, a, x, rng_b, slow);
-  ASSERT_TRUE(straggly.ok());
-
-  EXPECT_TRUE(straggly->metrics.decoded_correctly)
-      << "stragglers delay but never corrupt";
-  EXPECT_GE(straggly->metrics.query_completion_time,
-            base->metrics.query_completion_time);
+  recovery::SimDriver straggly(deployment, a, problem.fleet, slow);
+  ExpectProduct(a, x, straggly.driver.Query(x));
+  EXPECT_GE(straggly.driver.stats().last_query_s,
+            fast.driver.stats().last_query_s);
 }
 
 TEST(SimProtocol, BytesMatchValueCounts) {
   const McscecProblem problem = MakeProblem(20, 5, 7, 5);
-  ChaCha20Rng coding_rng(60);
   Xoshiro256StarStar drng(61);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
   const auto x = RandomVector<double>(problem.l, drng);
-  const auto result = SimulateScec(problem, a, x, coding_rng);
-  ASSERT_TRUE(result.ok());
-  const auto& metrics = result->metrics;
+  const Deployment<double> deployment = Planned(problem, a, 60);
+  recovery::SimDriver run(deployment, a, problem.fleet);
+  ASSERT_TRUE(run.driver.Query(x).ok());
+  const net::NetTransportStats& stats = run.transport.stats();
+  uint64_t values_returned = 0;
+  for (const net::DeviceOps& ops : stats.device_ops) {
+    values_returned += ops.values_returned;
+  }
   // Response bytes = (m + r) values * 8 bytes.
-  EXPECT_EQ(metrics.query_downlink_bytes, metrics.TotalValuesSent() * 8);
+  EXPECT_EQ(values_returned, problem.m + deployment.code.r());
+  EXPECT_EQ(stats.response_value_bytes_delivered, values_returned * 8);
   // Broadcast bytes = one x per participating device.
-  EXPECT_EQ(metrics.query_uplink_bytes,
-            metrics.devices.size() * problem.l * 8);
+  EXPECT_EQ(stats.query_value_bytes_sent,
+            deployment.shares.size() * problem.l * 8);
   // Staging moved every coded value exactly once.
   uint64_t share_values = 0;
-  for (const auto& device : metrics.devices) {
-    share_values += device.coded_rows * problem.l;
+  for (const auto& share : deployment.shares) {
+    share_values += share.coded_rows.size();
   }
-  EXPECT_EQ(metrics.staging_bytes, share_values * 8);
+  EXPECT_EQ(stats.staged_value_bytes, share_values * 8);
 }
 
 TEST(SimProtocol, LowerLevelApiRunsAgainstExistingDeployment) {
+  // A hand-held deployment enters the driver through DeploymentSession.
   const McscecProblem problem = MakeProblem(10, 3, 5, 6);
-  ChaCha20Rng coding_rng(70);
   Xoshiro256StarStar drng(71);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
-  const auto deployment = Deploy(problem, a, coding_rng);
-  ASSERT_TRUE(deployment.ok());
-  std::vector<EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
+  const auto session =
+      DeploymentSession<double>::Adopt(Planned(problem, a, 70));
+  net::SimTransport transport(problem.fleet.devices(), {});
+  net::NetCoordinator driver(session, a, problem.fleet,
+                             recovery::SimDriverOptions());
+  ASSERT_TRUE(driver.Setup(&transport).ok());
   const auto x = RandomVector<double>(problem.l, drng);
-  const auto result = SimulateDeployment(*deployment, specs, a, x);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->metrics.decoded_correctly);
+  ExpectProduct(a, x, driver.Query(x));
 }
 
 TEST(SimProtocol, SingleCoreDeviceSerialisesConcurrentQueries) {
@@ -299,11 +322,11 @@ TEST(StragglerModel, ExistingKindsStayBitIdentical) {
 
 TEST(SimProtocol, WrongQueryWidthIsError) {
   const McscecProblem problem = MakeProblem(10, 3, 5, 7);
-  ChaCha20Rng coding_rng(80);
   Xoshiro256StarStar drng(81);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
   const auto x = RandomVector<double>(problem.l + 1, drng);  // too wide
-  const auto result = SimulateScec(problem, a, x, coding_rng);
+  recovery::SimDriver run(Planned(problem, a, 80), a, problem.fleet);
+  const auto result = run.driver.Query(x);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
 }
