@@ -321,13 +321,17 @@ bool NetCoordinator::UsableDevice(size_t device) const {
   return !evicted_[device] && reputation_.Usable(device);
 }
 
-void NetCoordinator::FlushVerified() {
+size_t NetCoordinator::IndexOf(const QueryFlight& f) const {
+  return static_cast<size_t>(&f - flights_.data());
+}
+
+void NetCoordinator::FlushVerified(QueryFlight& f) {
   if (!options_.record_trace) return;
   // Response arrival order is transport-dependent; sorted flush keeps
   // fault-free traces identical across SimTransport and SocketTransport.
-  std::sort(verified_buffer_.begin(), verified_buffer_.end());
-  for (std::string& line : verified_buffer_) trace_.push_back(std::move(line));
-  verified_buffer_.clear();
+  std::sort(f.verified_trace.begin(), f.verified_trace.end());
+  for (std::string& line : f.verified_trace) trace_.push_back(std::move(line));
+  f.verified_trace.clear();
 }
 
 void NetCoordinator::Journal(JournalEvent event, bool committed) {
@@ -478,7 +482,12 @@ Status NetCoordinator::AddSegment(CodedSegment layout,
                        " d=" + S(device) + " rows=" + S(rows.rows()); });
   }
   views_.Add(seg.layout);
+  const size_t slots = seg.layout.num_slots();
   segments_.push_back(std::move(seg));
+  for (QueryFlight& f : flights_) {  // Begin resizes the others anyway
+    f.slots.emplace_back(slots);
+    f.responses.emplace_back(slots);
+  }
   return Status::Ok();
 }
 
@@ -524,19 +533,13 @@ double NetCoordinator::HedgeDelay(size_t segment, size_t slot) const {
   return 0.5 * ModelDeadline(segment, slot);
 }
 
-void NetCoordinator::BeginSegment(size_t segment) {
-  query_slots_.emplace_back(segments_[segment].layout.num_slots());
-  responses_.emplace_back(segments_[segment].layout.num_slots());
-}
-
-void NetCoordinator::DispatchSlot(size_t segment, size_t slot,
-                                  const std::vector<double>& x,
+void NetCoordinator::DispatchSlot(QueryFlight& f, size_t segment, size_t slot,
                                   double start_delay_s) {
   const Segment& seg = segments_[segment];
-  SlotState& state = query_slots_[segment][slot];
+  SlotState& state = f.slots[segment][slot];
   const size_t device = seg.layout.devices()[slot];
   const bool hedge = std::any_of(
-      hedges_.begin(), hedges_.end(),
+      f.hedges.begin(), f.hedges.end(),
       [segment](const HedgeGroup& g) { return g.hedge_segment == segment; });
   ++state.attempts;
   if (state.attempts == 1) {
@@ -550,35 +553,34 @@ void NetCoordinator::DispatchSlot(size_t segment, size_t slot,
     Instant([&] { return "retry attempt " + S(state.attempts); },
             transport_->Now(), device);
   }
-  const uint64_t bytes = 8 * x.size();
+  const uint64_t bytes = 8 * f.x.size();
   // Write-ahead the billing entry (group-committed by the caller): a crash
   // can lose the dispatch but never bill one that was not journaled first.
   if (journal_ != nullptr) {
-    Journal({.kind = JournalEventKind::kDispatch, .query_id = query_id_,
+    Journal({.kind = JournalEventKind::kDispatch, .query_id = f.query_id,
              .segment = segment, .local = slot, .device = device,
              .attempt = state.attempts, .bytes = bytes},
             /*committed=*/false);
   }
   const uint64_t rpc =
-      transport_->SubmitQuery(device, seg.share_ids[slot], x,
+      transport_->SubmitQuery(device, seg.share_ids[slot], f.x,
                               DeadlineFor(segment, slot), start_delay_s);
-  inflight_[rpc] = Inflight{segment, slot, false};
+  inflight_[rpc] = Inflight{IndexOf(f), segment, slot, false};
   state.rpc = rpc;
   ++stats_.dispatches;
   stats_.query_value_bytes += static_cast<double>(bytes);
   if (options_.hedging && state.attempts == 1 && !hedge) {
     state.hedge_alarm = transport_->AddAlarm(HedgeDelay(segment, slot));
-    alarms_[state.hedge_alarm] = Inflight{segment, slot, false};
+    alarms_[state.hedge_alarm] = Inflight{IndexOf(f), segment, slot, false};
   }
   Trace([&] { return "dispatch seg=" + S(segment) + " slot=" + S(slot) +
                      " d=" + S(device) + " attempt=" + S(state.attempts); });
 }
 
-void NetCoordinator::DispatchSegment(size_t segment,
-                                     const std::vector<double>& x) {
+void NetCoordinator::DispatchSegment(QueryFlight& f, size_t segment) {
   const std::vector<size_t>& devices = segments_[segment].layout.devices();
   for (size_t slot = 0; slot < devices.size(); ++slot) {
-    SlotState& state = query_slots_[segment][slot];
+    SlotState& state = f.slots[segment][slot];
     if (state.phase != SlotPhase::kIdle) continue;
     if (!UsableDevice(devices[slot])) {
       // Evicted or quarantined holder: its rows go straight to recovery.
@@ -588,14 +590,14 @@ void NetCoordinator::DispatchSegment(size_t segment,
       continue;
     }
     state.phase = SlotPhase::kOutstanding;
-    ++outstanding_;
-    DispatchSlot(segment, slot, x, /*start_delay_s=*/0.0);
+    ++f.outstanding;
+    DispatchSlot(f, segment, slot, /*start_delay_s=*/0.0);
   }
 }
 
-void NetCoordinator::SettleSlot(size_t segment, size_t slot,
+void NetCoordinator::SettleSlot(QueryFlight& f, size_t segment, size_t slot,
                                 SlotPhase phase) {
-  SlotState& state = query_slots_[segment][slot];
+  SlotState& state = f.slots[segment][slot];
   SCEC_CHECK(state.phase == SlotPhase::kOutstanding);
   if (state.rpc != 0) {
     inflight_.erase(state.rpc);
@@ -604,9 +606,11 @@ void NetCoordinator::SettleSlot(size_t segment, size_t slot,
   }
   if (state.attempts > 1) {
     // Earlier attempts that timed out are still open: close them too.
+    const size_t flight = IndexOf(f);
     std::erase_if(inflight_, [&](const auto& item) {
       const Inflight& e = item.second;
-      const bool mine = !e.canary && e.segment == segment && e.slot == slot;
+      const bool mine = !e.canary && e.flight == flight &&
+                        e.segment == segment && e.slot == slot;
       if (mine) transport_->Cancel(item.first);
       return mine;
     });
@@ -617,8 +621,8 @@ void NetCoordinator::SettleSlot(size_t segment, size_t slot,
     state.hedge_alarm = 0;
   }
   state.phase = phase;
-  SCEC_CHECK_GT(outstanding_, 0u);
-  --outstanding_;
+  SCEC_CHECK_GT(f.outstanding, 0u);
+  --f.outstanding;
 }
 
 void NetCoordinator::Evict(size_t device, uint64_t reason, const char* why) {
@@ -632,7 +636,14 @@ void NetCoordinator::Evict(size_t device, uint64_t reason, const char* why) {
 }
 
 void NetCoordinator::JournalStanding(size_t device, uint64_t reason) {
-  Journal({.kind = JournalEventKind::kEvict, .query_id = query_id_,
+  if (journal_ == nullptr) return;
+  // A journaled coordinator has at most one flight open; a standing change
+  // outside any query (set-up) carries query id 0.
+  uint64_t query_id = 0;
+  for (const QueryFlight& f : flights_) {
+    if (f.open()) query_id = f.query_id;
+  }
+  Journal({.kind = JournalEventKind::kEvict, .query_id = query_id,
            .device = device, .attempt = reason},
           /*committed=*/true);
 }
@@ -644,9 +655,10 @@ void NetCoordinator::Quarantined(size_t device, const char* why) {
   JournalStanding(device, recovery::kEvictReasonQuarantine);
 }
 
-void NetCoordinator::FlagByzantine(size_t device) {
-  if (std::find(flagged_.begin(), flagged_.end(), device) == flagged_.end()) {
-    flagged_.push_back(device);
+void NetCoordinator::FlagByzantine(QueryFlight& f, size_t device) {
+  if (std::find(f.flagged.begin(), f.flagged.end(), device) ==
+      f.flagged.end()) {
+    f.flagged.push_back(device);
     Instruments::Get().byzantine_flagged.Increment();
   }
   if (reputation_.RecordCorrupt(device)) Quarantined(device, "quarantine");
@@ -670,8 +682,7 @@ bool NetCoordinator::Verified(size_t segment, size_t slot,
                             std::span<const double>(values));
 }
 
-void NetCoordinator::HandleResponse(Completion& completion,
-                                    const std::vector<double>& x) {
+void NetCoordinator::HandleResponse(Completion& completion) {
   ++stats_.responses_seen;
   stats_.response_value_bytes_seen += 8.0 * completion.values.size();
   auto it = inflight_.find(completion.id);
@@ -682,16 +693,17 @@ void NetCoordinator::HandleResponse(Completion& completion,
   const Inflight entry = it->second;
   inflight_.erase(it);
   if (entry.canary) {
-    HandleCanary(entry, completion, x);
+    HandleCanary(entry, completion);
     return;
   }
   // Any open attempt may answer, the latest or one that timed out
   // earlier; the slot settles on the first and cancels the rest.
-  SlotState& state = query_slots_[entry.segment][entry.slot];
+  QueryFlight& f = flights_[entry.flight];
+  SlotState& state = f.slots[entry.segment][entry.slot];
   if (state.rpc == completion.id) state.rpc = 0;  // closed by this answer
   const Segment& seg = segments_[entry.segment];
   const size_t device = seg.layout.devices()[entry.slot];
-  if (!Verified(entry.segment, entry.slot, x, completion.values)) {
+  if (!Verified(entry.segment, entry.slot, f.x, completion.values)) {
     // The answer is discarded, never decoded. A digest flag is proof of
     // corruption (no false rejects): with reputation on the liar is
     // quarantined (and, with guards, decoded around in this round);
@@ -699,9 +711,9 @@ void NetCoordinator::HandleResponse(Completion& completion,
     ++stats_.byzantine_flagged;
     Trace([&] { return "byzantine seg=" + S(entry.segment) +
                        " slot=" + S(entry.slot) + " d=" + S(device); });
-    SettleSlot(entry.segment, entry.slot, SlotPhase::kFailed);
+    SettleSlot(f, entry.segment, entry.slot, SlotPhase::kFailed);
     if (reputation_.enabled()) {
-      FlagByzantine(device);
+      FlagByzantine(f, device);
     } else {
       ++stats_.evictions_corrupt;
       Evict(device, recovery::kEvictReasonCorrupt, "corrupt");
@@ -723,45 +735,47 @@ void NetCoordinator::HandleResponse(Completion& completion,
   // enters the decode, so a restarted coordinator re-verifies and injects
   // it instead of re-dispatching (and re-billing) the device.
   if (journal_ != nullptr) {
-    Journal({.kind = JournalEventKind::kResponse, .query_id = query_id_,
+    Journal({.kind = JournalEventKind::kResponse, .query_id = f.query_id,
              .segment = entry.segment, .local = entry.slot,
              .device = device, .values = completion.values},
             /*committed=*/true);
   }
-  responses_[entry.segment][entry.slot] = std::move(completion.values);
-  TraceVerified([&] { return "verified seg=" + S(entry.segment) +
-                             " slot=" + S(entry.slot) + " d=" + S(device); });
-  SettleSlot(entry.segment, entry.slot, SlotPhase::kDone);
+  f.responses[entry.segment][entry.slot] = std::move(completion.values);
+  if (options_.record_trace) {
+    f.verified_trace.push_back("verified seg=" + S(entry.segment) + " slot=" +
+                               S(entry.slot) + " d=" + S(device));
+  }
+  SettleSlot(f, entry.segment, entry.slot, SlotPhase::kDone);
 
   if (state.hedge_group != kNone) {
     // The original answered first: drop its speculative duplicate.
-    CloseHedge(state.hedge_group, /*hedge_won=*/false);
+    CloseHedge(f, state.hedge_group, /*hedge_won=*/false);
     return;
   }
-  for (size_t g = 0; g < hedges_.size(); ++g) {
-    const HedgeGroup& group = hedges_[g];
+  for (size_t g = 0; g < f.hedges.size(); ++g) {
+    const HedgeGroup& group = f.hedges[g];
     if (group.hedge_segment != entry.segment || !group.open) continue;
     // First answer wins: once both hedge devices answered, the at-risk
     // rows decode without the original.
-    for (const SlotState& hedge : query_slots_[group.hedge_segment]) {
+    for (const SlotState& hedge : f.slots[group.hedge_segment]) {
       if (hedge.phase != SlotPhase::kDone) return;
     }
-    CloseHedge(g, /*hedge_won=*/true);
+    CloseHedge(f, g, /*hedge_won=*/true);
     return;
   }
 }
 
-void NetCoordinator::CloseHedge(size_t g, bool hedge_won) {
-  HedgeGroup& group = hedges_[g];
+void NetCoordinator::CloseHedge(QueryFlight& f, size_t g, bool hedge_won) {
+  HedgeGroup& group = f.hedges[g];
   if (!group.open) return;
   group.open = false;
-  SlotState& original = query_slots_[group.segment][group.slot];
+  SlotState& original = f.slots[group.segment][group.slot];
   const size_t original_device =
       segments_[group.segment].layout.devices()[group.slot];
   bool retire = true;
   if (hedge_won) {
     if (original.phase == SlotPhase::kOutstanding) {
-      SettleSlot(group.segment, group.slot, SlotPhase::kCancelled);
+      SettleSlot(f, group.segment, group.slot, SlotPhase::kCancelled);
     }
     // An evicted original leaves the hedge in service as pre-emptive
     // recovery; otherwise the hedge was one query's speculation.
@@ -770,10 +784,10 @@ void NetCoordinator::CloseHedge(size_t g, bool hedge_won) {
     Instruments::Get().hedges_won.Increment();
     Instant("hedge_win", transport_->Now(), original_device);
   } else {
-    std::vector<SlotState>& slots = query_slots_[group.hedge_segment];
+    std::vector<SlotState>& slots = f.slots[group.hedge_segment];
     for (size_t slot = 0; slot < slots.size(); ++slot) {
       if (slots[slot].phase == SlotPhase::kOutstanding) {
-        SettleSlot(group.hedge_segment, slot, SlotPhase::kCancelled);
+        SettleSlot(f, group.hedge_segment, slot, SlotPhase::kCancelled);
       }
     }
     ++stats_.hedges_cancelled;
@@ -786,15 +800,16 @@ void NetCoordinator::CloseHedge(size_t g, bool hedge_won) {
 }
 
 void NetCoordinator::HandleCanary(const Inflight& entry,
-                                  const Completion& completion,
-                                  const std::vector<double>& x) {
+                                  const Completion& completion) {
   // A quarantined device's canary answer is digest-checked and DISCARDED:
   // it never enters the decode.
+  QueryFlight& f = flights_[entry.flight];
   const size_t device = segments_[entry.segment].layout.devices()[entry.slot];
-  const bool passed = completion.kind == Completion::Kind::kResponse &&
-                      Verified(entry.segment, entry.slot, x, completion.values);
+  const bool passed =
+      completion.kind == Completion::Kind::kResponse &&
+      Verified(entry.segment, entry.slot, f.x, completion.values);
   ++(passed ? stats_.canaries_passed : stats_.canaries_failed);
-  --outstanding_;
+  --f.outstanding;
   if (!reputation_.RecordCanaryResult(device, passed)) return;
   ++stats_.devices_readmitted;
   Instruments::Get().readmissions.Increment();
@@ -803,8 +818,7 @@ void NetCoordinator::HandleCanary(const Inflight& entry,
   JournalStanding(device, recovery::kEvictReasonReadmit);
 }
 
-void NetCoordinator::HandleError(const Completion& completion,
-                                 const std::vector<double>& x) {
+void NetCoordinator::HandleError(const Completion& completion) {
   auto it = inflight_.find(completion.id);
   if (it == inflight_.end()) {
     ++stats_.stale_ignored;
@@ -817,13 +831,14 @@ void NetCoordinator::HandleError(const Completion& completion,
     // Stop waiting: a timed-out probe is still open in the transport.
     inflight_.erase(it);
     if (timeout) transport_->Cancel(completion.id);
-    HandleCanary(entry, completion, x);
+    HandleCanary(entry, completion);
     return;
   }
   // A timed-out latest attempt stays open (and mapped) until the slot
   // settles: its late answer still counts. Any other error closed the
   // RPC; on an earlier, already-retried attempt it changes nothing.
-  SlotState& state = query_slots_[entry.segment][entry.slot];
+  QueryFlight& f = flights_[entry.flight];
+  SlotState& state = f.slots[entry.segment][entry.slot];
   const bool latest = state.rpc == completion.id;
   if (!latest || !timeout) inflight_.erase(it);
   if (!latest) return;
@@ -851,27 +866,28 @@ void NetCoordinator::HandleError(const Completion& completion,
     Trace([&] { return "retry seg=" + S(entry.segment) +
                        " slot=" + S(entry.slot) + " d=" + S(device) +
                        " attempt=" + S(state.attempts + 1); });
-    DispatchSlot(entry.segment, entry.slot, x, backoff);
+    DispatchSlot(f, entry.segment, entry.slot, backoff);
     return;
   }
   // Retries spent (or a non-retryable error): evict the device and recover
   // its rows elsewhere.
   Evict(device, recovery::kEvictReasonTimeout,
         timeout ? "timeout" : NetErrorName(completion.error));
-  SettleSlot(entry.segment, entry.slot, SlotPhase::kFailed);
+  SettleSlot(f, entry.segment, entry.slot, SlotPhase::kFailed);
 }
 
-void NetCoordinator::HandleAlarm(const Completion& completion,
-                                 const std::vector<double>& x) {
+void NetCoordinator::HandleAlarm(const Completion& completion) {
   auto it = alarms_.find(completion.id);
   if (it == alarms_.end()) return;  // slot settled before the alarm fired
   const Inflight entry = it->second;
   alarms_.erase(it);
-  query_slots_[entry.segment][entry.slot].hedge_alarm = 0;
-  MaybeHedge(entry.segment, entry.slot, x);
+  QueryFlight& f = flights_[entry.flight];
+  f.slots[entry.segment][entry.slot].hedge_alarm = 0;
+  MaybeHedge(f, entry.segment, entry.slot);
 }
 
-std::vector<size_t> NetCoordinator::RowsAtRisk(size_t segment,
+std::vector<size_t> NetCoordinator::RowsAtRisk(const QueryFlight& f,
+                                               size_t segment,
                                                size_t slot) const {
   // Rows already decodable from verified responses on hand are safe
   // whatever the straggler does.
@@ -879,7 +895,7 @@ std::vector<size_t> NetCoordinator::RowsAtRisk(size_t segment,
   for (size_t s = 0; s < segments_.size(); ++s) {
     const CodedSegment& layout = segments_[s].layout;
     for (size_t p = 0; p < layout.data_rows().size(); ++p) {
-      if (DecodeRow(layout, p, responses_[s]).has_value()) {
+      if (DecodeRow(layout, p, f.responses[s]).has_value()) {
         decodable[layout.data_rows()[p]] = true;
       }
     }
@@ -897,15 +913,15 @@ std::vector<size_t> NetCoordinator::RowsAtRisk(size_t segment,
   return at_risk;
 }
 
-void NetCoordinator::MaybeHedge(size_t segment, size_t slot,
-                                const std::vector<double>& x) {
-  const SlotState& state = query_slots_[segment][slot];
+void NetCoordinator::MaybeHedge(QueryFlight& f, size_t segment,
+                                size_t slot) {
+  const SlotState& state = f.slots[segment][slot];
   if (state.phase != SlotPhase::kOutstanding ||
       state.hedge_group != kNone ||
-      hedges_.size() >= kMaxHedgesPerQuery) {
+      f.hedges.size() >= kMaxHedgesPerQuery) {
     return;
   }
-  const std::vector<size_t> rows = RowsAtRisk(segment, slot);
+  const std::vector<size_t> rows = RowsAtRisk(f, segment, slot);
   if (rows.empty()) return;  // nothing only this device can still yield
   const size_t straggler = segments_[segment].layout.devices()[slot];
 
@@ -913,17 +929,15 @@ void NetCoordinator::MaybeHedge(size_t segment, size_t slot,
   // device holding a fresh pad row and the mixed row it masks could
   // subtract and unmask the data. Spares (serving no live segment) come
   // first: speculative work on a participant queues ahead of its next
-  // sub-query.
+  // sub-query. A device is busy while any flight awaits an RPC from it.
   std::vector<bool> serving(fleet_.size(), false);
   std::vector<bool> busy(fleet_.size(), false);
-  for (size_t s = 0; s < segments_.size(); ++s) {
-    const std::vector<size_t>& devices = segments_[s].layout.devices();
-    for (size_t j = 0; j < devices.size(); ++j) {
-      if (segments_[s].live) serving[devices[j]] = true;
-      if (query_slots_[s][j].phase == SlotPhase::kOutstanding) {
-        busy[devices[j]] = true;
-      }
-    }
+  for (const Segment& seg : segments_) {
+    if (!seg.live) continue;
+    for (size_t device : seg.layout.devices()) serving[device] = true;
+  }
+  for (const auto& [rpc, e] : inflight_) {
+    busy[segments_[e.segment].layout.devices()[e.slot]] = true;
   }
   std::vector<size_t> idle;
   for (size_t d = 0; d < fleet_.size(); ++d) {
@@ -950,9 +964,8 @@ void NetCoordinator::MaybeHedge(size_t segment, size_t slot,
   SCEC_CHECK(VerifyCumulativeSecurity().all_secure)
       << "hedge re-encode leaked data rows (cumulative ITS violated)";
   const size_t hedge_segment = segments_.size() - 1;
-  query_slots_[segment][slot].hedge_group = hedges_.size();
-  hedges_.push_back(HedgeGroup{segment, slot, hedge_segment, true});
-  BeginSegment(hedge_segment);
+  f.slots[segment][slot].hedge_group = f.hedges.size();
+  f.hedges.push_back(HedgeGroup{segment, slot, hedge_segment, true});
   ++stats_.hedges_launched;
   stats_.hedged_rows += rows.size();
   Instruments::Get().hedges_dispatched.Increment();
@@ -960,34 +973,29 @@ void NetCoordinator::MaybeHedge(size_t segment, size_t slot,
   Trace([&] { return "hedge seg=" + S(segment) + " slot=" + S(slot) +
                      " d=" + S(straggler) + " rows=" + S(rows.size()) +
                      " onto=" + S(idle[0]) + "," + S(idle[1]); });
-  DispatchSegment(hedge_segment, x);
+  DispatchSegment(f, hedge_segment);
 }
 
-Status NetCoordinator::WaitOutstanding(const std::vector<double>& x) {
-  const Stopwatch wall;
-  std::vector<Completion> completions;
-  while (outstanding_ > 0) {
-    if (wall.ElapsedSeconds() > options_.max_query_wall_s) {
-      return Unavailable("query exceeded wall cap of " +
-                         std::to_string(options_.max_query_wall_s) + "s");
-    }
-    completions.clear();
-    transport_->PollInto(&completions, /*max_wait_s=*/0.05);
-    for (Completion& completion : completions) {
-      switch (completion.kind) {
-        case Completion::Kind::kResponse:
-          HandleResponse(completion, x);
-          break;
-        case Completion::Kind::kError:
-          HandleError(completion, x);
-          break;
-        case Completion::Kind::kAlarm:
-          HandleAlarm(completion, x);
-          break;
-      }
+void NetCoordinator::Poll() {
+  completions_.clear();
+  transport_->PollInto(&completions_, /*max_wait_s=*/0.05);
+  for (Completion& completion : completions_) {
+    switch (completion.kind) {
+      case Completion::Kind::kResponse:
+        HandleResponse(completion);
+        break;
+      case Completion::Kind::kError:
+        HandleError(completion);
+        break;
+      case Completion::Kind::kAlarm:
+        HandleAlarm(completion);
+        break;
     }
   }
-  return Status::Ok();
+  // A flight moves on only once the whole batch is handled.
+  for (QueryFlight& f : flights_) {
+    if (f.open() && f.outstanding == 0) Advance(f);
+  }
 }
 
 Result<size_t> NetCoordinator::PlanRecoverySegment(
@@ -1017,20 +1025,18 @@ Result<size_t> NetCoordinator::PlanRecoverySegment(
   return segments_.size() - 1;
 }
 
-std::vector<size_t> NetCoordinator::Decode(
-    std::vector<std::optional<double>>* decoded) {
+std::vector<size_t> NetCoordinator::Decode(QueryFlight& f) {
   if (options_.byzantine_tolerance > 0) {
-    DecodeLocating(decoded);
+    DecodeLocating(f);
   } else {
     for (size_t s = 0; s < segments_.size(); ++s) {
-      DecodeSegment(segments_[s].layout, responses_[s], decoded);
+      DecodeSegment(segments_[s].layout, f.responses[s], &f.decoded);
     }
   }
-  return MissingRows(*decoded);
+  return MissingRows(f.decoded);
 }
 
-void NetCoordinator::DecodeLocating(
-    std::vector<std::optional<double>>* decoded) {
+void NetCoordinator::DecodeLocating(QueryFlight& f) {
   // Honest candidates of one row agree to rounding; a lying contributor is
   // off by its injected magnitude. Relative tolerance, since A·x scales.
   const auto eq = [](double lhs, double rhs) {
@@ -1047,8 +1053,9 @@ void NetCoordinator::DecodeLocating(
     const CodedSegment& layout = segments_[s].layout;
     for (size_t p = 0; p < layout.data_rows().size(); ++p) {
       const size_t global = layout.data_rows()[p];
-      if ((*decoded)[global].has_value()) continue;
-      const std::optional<double> value = DecodeRow(layout, p, responses_[s]);
+      if (f.decoded[global].has_value()) continue;
+      const std::optional<double> value =
+          DecodeRow(layout, p, f.responses[s]);
       if (!value.has_value()) continue;
       size_t& u = unit_of[global];
       if (u == kNone) {
@@ -1065,25 +1072,25 @@ void NetCoordinator::DecodeLocating(
   if (units.empty()) return;
 
   LocatorLimits limits;
-  limits.max_guilty = flagged_.size() + guards_;
+  limits.max_guilty = f.flagged.size() + guards_;
   const LocateResult<double> result =
-      LocateAndDecode(units, flagged_, limits, eq);
+      LocateAndDecode(units, f.flagged, limits, eq);
   if (result.used_fallback) ++stats_.byzantine_fallback_locates;
   if (result.ambiguous) ++stats_.byzantine_ambiguous_locates;
   if (result.located) {
     for (size_t u = 0; u < unit_rows.size(); ++u) {
-      (*decoded)[unit_rows[u]] = result.values[u];
+      f.decoded[unit_rows[u]] = result.values[u];
     }
     for (size_t device : result.guilty) {
-      if (std::find(located_.begin(), located_.end(), device) !=
-          located_.end()) {
+      if (std::find(f.located.begin(), f.located.end(), device) !=
+          f.located.end()) {
         continue;
       }
-      located_.push_back(device);
+      f.located.push_back(device);
       ++stats_.byzantine_located_liars;
       Instruments::Get().byzantine_located.Increment();
       Instant("located_liar", transport_->Now(), device);
-      FlagByzantine(device);
+      FlagByzantine(f, device);
     }
     return;
   }
@@ -1095,12 +1102,12 @@ void NetCoordinator::DecodeLocating(
     for (size_t c = 1; c < candidates.size(); ++c) {
       unanimous = unanimous && eq(candidates[c].value, candidates[0].value);
     }
-    if (unanimous) (*decoded)[unit_rows[u]] = candidates[0].value;
+    if (unanimous) f.decoded[unit_rows[u]] = candidates[0].value;
   }
 }
 
-Status NetCoordinator::RunCanaries(const std::vector<double>& x) {
-  if (!reputation_.enabled()) return Status::Ok();
+void NetCoordinator::RunCanaries(QueryFlight& f) {
+  if (!reputation_.enabled()) return;
   for (size_t d = 0; d < fleet_.size(); ++d) {
     if (evicted_[d] || !reputation_.CanaryDue(d)) continue;
     // Probe through a share the device already holds: one round trip, no
@@ -1114,149 +1121,219 @@ Status NetCoordinator::RunCanaries(const std::vector<double>& x) {
       ++stats_.canaries_sent;
       Instruments::Get().canaries.Increment();
       Instant("canary", transport_->Now(), d);
-      const uint64_t bytes = 8 * x.size();
+      const uint64_t bytes = 8 * f.x.size();
       // attempt = 0 marks a canary: the double-spend audit must not take a
       // probe of an answered share for a re-billed dispatch.
-      Journal({.kind = JournalEventKind::kDispatch, .query_id = query_id_,
+      Journal({.kind = JournalEventKind::kDispatch, .query_id = f.query_id,
                .segment = s, .local = slot, .device = d, .attempt = 0,
                .bytes = bytes},
               /*committed=*/true);
       const uint64_t rpc =
-          transport_->SubmitQuery(d, segments_[s].share_ids[slot], x,
+          transport_->SubmitQuery(d, segments_[s].share_ids[slot], f.x,
                                   ModelDeadline(s, slot), 0.0);
-      inflight_[rpc] = Inflight{s, slot, /*canary=*/true};
-      ++outstanding_;
+      inflight_[rpc] = Inflight{IndexOf(f), s, slot, /*canary=*/true};
+      ++f.outstanding;
       ++stats_.dispatches;
       stats_.query_value_bytes += static_cast<double>(bytes);
       break;
     }
   }
-  return WaitOutstanding(x);
 }
 
-Result<std::vector<double>> NetCoordinator::Query(
+Result<NetCoordinator::FlightId> NetCoordinator::Begin(
     const std::vector<double>& x) {
   SCEC_CHECK(transport_ != nullptr) << "call Setup() first";
   if (x.size() != a_.cols()) {
     return InvalidArgument("query length " + S(x.size()) +
                            " != row width " + S(a_.cols()));
   }
-  const double query_start = transport_->Now();
+  using Phase = QueryFlight::Phase;
+  if (journal_ != nullptr &&
+      std::any_of(flights_.begin(), flights_.end(),
+                  [](const QueryFlight& f) { return f.open(); })) {
+    return FailedPrecondition(
+        "a journaled coordinator keeps one query in flight");
+  }
+  // A released flight's tables, or the parked resumption (a lone flight).
+  auto it = std::find_if(
+      flights_.begin(), flights_.end(), [](const QueryFlight& f) {
+        return f.phase == Phase::kFree || f.phase == Phase::kParked;
+      });
+  if (it == flights_.end()) it = flights_.emplace(flights_.end());
+  QueryFlight& f = *it;
+  const bool resuming = f.phase == Phase::kParked;
+  f.phase = Phase::kRound;
+  f.start_s = transport_->Now();
   reputation_.AdvanceQuery();
-  ++stats_.queries;
+  f.id = ++stats_.queries;
   // Admit the query durably before any work. A resumed query keeps its
   // original id (the duplicate kQueryBegin is the resumption marker).
-  const bool resuming = resume_query_id_.has_value();
-  query_id_ = resuming ? *resume_query_id_ : query_seq_++;
+  if (!resuming) f.query_id = query_seq_++;
   if (journal_ != nullptr) {
-    Journal({.kind = JournalEventKind::kQueryBegin, .query_id = query_id_,
+    Journal({.kind = JournalEventKind::kQueryBegin, .query_id = f.query_id,
              .values = x},
             /*committed=*/true);
   }
-  Trace([&] { return "query q=" + S(stats_.queries); });
+  Trace([&] { return "query q=" + S(f.id); });
 
-  query_slots_.clear();
-  responses_.clear();
-  for (size_t s = 0; s < segments_.size(); ++s) BeginSegment(s);
-  inflight_.clear();
-  alarms_.clear();
-  hedges_.clear();
-  flagged_.clear();
-  located_.clear();
-  verified_buffer_.clear();
-  outstanding_ = 0;
-
+  f.x.assign(x.begin(), x.end());
+  f.rounds = 0;
+  f.outstanding = 0;
+  f.hedges.clear();
+  f.flagged.clear();
+  f.located.clear();
+  f.verified_trace.clear();
+  f.decoded.assign(a_.rows(), std::nullopt);
+  f.slots.resize(segments_.size());
+  f.responses.resize(segments_.size());
+  for (size_t s = 0; s < segments_.size(); ++s) {
+    const size_t slots = segments_[s].layout.num_slots();
+    f.slots[s].assign(slots, SlotState{});
+    if (!resuming || s > 0) f.responses[s].assign(slots, std::nullopt);
+  }
   if (resuming) {
     // A base-segment response the dead incarnation journaled is re-verified
     // and injected instead of re-dispatched: the device already did the
     // work and was billed for it (exactly-once Eq. (1) accounting). Other
     // segments' pads were re-drawn, so their old responses cannot verify.
-    for (const auto& [slot, values] : resume_responses_) {
-      if (slot >= segments_[0].layout.num_slots() ||
-          !Verified(0, slot, x, values)) {
+    for (size_t slot = 0; slot < f.responses[0].size(); ++slot) {
+      std::optional<std::vector<double>>& values = f.responses[0][slot];
+      if (!values.has_value()) continue;
+      if (!Verified(0, slot, x, *values)) {
+        values.reset();
         continue;
       }
-      responses_[0][slot] = values;
-      query_slots_[0][slot].phase = SlotPhase::kDone;
+      f.slots[0][slot].phase = SlotPhase::kDone;
       ++stats_.resumed_responses;
       Instruments::Get().resumed_responses.Increment();
       Instant("resume_inject", transport_->Now(),
               segments_[0].layout.devices()[slot]);
     }
-    resume_responses_.clear();
-    resume_query_id_.reset();
   }
 
   // Every live segment: round 0 plus recovery segments staged by earlier
   // queries, whose rows may cover holes left by since-evicted devices.
   for (size_t s = 0; s < segments_.size(); ++s) {
-    if (segments_[s].live) DispatchSegment(s, x);
+    if (segments_[s].live) DispatchSegment(f, s);
   }
   // Group commit: the round's dispatch batch is durable before the wait,
   // and any retries or hedges appended during it after.
   Commit();
-  SCEC_RETURN_IF_ERROR(WaitOutstanding(x));
-  Commit();
-  stats_.first_round_s = transport_->Now() - query_start;
+  if (f.outstanding == 0) Advance(f);
+  return f.id;
+}
 
-  std::vector<std::optional<double>> decoded(a_.rows());
-  std::vector<size_t> lost = Decode(&decoded);
-  size_t rounds = 0;
-  while (!lost.empty()) {
-    if (rounds >= options_.max_recovery_rounds) {
-      return Internal("rows still undecodable after " +
-                      S(options_.max_recovery_rounds) + " recovery rounds");
+void NetCoordinator::Advance(QueryFlight& f) {
+  if (f.phase == QueryFlight::Phase::kCanaries) return Finish(f);
+  for (;;) {
+    Commit();  // the retries or hedges appended during the round
+    if (f.rounds == 0) stats_.first_round_s = transport_->Now() - f.start_s;
+    const std::vector<size_t> lost = Decode(f);
+    if (f.rounds > 0) {
+      SimSpan([&] { return "recovery_round " + S(f.rounds); },
+              f.round_start_s, transport_->Now(), /*tid=*/fleet_.size(),
+              "fault");
     }
-    ++rounds;
-    SCEC_TRACE_SPAN([&] { return "recovery_round " + S(rounds); }, "fault");
-    const double round_start = transport_->Now();
-    Result<size_t> seg = PlanRecoverySegment(lost);
-    if (!seg.ok()) {
-      if (seg.status().code() == ErrorCode::kUnavailable) continue;
-      return seg.status();
+    if (lost.empty()) break;
+    // kUnavailable: a survivor died while staging; replan over the rest.
+    Result<size_t> seg = Unavailable("");
+    while (!seg.ok()) {
+      if (f.rounds >= options_.max_recovery_rounds) {
+        return Fail(f, Internal("rows still undecodable after " +
+                                S(options_.max_recovery_rounds) +
+                                " recovery rounds"));
+      }
+      ++f.rounds;
+      f.round_start_s = transport_->Now();
+      seg = PlanRecoverySegment(lost);
+      if (!seg.ok() && seg.status().code() != ErrorCode::kUnavailable) {
+        return Fail(f, seg.status());
+      }
     }
-    BeginSegment(*seg);
-    DispatchSegment(*seg, x);
+    DispatchSegment(f, *seg);
     Commit();
-    SCEC_RETURN_IF_ERROR(WaitOutstanding(x));
-    Commit();
-    lost = Decode(&decoded);
-    SimSpan([&] { return "recovery_round " + S(rounds); }, round_start,
-            transport_->Now(), /*tid=*/fleet_.size(), "fault");
+    if (f.outstanding > 0) return;  // Poll moves the round on
   }
 
   // A masked query: a liar was flagged, yet the result decoded in the
   // original round — the guards absorbed it.
-  if (!flagged_.empty() && rounds == 0) {
+  if (!f.flagged.empty() && f.rounds == 0) {
     ++stats_.byzantine_masked_queries;
     Instruments::Get().byzantine_masked.Increment();
     Instant("masked_query", transport_->Now(), fleet_.size());
-    Journal({.kind = JournalEventKind::kMaskedQuery, .query_id = query_id_,
-             .device = flagged_.size()},
+    Journal({.kind = JournalEventKind::kMaskedQuery, .query_id = f.query_id,
+             .device = f.flagged.size()},
             /*committed=*/false);
   }
-  const double decoded_at = transport_->Now();
+  f.decoded_s = transport_->Now();
   // Probe quarantined devices due a canary, after the decode settled so
   // probe latency never counts against the query.
-  SCEC_RETURN_IF_ERROR(RunCanaries(x));
+  f.phase = QueryFlight::Phase::kCanaries;
+  RunCanaries(f);
+  if (f.outstanding == 0) Finish(f);
+}
 
-  FlushVerified();
-  Trace([&] { return "decode q=" + S(stats_.queries) + " rows=" +
-                     S(a_.rows()) + " recovery_rounds=" + S(rounds); });
-  stats_.last_query_s = decoded_at - query_start;
-  SimSpan("query", query_start, decoded_at, /*tid=*/fleet_.size());
+void NetCoordinator::Finish(QueryFlight& f) {
+  FlushVerified(f);
+  Trace([&] { return "decode q=" + S(f.id) + " rows=" + S(a_.rows()) +
+                     " recovery_rounds=" + S(f.rounds); });
+  stats_.last_query_s = f.decoded_s - f.start_s;
+  SimSpan("query", f.start_s, f.decoded_s, /*tid=*/fleet_.size());
 
-  std::vector<double> result(a_.rows());
-  for (size_t p = 0; p < result.size(); ++p) result[p] = *decoded[p];
+  f.result.resize(a_.rows());
+  for (size_t p = 0; p < f.result.size(); ++p) f.result[p] = *f.decoded[p];
   // The result record goes LAST: a crash before it leaves the query
   // in flight (the next incarnation finishes it); after it, the journal
   // owns the answer and the query must never run again.
   if (journal_ != nullptr) {
-    Journal({.kind = JournalEventKind::kQueryResult, .query_id = query_id_,
-             .values = result},
+    Journal({.kind = JournalEventKind::kQueryResult, .query_id = f.query_id,
+             .values = f.result},
             /*committed=*/true);
   }
-  return result;
+  f.phase = QueryFlight::Phase::kSettled;
+}
+
+void NetCoordinator::Fail(QueryFlight& f, Status status) {
+  f.status = std::move(status);
+  f.phase = QueryFlight::Phase::kSettled;
+  // Its RPCs and alarms are forgotten: late completions count as stale.
+  const auto mine = [i = IndexOf(f)](const auto& e) {
+    return e.second.flight == i;
+  };
+  std::erase_if(inflight_, mine);
+  std::erase_if(alarms_, mine);
+}
+
+const NetCoordinator::QueryFlight& NetCoordinator::flight(FlightId id) const {
+  const auto it = std::find_if(
+      flights_.begin(), flights_.end(), [id](const QueryFlight& f) {
+        return f.id == id && (f.open() || f.settled());
+      });
+  SCEC_CHECK(it != flights_.end()) << "no flight " << id;
+  return *it;
+}
+
+Result<std::vector<double>> NetCoordinator::Take(FlightId id) {
+  QueryFlight& f = flights_[IndexOf(flight(id))];
+  const Stopwatch wall;
+  while (!f.settled()) {
+    if (wall.ElapsedSeconds() > options_.max_query_wall_s) {
+      Fail(f, Unavailable("query exceeded wall cap of " +
+                          std::to_string(options_.max_query_wall_s) + "s"));
+      break;
+    }
+    Poll();
+  }
+  f.phase = QueryFlight::Phase::kFree;
+  if (!f.status.ok()) return std::exchange(f.status, Status::Ok());
+  return std::move(f.result);
+}
+
+Result<std::vector<double>> NetCoordinator::Query(
+    const std::vector<double>& x) {
+  Result<FlightId> id = Begin(x);
+  SCEC_RETURN_IF_ERROR(id.status());
+  return Take(*id);
 }
 
 void NetCoordinator::RestoreFromReplay(const recovery::ReplayState& state) {
@@ -1289,8 +1366,15 @@ void NetCoordinator::RestoreFromReplay(const recovery::ReplayState& state) {
   }
   query_seq_ = state.next_query_id;
   if (state.has_in_flight) {
-    resume_query_id_ = state.in_flight_id;
-    resume_responses_ = state.in_flight_responses;
+    // Parked for the next Begin: the query's id and journaled responses.
+    QueryFlight& f = flights_.emplace_back();
+    f.phase = QueryFlight::Phase::kParked;
+    f.query_id = state.in_flight_id;
+    f.responses.assign(
+        1, SlotResponses<double>(segments_[0].layout.num_slots()));
+    for (const auto& [slot, values] : state.in_flight_responses) {
+      if (slot < f.responses[0].size()) f.responses[0][slot] = values;
+    }
   }
   // This generation's segments PLUS all prior generations' must still be
   // ITS-secure; a leak means a pad stream was replayed across the crash.

@@ -56,7 +56,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -241,15 +240,29 @@ class NetCoordinator {
 
   // On a restarted incarnation, after Setup(): re-marks evictions and
   // quarantines, re-accounts every prior segment's pad columns in the
-  // cumulative views, adopts the query-id sequence, and arms the next
-  // Query() to re-verify and inject the in-flight query's journaled
-  // base-segment responses instead of re-dispatching them.
+  // cumulative views, adopts the query-id sequence, and parks the
+  // in-flight query for the next Begin() to re-verify and inject its
+  // journaled base-segment responses instead of re-dispatching them.
   void RestoreFromReplay(const recovery::ReplayState& state);
 
   // Answers A·x, driving retries / hedges / masking / recovery until every
   // row decodes. kInfeasible: fewer than two survivors to re-plan over;
-  // kInternal: rows still missing after max_recovery_rounds.
+  // kInternal: rows still missing after max_recovery_rounds. Begin + Take.
   Result<std::vector<double>> Query(const std::vector<double>& x);
+
+  // Several queries in flight, each one's state a QueryFlight. Begin admits
+  // x and dispatches its first round; Poll handles one completion batch and
+  // moves every open flight on (a settled round decodes, re-plans lost rows
+  // or probes due canaries); Take polls until flight `id` settles, returns
+  // its A·x or error and releases it. Replay tracks one in-flight query:
+  // with a journal and a flight open, Begin fails kFailedPrecondition.
+  using FlightId = uint64_t;  // 1-based count of queries begun
+  struct QueryFlight;
+  Result<FlightId> Begin(const std::vector<double>& x);
+  void Poll();
+  Result<std::vector<double>> Take(FlightId id);
+  // A begun flight not yet taken (its times are on the transport clock).
+  const QueryFlight& flight(FlightId id) const;
 
   const NetCoordinatorStats& stats() const { return stats_; }
   const std::vector<std::string>& trace() const { return trace_; }
@@ -298,7 +311,9 @@ class NetCoordinator {
     double dispatch_s = 0.0;     // transport clock at the first dispatch
     size_t hedge_group = kNone;  // the hedge racing this slot, if any
   };
+  // An open RPC or hedge alarm: flight (index into flights_), segment, slot.
   struct Inflight {
+    size_t flight = 0;
     size_t segment = 0;
     size_t slot = 0;
     bool canary = false;
@@ -322,7 +337,8 @@ class NetCoordinator {
   using ShareSource = std::function<const Matrix<double>&(
       const CodedSegment& layout, size_t slot)>;
   // Stages `layout` slot by slot from `share_of` (the staging loop of
-  // EncodeAndStage, also used for an adopted segment 0).
+  // EncodeAndStage, also used for an adopted segment 0). Flights gain
+  // idle slots for it.
   Status AddSegment(CodedSegment layout, const ShareSource& share_of);
   Status VerifyCumulativeOrAbort(const char* stage);
   void ProvisionGuards();
@@ -331,38 +347,43 @@ class NetCoordinator {
   double DeadlineFor(size_t segment, size_t slot);
   double HedgeDelay(size_t segment, size_t slot) const;
 
-  // Query machinery (all operate on query_slots_ / inflight_).
-  void BeginSegment(size_t segment);
-  void DispatchSegment(size_t segment, const std::vector<double>& x);
-  void DispatchSlot(size_t segment, size_t slot, const std::vector<double>& x,
+  // Query machinery: each call acts on one flight's tables.
+  size_t IndexOf(const QueryFlight& f) const;  // into flights_
+  void DispatchSegment(QueryFlight& f, size_t segment);
+  void DispatchSlot(QueryFlight& f, size_t segment, size_t slot,
                     double start_delay_s);
-  void SettleSlot(size_t segment, size_t slot, SlotPhase phase);
+  void SettleSlot(QueryFlight& f, size_t segment, size_t slot,
+                  SlotPhase phase);
   // Right length and passes the slot's Freivalds digests for `x`.
   bool Verified(size_t segment, size_t slot, const std::vector<double>& x,
                 const std::vector<double>& values) const;
-  void HandleResponse(Completion& completion, const std::vector<double>& x);
-  void HandleCanary(const Inflight& entry, const Completion& completion,
-                    const std::vector<double>& x);
-  void HandleError(const Completion& completion, const std::vector<double>& x);
-  void HandleAlarm(const Completion& completion, const std::vector<double>& x);
-  Status WaitOutstanding(const std::vector<double>& x);
+  void HandleResponse(Completion& completion);
+  void HandleCanary(const Inflight& entry, const Completion& completion);
+  void HandleError(const Completion& completion);
+  void HandleAlarm(const Completion& completion);
+  // Moves `f` on once its outstanding count reached zero: decode, then a
+  // recovery round for the lost rows or the canaries, then the result.
+  void Advance(QueryFlight& f);
+  void Finish(QueryFlight& f);
+  void Fail(QueryFlight& f, Status status);
   Result<size_t> PlanRecoverySegment(const std::vector<size_t>& lost);
 
   // Standing changes: eviction, quarantine (digest flag or timeouts), and
   // the journal record every change writes ahead.
   void Evict(size_t device, uint64_t reason, const char* why);
-  void FlagByzantine(size_t device);
+  void FlagByzantine(QueryFlight& f, size_t device);
   void NoteTimeout(size_t device);
   void Quarantined(size_t device, const char* why);
   void JournalStanding(size_t device, uint64_t reason);
 
-  void MaybeHedge(size_t segment, size_t slot, const std::vector<double>& x);
-  void CloseHedge(size_t group, bool hedge_won);
-  std::vector<size_t> RowsAtRisk(size_t segment, size_t slot) const;
+  void MaybeHedge(QueryFlight& f, size_t segment, size_t slot);
+  void CloseHedge(QueryFlight& f, size_t group, bool hedge_won);
+  std::vector<size_t> RowsAtRisk(const QueryFlight& f, size_t segment,
+                                 size_t slot) const;
 
-  std::vector<size_t> Decode(std::vector<std::optional<double>>* decoded);
-  void DecodeLocating(std::vector<std::optional<double>>* decoded);
-  Status RunCanaries(const std::vector<double>& x);
+  std::vector<size_t> Decode(QueryFlight& f);
+  void DecodeLocating(QueryFlight& f);
+  void RunCanaries(QueryFlight& f);
 
   void Journal(recovery::JournalEvent event, bool committed);
   void Commit();
@@ -372,11 +393,7 @@ class NetCoordinator {
   void Trace(F&& line) {
     if (options_.record_trace) trace_.push_back(line());
   }
-  template <typename F>
-  void TraceVerified(F&& line) {  // buffered, flushed sorted
-    if (options_.record_trace) verified_buffer_.push_back(line());
-  }
-  void FlushVerified();
+  void FlushVerified(QueryFlight& f);  // its buffered lines, sorted
 
   Matrix<double> a_;
   DeviceFleet fleet_;
@@ -401,26 +418,45 @@ class NetCoordinator {
 
   CumulativeViews views_;  // per fleet device, across all rounds
 
-  // Query-id sequence and, after RestoreFromReplay, the in-flight query to
-  // resume with its journaled base-segment responses.
-  uint64_t query_seq_ = 0;
-  uint64_t query_id_ = 0;
-  std::optional<uint64_t> resume_query_id_;
-  std::map<uint64_t, std::vector<double>> resume_responses_;
-
-  // Per-query state.
-  std::vector<std::vector<SlotState>> query_slots_;  // [segment][slot]
-  std::vector<SlotResponses<double>> responses_;     // [segment][slot]
+  uint64_t query_seq_ = 0;  // journal query ids
+  // Released flights are reused with their tables' capacity. After
+  // RestoreFromReplay one flight waits, parked, to resume the in-flight
+  // query with its journaled base-segment responses.
+  std::vector<QueryFlight> flights_;
   std::unordered_map<uint64_t, Inflight> inflight_;
   std::unordered_map<uint64_t, Inflight> alarms_;
-  std::vector<HedgeGroup> hedges_;  // this query's hedges
-  std::vector<size_t> flagged_;     // devices flagged this query
-  std::vector<size_t> located_;     // liars located this query
-  size_t outstanding_ = 0;
+  std::vector<Completion> completions_;  // Poll's batch buffer
 
   NetCoordinatorStats stats_;
   std::vector<std::string> trace_;
-  std::vector<std::string> verified_buffer_;
+};
+
+// One query's state; tables are [segment][slot] (segments stay fleet-wide).
+struct NetCoordinator::QueryFlight {
+  enum class Phase { kFree, kParked, kRound, kCanaries, kSettled };
+  bool open() const {
+    return phase == Phase::kRound || phase == Phase::kCanaries;
+  }
+  bool settled() const { return phase == Phase::kSettled; }
+
+  FlightId id = 0;
+  Phase phase = Phase::kFree;
+  uint64_t query_id = 0;  // journal id (a resumed query keeps its own)
+  std::vector<double> x;
+  double start_s = 0.0;
+  double round_start_s = 0.0;
+  double decoded_s = 0.0;  // every row decoded (before the canaries)
+  size_t rounds = 0;       // recovery rounds so far
+  size_t outstanding = 0;  // slots and canaries still awaited
+  std::vector<std::vector<SlotState>> slots;
+  std::vector<SlotResponses<double>> responses;
+  std::vector<HedgeGroup> hedges;
+  std::vector<size_t> flagged;  // devices flagged by this query
+  std::vector<size_t> located;  // liars located by this query
+  std::vector<std::optional<double>> decoded;
+  std::vector<std::string> verified_trace;  // flushed sorted at decode
+  Status status;  // the error a failed flight settled with
+  std::vector<double> result;
 };
 
 }  // namespace scec::net

@@ -8,9 +8,15 @@
 
 #include "common/check.h"
 #include "linalg/matrix_ops.h"
-#include "sim/faults.h"
 
 namespace scec::net {
+namespace {
+
+// Star topology: the user is node 1, device d is node 2 + d.
+constexpr sim::NodeId kUserNode = 1;
+sim::NodeId DeviceNode(size_t d) { return 2 + static_cast<sim::NodeId>(d); }
+
+}  // namespace
 
 SimTransport::SimTransport(std::vector<EdgeDevice> fleet,
                            SimTransportOptions options)
@@ -24,12 +30,12 @@ SimTransport::SimTransport(std::vector<EdgeDevice> fleet,
   stats_.device_ops.resize(fleet.size());
   for (EdgeDevice& spec : fleet) {
     const size_t d = devices_.size();
-    const sim::NodeId node = sim::DeviceNode(d);
-    // Same star shape as the in-sim protocols: user -> device rides the
-    // device's downlink, device -> user its uplink.
-    network_.AddLink(sim::kUserNode, node,
+    const sim::NodeId node = DeviceNode(d);
+    // User -> device rides the device's downlink, device -> user its
+    // uplink.
+    network_.AddLink(kUserNode, node,
                      sim::LinkSpec{spec.link_latency_s, spec.downlink_bps});
-    network_.AddLink(node, sim::kUserNode,
+    network_.AddLink(node, kUserNode,
                      sim::LinkSpec{spec.link_latency_s, spec.uplink_bps});
     DeviceState state;
     state.spec = std::move(spec);
@@ -48,7 +54,7 @@ Status SimTransport::StageShare(size_t device, uint64_t share_id,
   // their completions queued for the next poll.
   bool delivered = false;
   const uint64_t bytes = rows.size() * sizeof(double);
-  network_.Send(sim::kUserNode, sim::DeviceNode(device), bytes,
+  network_.Send(kUserNode, DeviceNode(device), bytes,
                 [this, device, share_id, bytes, &rows, &delivered]() {
                   devices_[device].shares[share_id] = rows;
                   stats_.staged_value_bytes += bytes;
@@ -89,7 +95,7 @@ void SimTransport::Dispatch(uint64_t rpc_id, size_t device, uint64_t share_id,
       });
 
   if (Lost()) return;  // the deadline will fire
-  network_.Send(sim::kUserNode, sim::DeviceNode(device), query_bytes,
+  network_.Send(kUserNode, DeviceNode(device), query_bytes,
                 [this, rpc_id, device, share_id, x = std::move(x)]() mutable {
                   Compute(rpc_id, device, share_id, std::move(x));
                 });
@@ -143,7 +149,7 @@ void SimTransport::Reply(uint64_t rpc_id, size_t device,
   if (Lost()) return;  // the deadline will fire
   const uint64_t bytes = values.size() * sizeof(double);
   network_.Send(
-      sim::DeviceNode(device), sim::kUserNode, bytes,
+      DeviceNode(device), kUserNode, bytes,
       [this, rpc_id, device, error, bytes,
        values = std::move(values)]() mutable {
         auto rpc = rpcs_.find(rpc_id);

@@ -6,9 +6,11 @@
 // devices whose queries queue behind the one in progress, and
 // straggler-inflated compute, exposed through the poll-based Transport
 // interface so the protocol driver runs the same code path as over real
-// sockets. Sequential simulated SCEC runs go through the driver over this
-// transport: the Remark 1 timing and lossy-link benches,
-// examples/secure_inference, and the chaos soak.
+// sockets. It is the simulator's one device model: every simulated SCEC
+// run goes through it, the driver's (one query or several in flight: the
+// Remark 1 timing, pipelining and lossy-link benches,
+// examples/secure_inference, the chaos soak) and the footnote-1 replica
+// protocol's (sim/redundant_protocol.h).
 //
 // Faults follow the simulator's one model (SimTransportOptions): a scripted
 // sim::FaultSchedule (crash, omission, corruption, transient outage), the
@@ -34,9 +36,10 @@
 #include "allocation/device.h"
 #include "linalg/matrix.h"
 #include "net/transport.h"
-#include "sim/actors.h"
 #include "sim/event_queue.h"
+#include "sim/faults.h"
 #include "sim/network.h"
+#include "sim/straggler.h"
 
 namespace scec::net {
 

@@ -12,9 +12,9 @@
 //     start), tid = OS thread. Used by the in-process pipeline, the thread
 //     pool, and the kernels.
 //   * pid kSimPid  — simulated time from the discrete-event queue, tid =
-//     device / node index. Used by sim/protocol and the protocol driver
-//     (net/driver.h, on the transport's clock) for per-device response
-//     spans and timeout/eviction/recovery events.
+//     device / node index. Used by the protocol driver (net/driver.h, on
+//     the transport's clock) for per-device response spans and
+//     timeout/eviction/recovery events.
 //
 // Cost model
 // ----------

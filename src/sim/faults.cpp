@@ -30,6 +30,23 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
+void ApplyByzantine(const std::vector<ByzantineSpec>& specs, uint64_t seed,
+                    size_t device, uint64_t* draws, std::vector<size_t>* lies,
+                    std::vector<double>* response) {
+  if (response->empty()) return;
+  lies->resize(specs.size(), 0);
+  for (size_t s = 0; s < specs.size(); ++s) {
+    const ByzantineSpec& spec = specs[s];
+    if (spec.device != device || (*lies)[s] >= spec.max_lies) continue;
+    if (spec.probability < 1.0 &&
+        HashedCoin(seed, device, ++*draws) >= spec.probability) {
+      continue;
+    }
+    (*response)[spec.element % response->size()] += spec.magnitude;
+    ++(*lies)[s];
+  }
+}
+
 void FaultSchedule::Add(size_t device, FaultEvent event) {
   SCEC_CHECK_GE(event.start_s, 0.0);
   SCEC_CHECK_GE(event.end_s, event.start_s);

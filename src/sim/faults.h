@@ -21,12 +21,16 @@
 //                 arriving in the window are lost, but a retry after the
 //                 window succeeds.
 //
-// A FaultSchedule is attached via SimOptions::faults and consulted by
-// EdgeDeviceActor (sim/actors.cpp) and net::SimTransport, so the same
-// injection layer drives ScecProtocol, RedundantScecProtocol and the
-// protocol driver (net/driver.h) over the simulated fleet.
+// A FaultSchedule is attached via net::SimTransportOptions::faults and
+// consulted by net::SimTransport, the simulator's one device model, so the
+// same injection layer drives the protocol driver (net/driver.h) and
+// RedundantScecProtocol over the simulated fleet. Device indices are
+// transport device ids (fleet indices).
 // Injection counters are mutable: they are simulator-side bookkeeping that
 // tests use to assert a scripted fault actually fired.
+//
+// ByzantineSpec is the seeded, per-device lying model the transport
+// applies to every answer it computes, before any scripted corruption.
 
 #pragma once
 
@@ -74,9 +78,27 @@ struct FaultInjectionStats {
   }
 };
 
+// A configurable Byzantine device: which element of the response is
+// corrupted, by how much, how often, and for how many responses.
+struct ByzantineSpec {
+  size_t device = 0;        // transport device id
+  size_t element = 0;       // corrupted response element (mod length)
+  double magnitude = 1.0;   // added to the element
+  double probability = 1.0; // per-response chance of lying (seeded coin)
+  size_t max_lies = std::numeric_limits<size_t>::max();  // then turns honest
+};
+
+// Applies every spec of `device` in `specs` whose lie budget and seeded
+// coin (`seed`) allow to one of its responses. `draws` and `lies` are the
+// device's coin-draw count and per-spec lie counts, carried across
+// responses.
+void ApplyByzantine(const std::vector<ByzantineSpec>& specs, uint64_t seed,
+                    size_t device, uint64_t* draws, std::vector<size_t>* lies,
+                    std::vector<double>* response);
+
 class FaultSchedule {
  public:
-  // Scripting API. `device` is the actor index (EdgeDeviceActor::index()).
+  // Scripting API. `device` is the transport device id.
   void AddCrash(size_t device, double at_s);
   void AddOmission(size_t device, double from_s = 0.0);
   void AddCorruption(size_t device, double from_s = 0.0, size_t element = 0,
@@ -88,8 +110,8 @@ class FaultSchedule {
   // events). Deterministic per (seed, device, draw index).
   void SetSeed(uint64_t seed) { seed_ = seed; }
 
-  // Queried by EdgeDeviceActor at query-arrival time: false when the device
-  // is crashed or transiently offline (the query is never received).
+  // Queried at query-arrival time: false when the device is crashed or
+  // transiently offline (the query is never received).
   bool AcceptsQueryAt(size_t device, double when) const;
 
   // Queried at response-send time: false when the device crashed mid-compute
@@ -105,7 +127,7 @@ class FaultSchedule {
  private:
   const std::vector<FaultEvent>* EventsFor(size_t device) const;
 
-  // events_[device] = scripted faults for that actor index.
+  // events_[device] = scripted faults for that device.
   std::vector<std::vector<FaultEvent>> events_;
   uint64_t seed_ = 0x5EEDC0DEull;
   // Injection bookkeeping, not simulation state (see header comment):

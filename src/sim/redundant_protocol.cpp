@@ -3,83 +3,62 @@
 #include "sim/redundant_protocol.h"
 
 #include <algorithm>
+#include <span>
 
 #include "coding/byzantine_decoder.h"
 
 namespace scec::sim {
+namespace {
+
+// Replicas are never retried: the deadline only ends the wait for one
+// that never answers.
+constexpr double kReplicaDeadlineS = 60.0;
+// The Freivalds weights' stream, as the driver's default digest seed.
+constexpr uint64_t kDigestSeed = 43;
+
+}  // namespace
 
 RedundantScecProtocol::RedundantScecProtocol(
     const Deployment<double>* deployment, const RedundantPlan* plan,
-    const std::vector<EdgeDevice>* fleet, SimOptions options)
-    : deployment_(deployment),
-      plan_(plan),
-      fleet_(fleet),
-      options_(options),
-      straggler_rng_(options.straggler_seed) {
+    net::Transport* transport)
+    : deployment_(deployment), plan_(plan), transport_(transport) {
   SCEC_CHECK(deployment_ != nullptr);
   SCEC_CHECK(plan_ != nullptr);
-  SCEC_CHECK(fleet_ != nullptr);
+  SCEC_CHECK(transport_ != nullptr);
   const size_t blocks = plan_->base.scheme.num_devices();
   SCEC_CHECK_EQ(deployment_->shares.size(), blocks);
   SCEC_CHECK_EQ(plan_->replica_groups.size(), blocks);
 
-  size_t node_index = 0;
+  ChaCha20Rng digest_rng(kDigestSeed);
+  verifier_ = ResultVerifier<double>::DrawWeights(
+      plan_->base.scheme.row_counts, digest_rng);
   for (size_t block = 0; block < blocks; ++block) {
-    for (size_t ordinal = 0; ordinal < plan_->replica_groups[block].size();
-         ++ordinal) {
-      const size_t fleet_idx = plan_->replica_groups[block][ordinal];
-      SCEC_CHECK_LT(fleet_idx, fleet_->size());
-      const EdgeDevice& spec = (*fleet_)[fleet_idx];
-      const NodeId node = DeviceNode(node_index);
-      network_.AddLink(kCloudNode, node,
-                       LinkSpec{spec.link_latency_s, spec.downlink_bps});
-      network_.AddLink(kUserNode, node,
-                       LinkSpec{spec.link_latency_s, spec.downlink_bps});
-      network_.AddLink(node, kUserNode,
-                       LinkSpec{spec.link_latency_s, spec.uplink_bps});
-
-      Replica replica;
-      replica.block = block;
-      replica.ordinal = ordinal;
-      replica.actor = std::make_unique<EdgeDeviceActor>(
-          node_index, spec, &queue_, &network_, &options_, &straggler_rng_,
-          [this, block, ordinal](size_t /*device*/,
-                                 std::vector<double> response) {
-            if (ordinal == 0) primary_response_time_[block] = queue_.now();
-            last_response_time_[block] = queue_.now();
-            if (first_response_time_[block] < 0.0) {
-              first_response_time_[block] = queue_.now();
-              first_response_[block] = response;
-              if (ordinal != 0) ++metrics_.blocks_won_by_replica;
-            }
-            all_responses_[block][ordinal] = std::move(response);
-          });
-      replicas_.push_back(std::move(replica));
-      ++node_index;
+    verifier_.SetDigests(block, deployment_->shares[block].coded_rows);
+    const std::vector<size_t>& group = plan_->replica_groups[block];
+    for (size_t ordinal = 0; ordinal < group.size(); ++ordinal) {
+      SCEC_CHECK_LT(group[ordinal], transport_->num_devices());
+      replicas_.push_back(Replica{block, ordinal, group[ordinal]});
     }
   }
+  rpcs_.resize(replicas_.size());
 }
 
-void RedundantScecProtocol::Stage() {
+Status RedundantScecProtocol::Stage() {
   SCEC_CHECK(!staged_);
-  for (Replica& replica : replicas_) {
-    const Matrix<double>& share =
-        deployment_->shares[replica.block].coded_rows;
-    const uint64_t bytes = static_cast<uint64_t>(
-        static_cast<double>(share.size()) * options_.value_bytes);
-    metrics_.total_bytes += bytes;
-    EdgeDeviceActor* actor = replica.actor.get();
-    network_.Send(kCloudNode, DeviceNode(actor->index()), bytes,
-                  [actor, share]() { actor->OnShareDelivered(share); });
+  // Share id r + 1 is replica r's copy of its block.
+  for (size_t r = 0; r < replicas_.size(); ++r) {
+    SCEC_RETURN_IF_ERROR(transport_->StageShare(
+        replicas_[r].device, r + 1,
+        deployment_->shares[replicas_[r].block].coded_rows));
   }
-  queue_.RunUntilEmpty();
-  metrics_.staging_completion_time = queue_.now();
   staged_ = true;
+  return Status::Ok();
 }
 
-void RedundantScecProtocol::Broadcast(const std::vector<double>& x) {
+double RedundantScecProtocol::Broadcast(const std::vector<double>& x) {
   SCEC_CHECK(staged_);
   SCEC_CHECK_EQ(x.size(), deployment_->l);
+  const double start = transport_->Now();
   const size_t blocks = plan_->base.scheme.num_devices();
   first_response_.assign(blocks, {});
   first_response_time_.assign(blocks, -1.0);
@@ -89,41 +68,58 @@ void RedundantScecProtocol::Broadcast(const std::vector<double>& x) {
   for (size_t block = 0; block < blocks; ++block) {
     all_responses_[block].resize(plan_->replica_groups[block].size());
   }
-  metrics_.blocks_won_by_replica = 0;
-  metrics_.blocks_with_disagreement = 0;
-  metrics_.blocks_unresolved = 0;
-  metrics_.blocks_corrected = 0;
-  metrics_.guilty_devices.clear();
+  metrics_ = RedundantRunMetrics{};
 
-  const uint64_t x_bytes = static_cast<uint64_t>(
-      static_cast<double>(x.size()) * options_.value_bytes);
-  for (Replica& replica : replicas_) {
-    EdgeDeviceActor* actor = replica.actor.get();
-    metrics_.total_bytes += x_bytes;
-    network_.Send(kUserNode, DeviceNode(actor->index()), x_bytes,
-                  [actor, x]() { actor->OnQueryDelivered(x); });
+  for (size_t r = 0; r < replicas_.size(); ++r) {
+    rpcs_[r] = transport_->SubmitQuery(replicas_[r].device, r + 1, x,
+                                       kReplicaDeadlineS,
+                                       /*start_delay_s=*/0.0);
   }
+  size_t pending = replicas_.size();
+  while (pending > 0) {
+    completions_.clear();
+    transport_->PollInto(&completions_, /*max_wait_s=*/0.05);
+    for (net::Completion& completion : completions_) {
+      const auto it = std::find(rpcs_.begin(), rpcs_.end(), completion.id);
+      if (it == rpcs_.end()) continue;
+      *it = 0;
+      --pending;
+      if (completion.kind != net::Completion::Kind::kResponse) {
+        transport_->Cancel(completion.id);  // a timed-out RPC stays open
+        continue;
+      }
+      const Replica& replica = replicas_[it - rpcs_.begin()];
+      const size_t block = replica.block;
+      const double now = transport_->Now();
+      if (replica.ordinal == 0) primary_response_time_[block] = now;
+      last_response_time_[block] = now;
+      std::vector<double>& values = completion.values;
+      if (first_response_time_[block] < 0.0 &&
+          values.size() == plan_->base.scheme.row_counts[block] &&
+          verifier_.Check(block, std::span<const double>(x),
+                          std::span<const double>(values))) {
+        first_response_time_[block] = now;
+        first_response_[block] = values;
+        if (replica.ordinal != 0) ++metrics_.blocks_won_by_replica;
+      }
+      all_responses_[block][replica.ordinal] = std::move(values);
+    }
+  }
+  const auto last = [start](const std::vector<double>& times) {
+    return *std::max_element(times.begin(), times.end()) - start;
+  };
+  metrics_.query_completion_time = last(first_response_time_);
+  metrics_.primary_only_completion_time = last(primary_response_time_);
+  return start;
 }
 
 std::vector<double> RedundantScecProtocol::RunQuery(
     const std::vector<double>& x) {
-  const SimTime start = queue_.now();
   Broadcast(x);
-  queue_.RunUntilEmpty();
-  const size_t blocks = plan_->base.scheme.num_devices();
-
-  double completion = 0.0;
-  double primary_completion = 0.0;
-  for (size_t block = 0; block < blocks; ++block) {
+  for (size_t block = 0; block < first_response_time_.size(); ++block) {
     SCEC_CHECK_GE(first_response_time_[block], 0.0)
-        << "block " << block << " never answered";
-    completion = std::max(completion, first_response_time_[block]);
-    primary_completion =
-        std::max(primary_completion, primary_response_time_[block]);
+        << "block " << block << " has no verified answer";
   }
-  metrics_.query_completion_time = completion - start;
-  metrics_.primary_only_completion_time = primary_completion - start;
-
   const std::vector<double> y =
       ConcatenateResponses(plan_->base.scheme, first_response_);
   return SubtractionDecode(deployment_->code, std::span<const double>(y));
@@ -131,9 +127,7 @@ std::vector<double> RedundantScecProtocol::RunQuery(
 
 std::vector<double> RedundantScecProtocol::RunVerifiedQuery(
     const std::vector<double>& x) {
-  const SimTime start = queue_.now();
-  Broadcast(x);
-  queue_.RunUntilEmpty();
+  const double start = Broadcast(x);
   const size_t blocks = plan_->base.scheme.num_devices();
 
   // Per-block correction through the shared locator. Honest replicas run
@@ -170,34 +164,15 @@ std::vector<double> RedundantScecProtocol::RunVerifiedQuery(
         std::vector<DecodeUnit<std::vector<double>>>{std::move(unit)},
         /*flagged=*/{}, limits, equal);
     if (located.located && !located.ambiguous) {
-      ++metrics_.blocks_corrected;
-      metrics_.guilty_devices.insert(metrics_.guilty_devices.end(),
-                                     located.guilty.begin(),
-                                     located.guilty.end());
       voted[block] = located.values.front();
     } else {
       // No unique honest explanation (tie, or all-distinct responses): keep
-      // the first-maximum candidate and flag the run as untrustworthy —
-      // exactly the legacy no-strict-majority semantics.
+      // the first-maximum candidate and flag the run as untrustworthy.
       ++metrics_.blocks_unresolved;
       voted[block] = candidates[vote.best_index];
     }
   }
-  std::sort(metrics_.guilty_devices.begin(), metrics_.guilty_devices.end());
-  metrics_.guilty_devices.erase(std::unique(metrics_.guilty_devices.begin(),
-                                            metrics_.guilty_devices.end()),
-                                metrics_.guilty_devices.end());
   metrics_.verified_completion_time = verified_completion - start;
-  // Also populate the first-response latency metrics for comparison.
-  double completion = 0.0;
-  double primary_completion = 0.0;
-  for (size_t block = 0; block < blocks; ++block) {
-    completion = std::max(completion, first_response_time_[block]);
-    primary_completion =
-        std::max(primary_completion, primary_response_time_[block]);
-  }
-  metrics_.query_completion_time = completion - start;
-  metrics_.primary_only_completion_time = primary_completion - start;
 
   const std::vector<double> y =
       ConcatenateResponses(plan_->base.scheme, voted);

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "linalg/matrix_ops.h"
+#include "net/sim_transport.h"
 #include "sim/faults.h"
 #include "sim/redundant_protocol.h"
 #include "workload/distributions.h"
@@ -126,14 +127,14 @@ TEST(RedundantProtocol, DecodesWithAndWithoutStragglers) {
   const auto expected = MatVec(a, std::span<const double>(x));
 
   for (const bool stragglers : {false, true}) {
-    sim::SimOptions options;
+    net::SimTransportOptions options;
     if (stragglers) {
       options.straggler.kind = sim::StragglerKind::kExponentialSlowdown;
       options.straggler.rate = 1.0;
     }
-    sim::RedundantScecProtocol protocol(&*deployment, &*plan,
-                                        &problem.fleet.devices(), options);
-    protocol.Stage();
+    net::SimTransport transport(problem.fleet.devices(), options);
+    sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
+    ASSERT_TRUE(protocol.Stage().ok());
     const auto decoded = protocol.RunQuery(x);
     EXPECT_LT(MaxAbsDiff(std::span<const double>(decoded),
                          std::span<const double>(expected)),
@@ -157,13 +158,12 @@ TEST(RedundantProtocol, VerifiedQueryDetectsAndCorrectsByzantineReplica) {
   const auto x = RandomVector<double>(problem.l, drng);
   const auto expected = MatVec(a, std::span<const double>(x));
 
-  // Corrupt node 1 (a replica or primary of block 0 — node indices are
-  // assigned in block-major order, so node 1 is block 0's first replica).
-  sim::SimOptions options;
-  options.byzantine_nodes = {1};
-  sim::RedundantScecProtocol protocol(&*deployment, &*plan,
-                                      &problem.fleet.devices(), options);
-  protocol.Stage();
+  // Corrupt block 0's first replica (element 0, +1, every answer).
+  net::SimTransportOptions options;
+  options.byzantine = {{.device = plan->replica_groups[0][1]}};
+  net::SimTransport transport(problem.fleet.devices(), options);
+  sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
+  ASSERT_TRUE(protocol.Stage().ok());
   const auto decoded = protocol.RunVerifiedQuery(x);
   EXPECT_LT(MaxAbsDiff(std::span<const double>(decoded),
                        std::span<const double>(expected)),
@@ -187,11 +187,12 @@ TEST(RedundantProtocol, VerifiedQueryFlagsUnresolvableTie) {
   ASSERT_TRUE(plan.ok());
 
   const auto x = RandomVector<double>(problem.l, drng);
-  sim::SimOptions options;
-  options.byzantine_nodes = {0};  // primary of block 0 lies: 1-vs-1 tie
-  sim::RedundantScecProtocol protocol(&*deployment, &*plan,
-                                      &problem.fleet.devices(), options);
-  protocol.Stage();
+  net::SimTransportOptions options;
+  // The primary of block 0 lies: 1-vs-1 tie.
+  options.byzantine = {{.device = plan->replica_groups[0][0]}};
+  net::SimTransport transport(problem.fleet.devices(), options);
+  sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
+  ASSERT_TRUE(protocol.Stage().ok());
   (void)protocol.RunVerifiedQuery(x);
   EXPECT_EQ(protocol.metrics().blocks_with_disagreement, 1u);
   EXPECT_EQ(protocol.metrics().blocks_unresolved, 1u)
@@ -200,8 +201,8 @@ TEST(RedundantProtocol, VerifiedQueryFlagsUnresolvableTie) {
 
 TEST(RedundantProtocol, VerifiedQueryFlagsThreeWayDisagreement) {
   // Two Byzantine replicas with DISTINCT corruptions (scripted via the fault
-  // schedule, which supports per-device deltas — byzantine_nodes applies the
-  // same +1.0 everywhere and would fake an agreeing pair): all three replicas
+  // schedule, which supports per-device deltas — one ByzantineSpec on each
+  // would apply the same +1.0 and fake an agreeing pair): all three replicas
   // of block 0 return different vectors, so no strict majority exists and
   // the block must be flagged unresolved.
   const auto problem = MakeProblem(12, 4, 18, 8);
@@ -215,16 +216,16 @@ TEST(RedundantProtocol, VerifiedQueryFlagsThreeWayDisagreement) {
 
   const auto x = RandomVector<double>(problem.l, drng);
   sim::FaultSchedule faults;
-  // Node indices are block-major: nodes 1 and 2 are block 0's replicas.
-  faults.AddCorruption(/*device=*/1, /*from_s=*/0.0, /*element=*/0,
-                       /*delta=*/1.0);
-  faults.AddCorruption(/*device=*/2, /*from_s=*/0.0, /*element=*/0,
-                       /*delta=*/2.0);
-  sim::SimOptions options;
+  // Block 0's two replicas.
+  faults.AddCorruption(/*device=*/plan->replica_groups[0][1], /*from_s=*/0.0,
+                       /*element=*/0, /*delta=*/1.0);
+  faults.AddCorruption(/*device=*/plan->replica_groups[0][2], /*from_s=*/0.0,
+                       /*element=*/0, /*delta=*/2.0);
+  net::SimTransportOptions options;
   options.faults = &faults;
-  sim::RedundantScecProtocol protocol(&*deployment, &*plan,
-                                      &problem.fleet.devices(), options);
-  protocol.Stage();
+  net::SimTransport transport(problem.fleet.devices(), options);
+  sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
+  ASSERT_TRUE(protocol.Stage().ok());
   (void)protocol.RunVerifiedQuery(x);
   EXPECT_EQ(faults.stats().corruptions, 2u) << "both corruptions must fire";
   EXPECT_GE(protocol.metrics().blocks_with_disagreement, 1u);
@@ -242,9 +243,9 @@ TEST(RedundantProtocol, VerifiedQueryCleanFleetHasNoFindings) {
   const auto plan = PlanRedundantMcscec(problem, 1);
   ASSERT_TRUE(plan.ok());
   const auto x = RandomVector<double>(problem.l, drng);
-  sim::RedundantScecProtocol protocol(&*deployment, &*plan,
-                                      &problem.fleet.devices(), {});
-  protocol.Stage();
+  net::SimTransport transport(problem.fleet.devices(), {});
+  sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
+  ASSERT_TRUE(protocol.Stage().ok());
   const auto decoded = protocol.RunVerifiedQuery(x);
   const auto expected = MatVec(a, std::span<const double>(x));
   EXPECT_LT(MaxAbsDiff(std::span<const double>(decoded),
@@ -265,13 +266,13 @@ TEST(RedundantProtocol, ReplicasMaskStragglersOnAverage) {
   ASSERT_TRUE(plan.ok());
 
   const auto x = RandomVector<double>(problem.l, drng);
-  sim::SimOptions options;
+  net::SimTransportOptions options;
   options.straggler.kind = sim::StragglerKind::kExponentialSlowdown;
   options.straggler.rate = 0.5;  // heavy tail
 
-  sim::RedundantScecProtocol protocol(&*deployment, &*plan,
-                                      &problem.fleet.devices(), options);
-  protocol.Stage();
+  net::SimTransport transport(problem.fleet.devices(), options);
+  sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
+  ASSERT_TRUE(protocol.Stage().ok());
   double sum_first = 0.0, sum_primary = 0.0;
   size_t rescued = 0;
   for (int round = 0; round < 20; ++round) {

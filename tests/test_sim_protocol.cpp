@@ -1,16 +1,18 @@
 // SPDX-License-Identifier: MIT
 //
-// SCEC over the simulated fleet: sequential runs through the protocol
-// driver (net/driver.h over net/sim_transport.h), and the pipelined
-// ScecProtocol that still keeps several queries in flight.
-
-#include "sim/protocol.h"
+// SCEC over the simulated fleet: the protocol driver (net/driver.h) over
+// net/sim_transport.h, one query at a time or several in flight, each
+// flight over its own tables.
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "net/driver.h"
 #include "net/sim_transport.h"
 #include "recovery/coordinator.h"
+#include "recovery/journal.h"
+#include "sim/faults.h"
 #include "workload/distributions.h"
 
 namespace scec::sim {
@@ -53,6 +55,38 @@ void ExpectProduct(const Matrix<double>& a, const std::vector<double>& x,
   EXPECT_LT(MaxAbsDiff(std::span<const double>(*decoded),
                        std::span<const double>(expected)),
             1e-9);
+}
+
+// Several queries in flight: begins every x as its own flight, polls until
+// each settles, and reads each flight's decode time from the flight.
+struct Stream {
+  std::vector<std::vector<double>> decoded;  // one A·x per query
+  std::vector<double> completion_times;      // per query, since dispatch
+  double makespan = 0.0;                     // until the last decode
+};
+
+Stream RunStream(recovery::SimDriver& run,
+                 const std::vector<std::vector<double>>& xs) {
+  const double start = run.transport.Now();
+  std::vector<net::NetCoordinator::FlightId> ids;
+  for (const auto& x : xs) {
+    Result<net::NetCoordinator::FlightId> id = run.driver.Begin(x);
+    SCEC_CHECK(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+  for (const auto id : ids) {
+    while (!run.driver.flight(id).settled()) run.driver.Poll();
+  }
+  Stream stream;
+  for (const auto id : ids) {
+    stream.completion_times.push_back(run.driver.flight(id).decoded_s -
+                                      start);
+    Result<std::vector<double>> decoded = run.driver.Take(id);
+    SCEC_CHECK(decoded.ok()) << decoded.status();
+    stream.decoded.push_back(*std::move(decoded));
+  }
+  stream.makespan = run.transport.Now() - start;
+  return stream;
 }
 
 TEST(SimProtocol, DecodesCorrectly) {
@@ -178,29 +212,22 @@ TEST(SimProtocol, SingleCoreDeviceSerialisesConcurrentQueries) {
   // Two queries arriving back-to-back at one device must finish at least
   // one compute-duration apart (the device is single-core).
   const McscecProblem problem = MakeProblem(16, 64, 4, 12);
-  ChaCha20Rng coding_rng(120);
   Xoshiro256StarStar drng(121);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
-  const auto deployment = Deploy(problem, a, coding_rng);
-  ASSERT_TRUE(deployment.ok());
-  std::vector<EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
+  const Deployment<double> deployment = Planned(problem, a, 120);
   std::vector<std::vector<double>> xs = {
       RandomVector<double>(problem.l, drng),
       RandomVector<double>(problem.l, drng)};
 
-  ScecProtocol protocol(&*deployment, specs, {});
-  protocol.Stage();
-  const auto stream = protocol.RunQueryStream(xs);
+  recovery::SimDriver run(deployment, a, problem.fleet);
+  const Stream stream = RunStream(run, xs);
   // The slowest device's compute time per query:
   double max_compute = 0.0;
-  for (size_t d = 0; d < specs.size(); ++d) {
-    const double v =
-        static_cast<double>(deployment->plan.scheme.row_counts[d]);
+  for (size_t d = 0; d < deployment.plan.participating.size(); ++d) {
+    const EdgeDevice& spec = problem.fleet[deployment.plan.participating[d]];
+    const double v = static_cast<double>(deployment.plan.scheme.row_counts[d]);
     const double flops = v * (2.0 * problem.l - 1.0);
-    max_compute = std::max(max_compute, flops / specs[d].compute_rate_flops);
+    max_compute = std::max(max_compute, flops / spec.compute_rate_flops);
   }
   EXPECT_GE(stream.completion_times[1] - stream.completion_times[0],
             max_compute * 0.5)
@@ -209,24 +236,17 @@ TEST(SimProtocol, SingleCoreDeviceSerialisesConcurrentQueries) {
 
 TEST(SimProtocol, StreamedQueriesDecodeLikeSequentialOnes) {
   const McscecProblem problem = MakeProblem(14, 5, 6, 10);
-  ChaCha20Rng coding_rng(100);
   Xoshiro256StarStar drng(101);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
-  const auto deployment = Deploy(problem, a, coding_rng);
-  ASSERT_TRUE(deployment.ok());
-  std::vector<EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
+  const Deployment<double> deployment = Planned(problem, a, 100);
 
   std::vector<std::vector<double>> xs;
   for (int q = 0; q < 6; ++q) {
     xs.push_back(RandomVector<double>(problem.l, drng));
   }
 
-  ScecProtocol protocol(&*deployment, specs, {});
-  protocol.Stage();
-  const auto stream = protocol.RunQueryStream(xs);
+  recovery::SimDriver run(deployment, a, problem.fleet);
+  const Stream stream = RunStream(run, xs);
   ASSERT_EQ(stream.decoded.size(), xs.size());
   for (size_t q = 0; q < xs.size(); ++q) {
     const auto expected = MatVec(a, std::span<const double>(xs[q]));
@@ -245,35 +265,120 @@ TEST(SimProtocol, StreamedQueriesDecodeLikeSequentialOnes) {
 
 TEST(SimProtocol, PipeliningBeatsSequentialMakespan) {
   const McscecProblem problem = MakeProblem(20, 8, 7, 11);
-  ChaCha20Rng coding_rng(110);
   Xoshiro256StarStar drng(111);
   const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
-  const auto deployment = Deploy(problem, a, coding_rng);
-  ASSERT_TRUE(deployment.ok());
-  std::vector<EdgeDevice> specs;
-  for (size_t idx : deployment->plan.participating) {
-    specs.push_back(problem.fleet[idx]);
-  }
+  const Deployment<double> deployment = Planned(problem, a, 110);
   std::vector<std::vector<double>> xs;
   for (int q = 0; q < 10; ++q) {
     xs.push_back(RandomVector<double>(problem.l, drng));
   }
 
-  // Sequential: fresh protocol so both start from identical state.
-  ScecProtocol sequential(&*deployment, specs, {});
-  sequential.Stage();
+  // Sequential: a fresh driver so both start from identical state.
+  recovery::SimDriver sequential(deployment, a, problem.fleet);
   double sequential_total = 0.0;
   for (const auto& x : xs) {
-    const double before = sequential.queue().now();
-    (void)sequential.RunQuery(x);
-    sequential_total += sequential.queue().now() - before;
+    ASSERT_TRUE(sequential.driver.Query(x).ok());
+    sequential_total += sequential.driver.stats().last_query_s;
   }
 
-  ScecProtocol pipelined(&*deployment, specs, {});
-  pipelined.Stage();
-  const auto stream = pipelined.RunQueryStream(xs);
+  recovery::SimDriver pipelined(deployment, a, problem.fleet);
+  const Stream stream = RunStream(pipelined, xs);
   EXPECT_LT(stream.makespan, sequential_total)
       << "overlapping transfer+compute must beat stop-and-wait";
+}
+
+TEST(QueryFlights, TwoFlightsInterleavedDecodeExactly) {
+  const McscecProblem problem = MakeProblem(18, 6, 7, 13);
+  Xoshiro256StarStar drng(131);
+  const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
+  const Deployment<double> deployment = Planned(problem, a, 130);
+  const auto x0 = RandomVector<double>(problem.l, drng);
+  const auto x1 = RandomVector<double>(problem.l, drng);
+
+  // One query at a time decodes the reference answers.
+  recovery::SimDriver one(deployment, a, problem.fleet);
+  const Result<std::vector<double>> want0 = one.driver.Query(x0);
+  const Result<std::vector<double>> want1 = one.driver.Query(x1);
+  ASSERT_TRUE(want0.ok() && want1.ok());
+
+  recovery::SimDriver run(deployment, a, problem.fleet);
+  const auto id0 = run.driver.Begin(x0);
+  const auto id1 = run.driver.Begin(x1);
+  ASSERT_TRUE(id0.ok() && id1.ok());
+  // Each poll hands both flights their completions as they arrive.
+  while (!run.driver.flight(*id0).settled() ||
+         !run.driver.flight(*id1).settled()) {
+    run.driver.Poll();
+  }
+  const Result<std::vector<double>> got1 = run.driver.Take(*id1);
+  const Result<std::vector<double>> got0 = run.driver.Take(*id0);
+  ASSERT_TRUE(got0.ok()) << got0.status();
+  ASSERT_TRUE(got1.ok()) << got1.status();
+  EXPECT_EQ(*got0, *want0);
+  EXPECT_EQ(*got1, *want1);
+  ExpectProduct(a, x0, got0);
+  ExpectProduct(a, x1, got1);
+  EXPECT_EQ(run.driver.stats().queries, 2u);
+  EXPECT_EQ(net::ReconcileLedgers(run.driver.stats(), run.transport.stats(),
+                                  problem.l),
+            "");
+}
+
+TEST(QueryFlights, CrashWithTwoFlightsOpenDecodesBoth) {
+  const McscecProblem problem = MakeProblem(18, 6, 9, 14);
+  Xoshiro256StarStar drng(141);
+  const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
+  const Deployment<double> deployment = Planned(problem, a, 140);
+  const auto x0 = RandomVector<double>(problem.l, drng);
+  const auto x1 = RandomVector<double>(problem.l, drng);
+
+  FaultSchedule faults;
+  net::SimTransportOptions sim;
+  sim.faults = &faults;
+  recovery::SimDriver run(deployment, a, problem.fleet, sim);
+  // Both flights are dispatched; the first participant dies before any
+  // of their sub-queries reaches it.
+  const auto id0 = run.driver.Begin(x0);
+  const auto id1 = run.driver.Begin(x1);
+  ASSERT_TRUE(id0.ok() && id1.ok());
+  faults.AddCrash(deployment.plan.participating[0], run.transport.Now());
+
+  const Result<std::vector<double>> got0 = run.driver.Take(*id0);
+  const Result<std::vector<double>> got1 = run.driver.Take(*id1);
+  ExpectProduct(a, x0, got0);
+  ExpectProduct(a, x1, got1);
+  EXPECT_GE(faults.stats().crash_drops, 2u) << "both flights hit the crash";
+  EXPECT_EQ(run.driver.stats().evictions, 1u);
+  EXPECT_GE(run.driver.stats().recovery_rounds, 1u);
+  EXPECT_TRUE(run.driver.VerifyCumulativeSecurity().all_secure);
+  EXPECT_EQ(net::ReconcileLedgers(run.driver.stats(), run.transport.stats(),
+                                  problem.l),
+            "");
+}
+
+TEST(QueryFlights, JournaledCoordinatorKeepsOneFlightOpen) {
+  const McscecProblem problem = MakeProblem(12, 4, 6, 15);
+  Xoshiro256StarStar drng(151);
+  const auto a = RandomMatrix<double>(problem.m, problem.l, drng);
+  auto session = DeploymentSession<double>::Adopt(Planned(problem, a, 150));
+  std::ostringstream journal_os;
+  recovery::QueryJournal journal(&journal_os, /*snapshot_crc=*/0);
+  session.AttachJournal(&journal);
+  net::SimTransport transport(problem.fleet.devices(), {});
+  net::NetCoordinator driver(session, a, problem.fleet,
+                             recovery::SimDriverOptions());
+  ASSERT_TRUE(driver.Setup(&transport).ok());
+
+  const auto x = RandomVector<double>(problem.l, drng);
+  const auto first = driver.Begin(x);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const auto second = driver.Begin(x);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), ErrorCode::kFailedPrecondition);
+  ExpectProduct(a, x, driver.Take(*first));
+  // Once the open flight is taken, the next query may begin.
+  ExpectProduct(a, x, driver.Query(x));
+  EXPECT_EQ(driver.stats().queries, 2u);
 }
 
 TEST(StragglerModel, ShiftedExponentialRespectsShiftAndCap) {
