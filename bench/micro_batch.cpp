@@ -8,12 +8,18 @@
 //     naive kernel (the pre-batching implementation, kept here as the
 //     baseline the ≥4× target is measured against).
 //   * MatVecInto<double> (runtime-dispatched row-block kernel) vs the naive
-//     loop, at n=1024 and at device-share shapes.
+//     loop, at n=1024 and at device-share shapes; six shares in rotation
+//     against a read-only sweep of their bytes.
 //   * Every GF(2^61−1) panel tier on its own at the serving share shape.
 //   * Parallel Deploy scaling across pool sizes at k=16 devices.
 //   * Steady-state QueryInto (zero allocations) vs allocating Query.
 
 #include <benchmark/benchmark.h>
+
+#include <bit>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "telemetry.h"
 
@@ -155,6 +161,51 @@ void BM_ShareMatVecLibraryDouble(benchmark::State& state) {
 }
 BENCHMARK(BM_ShareMatVecNaiveDouble)->Args({205, 1024})->Args({64, 64});
 BENCHMARK(BM_ShareMatVecLibraryDouble)->Args({205, 1024})->Args({64, 64});
+
+// --- six device shares in rotation, as net_loopback's plan serves them ------
+// Six 205×1024 double shares, about 10 MB, multiplied by x one after
+// another, against a read-only sweep of the same bytes (eight running XORs
+// of the raw words, so the loop is bound by loads, not by an add chain).
+// Bytes/s compares the mat-vecs with what memory delivers to one core.
+template <bool kMatVec>
+void RunSharesInRotation(benchmark::State& state) {
+  constexpr size_t kShares = 6, kRows = 205, kCols = 1024;
+  std::vector<Matrix<double>> shares;
+  for (size_t s = 0; s < kShares; ++s) {
+    shares.push_back(BenchMatrix<double>(kRows, kCols, 10 + s));
+  }
+  const auto x = BenchMatrix<double>(kCols, 1, 2);
+  std::vector<double> y(kRows);
+  for (auto _ : state) {
+    for (const Matrix<double>& share : shares) {
+      if constexpr (kMatVec) {
+        scec::MatVecInto(share, x.Data(), std::span<double>(y));
+        benchmark::DoNotOptimize(y.data());
+      } else {
+        const std::span<const double> v = share.Data();
+        uint64_t folded[8] = {};
+        for (size_t i = 0; i < v.size(); i += 8) {
+          for (size_t j = 0; j < 8; ++j) {
+            folded[j] ^= std::bit_cast<uint64_t>(v[i + j]);
+          }
+        }
+        benchmark::DoNotOptimize(folded);
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(kShares * kRows * kCols *
+                                               sizeof(double)));
+}
+void BM_MatVecF64SharesInRotation(benchmark::State& state) {
+  RunSharesInRotation<true>(state);
+}
+void BM_ReadSweepF64SharesInRotation(benchmark::State& state) {
+  RunSharesInRotation<false>(state);
+}
+BENCHMARK(BM_MatVecF64SharesInRotation)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ReadSweepF64SharesInRotation)->Unit(benchmark::kMicrosecond);
 
 // --- each Gf61 panel tier at the serving share shape ------------------------
 // serve_gf61 multiplies every 205×1024 share of a tenant by a 1024×32 panel

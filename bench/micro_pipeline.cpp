@@ -7,11 +7,18 @@
 // coordinator's recovery from a 256-query journal. BM_SessionOpen and
 // BM_NetSetup time set-up at m = l = 1024 on an 8-device fleet and count
 // the minor page faults it takes (first touches of fresh pages).
+// BM_SimDriverQuery times one warm query through the driver over
+// SimTransport, with and without the write-ahead journal, and counts its
+// operator new calls.
 
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +34,42 @@
 #include "recovery/journal.h"
 #include "workload/device_profiles.h"
 #include "workload/distributions.h"
+
+// Counts operator new calls for BM_SimDriverQuery. Sanitizer runtimes own
+// the allocator, so there the count stays 0.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SCEC_ALLOC_COUNTER 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SCEC_ALLOC_COUNTER 0
+#else
+#define SCEC_ALLOC_COUNTER 1
+#endif
+#else
+#define SCEC_ALLOC_COUNTER 1
+#endif
+
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+}  // namespace
+
+#if SCEC_ALLOC_COUNTER
+// GCC pairs the malloc-backed replacement operator new with the library
+// operator delete at inlined call sites and warns; the pairing is fine
+// because both replacements below are global.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#endif
 
 namespace {
 
@@ -296,6 +339,77 @@ BENCHMARK_CAPTURE(BM_JournalReplay, restart, ReplayPath::kRestart)
 BENCHMARK_CAPTURE(BM_JournalReplay, single_pass, ReplayPath::kSinglePass)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_JournalReplay, load_then_fold, ReplayPath::kLoadThenFold)
+    ->Unit(benchmark::kMicrosecond);
+
+// One warm query through NetCoordinator over SimTransport at the
+// durable_journal shape (m = l = 64, 12-device campus fleet): `journal`
+// runs it through the DurableCoordinator with its journal on an in-memory
+// stream, otherwise through a plain SimDriver. Every 256 queries both are
+// rebuilt untimed, so the stream stays as short as a perfbench kill cycle's.
+void BM_SimDriverQuery(benchmark::State& state, bool journal) {
+  constexpr size_t kM = 64;
+  constexpr size_t kL = 64;
+  constexpr size_t kQueriesPerCycle = 256;
+  scec::McscecProblem problem;
+  scec::Xoshiro256StarStar fleet_rng(20190707);
+  problem.m = kM;
+  problem.l = kL;
+  problem.fleet = scec::MakeCampusFleet(12, fleet_rng);
+  scec::Xoshiro256StarStar rng(8);
+  const auto a = scec::RandomMatrix<double>(kM, kL, rng);
+  scec::ChaCha20Rng coding_rng(9);
+  const auto deployment = scec::Deploy(problem, a, coding_rng);
+  SCEC_CHECK(deployment.ok()) << deployment.status();
+  std::vector<std::vector<double>> xs;
+  for (size_t q = 0; q < kQueriesPerCycle; ++q) {
+    xs.push_back(scec::RandomVector<double>(kL, rng));
+  }
+
+  std::string snapshot;
+  std::optional<std::ostringstream> stream;
+  std::unique_ptr<scec::recovery::DurableCoordinator> durable;
+  std::optional<scec::recovery::SimDriver> plain;
+  auto rebuild = [&] {
+    durable.reset();
+    plain.reset();
+    if (journal) {
+      stream.emplace();
+      auto started = scec::recovery::DurableCoordinator::Start(
+          *deployment, &a, problem.fleet.devices(), &snapshot, &*stream, {});
+      SCEC_CHECK(started.ok()) << started.status();
+      durable = std::move(*started);
+    } else {
+      plain.emplace(*deployment, a, problem.fleet);
+    }
+  };
+  auto query = [&](const std::vector<double>& x) {
+    return journal ? durable->Query(x) : plain->driver.Query(x);
+  };
+  rebuild();
+  SCEC_CHECK(query(xs[0]).ok());  // warm
+
+  uint64_t allocs = 0;
+  size_t next = 1;
+  for (auto _ : state) {
+    if (next == kQueriesPerCycle) {
+      state.PauseTiming();
+      rebuild();
+      SCEC_CHECK(query(xs[0]).ok());
+      next = 1;
+      state.ResumeTiming();
+    }
+    const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    auto y = query(xs[next++]);
+    allocs += g_allocs.load(std::memory_order_relaxed) - before;
+    SCEC_CHECK(y.ok()) << y.status();
+    benchmark::DoNotOptimize(y);
+  }
+  state.counters["allocs_per_query"] = benchmark::Counter(
+      static_cast<double>(allocs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK_CAPTURE(BM_SimDriverQuery, journal, true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_SimDriverQuery, plain, false)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // CRC-32 tiers; contract in crc32.h.
 
-#include "recovery/crc32.h"
+#include "common/crc32.h"
 
 #include <array>
 
@@ -13,7 +13,7 @@
 #define SCEC_X86_CRC 0
 #endif
 
-namespace scec::recovery::internal {
+namespace scec::internal {
 namespace {
 
 using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
@@ -169,12 +169,12 @@ const Crc32Tier& SelectedCrc32Tier() {
   return selected;
 }
 
-}  // namespace scec::recovery::internal
+}  // namespace scec::internal
 
-namespace scec::recovery {
+namespace scec {
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   return internal::SelectedCrc32Tier().fn(data, len, seed);
 }
 
-}  // namespace scec::recovery
+}  // namespace scec

@@ -344,6 +344,17 @@ void NetCoordinator::Journal(JournalEvent event, bool committed) {
   }
 }
 
+void NetCoordinator::JournalPayload(JournalEvent event,
+                                    std::vector<double>& payload) {
+  if (journal_ == nullptr) return;
+  event.generation = generation_;
+  // Swapped in and back: the record is built without copying the payload.
+  // A crash probe that fires drops it, with the dead coordinator.
+  event.values.swap(payload);
+  journal_->AppendCommitted(event);
+  event.values.swap(payload);
+}
+
 void NetCoordinator::Commit() {
   if (journal_ != nullptr) journal_->Commit();
 }
@@ -734,12 +745,10 @@ void NetCoordinator::HandleResponse(Completion& completion) {
   // Durable before usable: the verified payload is committed before it
   // enters the decode, so a restarted coordinator re-verifies and injects
   // it instead of re-dispatching (and re-billing) the device.
-  if (journal_ != nullptr) {
-    Journal({.kind = JournalEventKind::kResponse, .query_id = f.query_id,
-             .segment = entry.segment, .local = entry.slot,
-             .device = device, .values = completion.values},
-            /*committed=*/true);
-  }
+  JournalPayload({.kind = JournalEventKind::kResponse, .query_id = f.query_id,
+                  .segment = entry.segment, .local = entry.slot,
+                  .device = device},
+                 completion.values);
   f.responses[entry.segment][entry.slot] = std::move(completion.values);
   if (options_.record_trace) {
     f.verified_trace.push_back("verified seg=" + S(entry.segment) + " slot=" +
@@ -1169,14 +1178,11 @@ Result<NetCoordinator::FlightId> NetCoordinator::Begin(
   // Admit the query durably before any work. A resumed query keeps its
   // original id (the duplicate kQueryBegin is the resumption marker).
   if (!resuming) f.query_id = query_seq_++;
-  if (journal_ != nullptr) {
-    Journal({.kind = JournalEventKind::kQueryBegin, .query_id = f.query_id,
-             .values = x},
-            /*committed=*/true);
-  }
+  f.x.assign(x.begin(), x.end());
+  JournalPayload(
+      {.kind = JournalEventKind::kQueryBegin, .query_id = f.query_id}, f.x);
   Trace([&] { return "query q=" + S(f.id); });
 
-  f.x.assign(x.begin(), x.end());
   f.rounds = 0;
   f.outstanding = 0;
   f.hedges.clear();
@@ -1285,11 +1291,9 @@ void NetCoordinator::Finish(QueryFlight& f) {
   // The result record goes LAST: a crash before it leaves the query
   // in flight (the next incarnation finishes it); after it, the journal
   // owns the answer and the query must never run again.
-  if (journal_ != nullptr) {
-    Journal({.kind = JournalEventKind::kQueryResult, .query_id = f.query_id,
-             .values = f.result},
-            /*committed=*/true);
-  }
+  JournalPayload(
+      {.kind = JournalEventKind::kQueryResult, .query_id = f.query_id},
+      f.result);
   f.phase = QueryFlight::Phase::kSettled;
 }
 

@@ -386,6 +386,9 @@ class NetCoordinator {
   void RunCanaries(QueryFlight& f);
 
   void Journal(recovery::JournalEvent event, bool committed);
+  // Appends and commits `event` with `payload` as its values.
+  void JournalPayload(recovery::JournalEvent event,
+                      std::vector<double>& payload);
   void Commit();
 
   // Trace lines are built only when recording: callers pass a callable.

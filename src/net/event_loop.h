@@ -15,8 +15,8 @@
 // loop thread — cross-thread callers go through Post(), which is the only
 // thread-safe entry point besides Stop().
 //
-// Mirrors the role EventQueue (sim/event_queue.h) plays for the simulator:
-// same callback-scheduling shape, but driven by the kernel clock and real
+// Plays the role SimTransport's event heap (net/sim_transport.h) plays for
+// the simulator, but runs callbacks, driven by the kernel clock and real
 // socket readiness instead of simulated time.
 
 #pragma once

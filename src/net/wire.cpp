@@ -6,8 +6,8 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/serde.h"
-#include "recovery/crc32.h"
 
 namespace scec::net {
 namespace {
@@ -98,8 +98,8 @@ void FinishFrame(WireType type, size_t frame_start, std::string* out) {
   header[7] = 0;
   PutU32(header + 8, static_cast<uint32_t>(payload_len));
   PutU32(header + 12,
-         recovery::Crc32(header + kFrameHeaderSize, payload_len));
-  PutU32(header + 16, recovery::Crc32(header, 16));
+         Crc32(header + kFrameHeaderSize, payload_len));
+  PutU32(header + 16, Crc32(header, 16));
 }
 
 }  // namespace
@@ -129,7 +129,7 @@ struct FrameHeader {
 // which must not be trusted before validating) is caught here.
 Status ParseFrameHeader(std::string_view buffer, FrameHeader* header) {
   SCEC_CHECK_GE(buffer.size(), kFrameHeaderSize);
-  if (recovery::Crc32(buffer.data(), 16) != GetU32(buffer.data() + 16)) {
+  if (Crc32(buffer.data(), 16) != GetU32(buffer.data() + 16)) {
     return ProtocolError("frame header checksum mismatch");
   }
   if (std::memcmp(buffer.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -159,7 +159,7 @@ Status ParseFrameHeader(std::string_view buffer, FrameHeader* header) {
 }
 
 Status CheckPayload(const FrameHeader& header, std::string_view payload) {
-  if (recovery::Crc32(payload.data(), payload.size()) != header.payload_crc) {
+  if (Crc32(payload.data(), payload.size()) != header.payload_crc) {
     return ProtocolError("frame payload checksum mismatch");
   }
   return Status::Ok();

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "obs/metrics.h"
-#include "recovery/crc32.h"
 #include "recovery/sealed_snapshot.h"
 
 namespace scec::recovery {

@@ -6,10 +6,10 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/serde.h"
 #include "obs/metrics.h"
 #include "recovery/crash.h"
-#include "recovery/crc32.h"
 
 namespace scec::recovery {
 namespace {

@@ -7,10 +7,10 @@
 #include <fstream>
 #include <span>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "core/deployment_io.h"
-#include "recovery/crc32.h"
 
 namespace scec::recovery {
 namespace {

@@ -858,8 +858,8 @@ ChaosEpisode RunCrashEpisode(const ChaosConfig& config, size_t index,
 
   if (episode.crash_fired) {
     episode.generations = 2;
-    // Destroy the dead coordinator BEFORE restarting: its event queue still
-    // holds callbacks into transport state, and nothing may run them now.
+    // Destroy the dead coordinator BEFORE restarting, as a kill would:
+    // nothing of the dead incarnation may run on.
     coordinator.reset();
     episode.outcome = "decoded";
     final_gen_queries = 0;

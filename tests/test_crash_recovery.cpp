@@ -113,7 +113,7 @@ DrillResult RunDrill(const Fixture& f, const CrashSpec& spec,
   EXPECT_EQ(out.crashed, injector.fired());
 
   if (out.crashed) {
-    coordinator.reset();  // the dead incarnation's callbacks must not outlive it
+    coordinator.reset();  // the dead incarnation must not outlive the kill
     out.journal_at_crash = journal_gen0.str();
     auto restarted = DurableCoordinator::Restart(
         out.snapshot, journal_gen0.str(), &f.a, f.problem.fleet.devices(),

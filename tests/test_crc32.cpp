@@ -7,7 +7,7 @@
 // tier the dispatch does not pick on this host is still checked wherever
 // the host can run it.
 
-#include "recovery/crc32.h"
+#include "common/crc32.h"
 
 #include <gtest/gtest.h>
 

@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "hostile_bytes.h"
-#include "recovery/crc32.h"
 #include "replay_differential.h"
 
 namespace scec::recovery {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "coding/encoder.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "common/thread_pool.h"
@@ -37,7 +38,6 @@
 #include "net/socket.h"
 #include "net/socket_transport.h"
 #include "net/wire.h"
-#include "recovery/crc32.h"
 
 // The allocation pins replace global operator new/delete with counting
 // versions. Sanitizer runtimes own the allocator, so skip there.
@@ -605,7 +605,7 @@ TEST(NetWireShareFrame, ClaimedLengthIsNotAllocatedBeforeItArrives) {
     }
   };
   put_u32(8, kMaxPayloadLen);
-  put_u32(16, recovery::Crc32(header.data(), 16));
+  put_u32(16, Crc32(header.data(), 16));
   const std::string body(3 << 20, 'x');
   const auto no_frame = [](WireType, std::string_view) {
     ADD_FAILURE() << "no frame is complete";
