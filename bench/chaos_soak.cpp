@@ -471,7 +471,7 @@ std::string ByzArmJson(const ByzArm& arm) {
          ",\"ok\":" + (arm.ok ? "true" : "false") + "}";
 }
 
-// One row per socket episode: the scripted faults (as daemon behaviours and
+// One row per socket episode: the scripted faults (as daemon scripts and
 // proxy faults) and what the proxies actually did.
 void PrintSocketEpisodes(const ChaosSoakSummary& summary) {
   scec::TablePrinter table({"episode", "mix", "outcome", "ok", "faults",

@@ -9,7 +9,6 @@
 
 #include "common/check.h"
 #include "common/serde.h"
-#include "linalg/matrix_ops.h"
 #include "obs/metrics.h"
 
 namespace scec::net {
@@ -43,7 +42,13 @@ struct ScecDaemon::Connection {
   int fd = -1;
 };
 
-ScecDaemon::ScecDaemon(ScecdOptions options) : options_(options) {}
+ScecDaemon::ScecDaemon(ScecdOptions options)
+    : options_(std::move(options)), core_(options_.daemon_id, &script_) {
+  script_.SetSeed(options_.fault_seed);
+  for (const sim::FaultEvent& event : options_.faults) {
+    script_.Add(options_.daemon_id, event);
+  }
+}
 
 ScecDaemon::~ScecDaemon() { Stop(); }
 
@@ -55,6 +60,7 @@ Status ScecDaemon::Start() {
   // Registering before Run() is safe: the loop is not polling yet.
   loop_.WatchFd(listen_fd_, /*want_read=*/true, /*want_write=*/false,
                 [this](uint32_t) { HandleAccept(); });
+  started_s_ = EventLoop::Now();
   thread_ = std::thread([this]() { loop_.Run(); });
   started_ = true;
   return Status::Ok();
@@ -76,9 +82,19 @@ void ScecDaemon::Stop() {
   started_ = false;
 }
 
-void ScecDaemon::SetBehavior(Behavior behavior, double delay_s) {
-  behavior_.store(static_cast<int>(behavior));
-  behavior_delay_s_.store(delay_s);
+uint64_t ScecDaemon::shares_held() const {
+  std::lock_guard<std::mutex> lock(core_mutex_);
+  return core_.shares_held();
+}
+
+uint64_t ScecDaemon::queries_served() const {
+  std::lock_guard<std::mutex> lock(core_mutex_);
+  return queries_served_;
+}
+
+DeviceOps ScecDaemon::ops() const {
+  std::lock_guard<std::mutex> lock(core_mutex_);
+  return core_.ops();
 }
 
 void ScecDaemon::HandleAccept() {
@@ -126,34 +142,32 @@ void ScecDaemon::CloseConnection(Connection* conn) {
 }
 
 void ScecDaemon::AnswerQuery(Connection* conn, const QueryMsg& query) {
-  auto share_it = shares_.find(query.share_id);
-  if (share_it == shares_.end() ||
-      query.x.size() != share_it->second.cols()) {
-    RpcErrorMsg err;
-    err.rpc_id = query.rpc_id;
-    err.code = static_cast<uint8_t>(NetError::kProtocol);
-    err.message = share_it == shares_.end() ? "unknown share id"
-                                            : "query length mismatch";
+  std::unique_lock<std::mutex> lock(core_mutex_);
+  const DeviceCore::Arrival arrival = core_.Compute(
+      query.share_id, query.x, EventLoop::Now() - started_s_,
+      &response_.values);
+  if (arrival == DeviceCore::Arrival::kUnknownShare ||
+      arrival == DeviceCore::Arrival::kWrongLength) {
+    lock.unlock();
+    const RpcErrorMsg err{query.rpc_id,
+                          static_cast<uint8_t>(NetError::kProtocol),
+                          arrival == DeviceCore::Arrival::kUnknownShare
+                              ? "unknown share id"
+                              : "query length mismatch"};
     conn->socket->Send(EncodeFrame(WireType::kRpcError, err.Encode()));
     return;
   }
-  ResponseMsg response;
-  response.rpc_id = query.rpc_id;
-  response.values.resize(share_it->second.rows());
-  MatVecInto(share_it->second, std::span<const double>(query.x),
-             std::span<double>(response.values));
-  const auto behavior = static_cast<Behavior>(behavior_.load());
-  if (behavior == Behavior::kCorrupt && !response.values.empty()) {
-    response.values[0] += 1.0;  // Byzantine lie; caught by Freivalds digests
+  // A missed or withheld answer is silence: the coordinator's deadline
+  // must fire.
+  if (arrival == DeviceCore::Arrival::kMissed ||
+      !core_.Release(EventLoop::Now() - started_s_, &response_.values)) {
+    return;
   }
-  const uint64_t rows = response.values.size();
-  const uint64_t l = query.x.size();
-  queries_served_.fetch_add(1);
-  mults_.fetch_add(rows * l);
-  adds_.fetch_add(rows * (l - 1));
-  values_returned_.fetch_add(rows);
+  ++queries_served_;
+  lock.unlock();
   ScecdMetrics::Get().queries.Increment();
-  conn->socket->Send(EncodeFrame(WireType::kResponse, response.Encode()));
+  response_.rpc_id = query.rpc_id;
+  conn->socket->Send(EncodeFrame(WireType::kResponse, response_.Encode()));
 }
 
 void ScecDaemon::HandleFrame(Connection* conn, WireType type,
@@ -167,7 +181,7 @@ void ScecDaemon::HandleFrame(Connection* conn, WireType type,
       }
       HelloAckMsg ack;
       ack.daemon_id = options_.daemon_id;
-      ack.shares_held = shares_.size();
+      ack.shares_held = shares_held();
       conn->socket->Send(EncodeFrame(WireType::kHelloAck, ack.Encode()));
       return;
     }
@@ -182,16 +196,15 @@ void ScecDaemon::HandleFrame(Connection* conn, WireType type,
         conn->socket->Send(EncodeFrame(WireType::kShareAck, ack.Encode()));
         return;
       }
-      // The values' one copy: frame buffer straight into the matrix. A
+      // The values' one copy: frame buffer straight into the share. A
       // restaged share id (a restarted coordinator numbers its shares
-      // afresh) overwrites the matrix it replaces when the shape matches.
-      Matrix<double>& rows = shares_[share->share_id];
-      if (rows.rows() != share->rows || rows.cols() != share->cols) {
-        rows = Matrix<double>(share->rows, share->cols);
+      // afresh) overwrites the share it replaces.
+      {
+        std::lock_guard<std::mutex> lock(core_mutex_);
+        const std::span<double> rows =
+            core_.Stage(share->share_id, share->rows, share->cols);
+        SCEC_CHECK(BinaryReader(share->values).ReadDoubles(rows).ok());
       }
-      SCEC_CHECK(BinaryReader(share->values).ReadDoubles(rows.Data()).ok());
-      shares_held_.store(shares_.size());
-      staged_values_.fetch_add(rows.size());
       ScecdMetrics::Get().shares.Increment();
       ack.share_id = share->share_id;
       conn->socket->Send(EncodeFrame(WireType::kShareAck, ack.Encode()));
@@ -201,21 +214,6 @@ void ScecDaemon::HandleFrame(Connection* conn, WireType type,
       Result<QueryMsg> query = QueryMsg::Decode(payload);
       if (!query.ok()) {
         CloseConnection(conn);
-        return;
-      }
-      const auto behavior = static_cast<Behavior>(behavior_.load());
-      if (behavior == Behavior::kSilent) {
-        return;  // accept and drop: the coordinator's deadline must fire
-      }
-      if (behavior == Behavior::kDelay) {
-        const double delay = behavior_delay_s_.load();
-        const int fd = conn->fd;
-        QueryMsg q = std::move(*query);
-        loop_.AddTimer(delay, [this, fd, q = std::move(q)]() {
-          auto it = connections_.find(fd);
-          if (it == connections_.end()) return;  // connection died meanwhile
-          AnswerQuery(it->second.get(), q);
-        });
         return;
       }
       AnswerQuery(conn, *query);

@@ -17,39 +17,42 @@
 //     never the daemon,
 //   * kDrain finishes queued work, answers kDrainAck, and closes cleanly.
 //
-// Fault injection for tests and chaos benches (SetBehavior): honest,
-// corrupt (Byzantine lie on element 0), silent (accept query, never
-// answer), delay (answer after a fixed pause via the loop's timer wheel).
+// The device is a net::DeviceCore, as in SimTransport: shares, answers,
+// Eq. (1) ops and the fault script (ScecdOptions::faults) on wall seconds
+// since Start(), so a daemon omits and lies as the simulated device does.
+// Link faults (delay, loss, partition, crash) belong to net::ChaosProxy.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <mutex>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
-#include "linalg/matrix.h"
+#include "net/device_core.h"
 #include "net/event_loop.h"
 #include "net/socket.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "sim/faults.h"
 
 namespace scec::net {
 
 struct ScecdOptions {
   uint64_t daemon_id = 0;
   uint16_t port = 0;  // 0 = ephemeral (read back via port())
+  // The device's fault script: device `daemon_id`'s events of a
+  // sim::FaultSchedule seeded `fault_seed`, timed in seconds since Start().
+  std::vector<sim::FaultEvent> faults = {};
+  uint64_t fault_seed = sim::FaultSchedule::kDefaultSeed;
 };
 
 class ScecDaemon {
  public:
-  enum class Behavior { kHonest, kCorrupt, kSilent, kDelay };
-
   explicit ScecDaemon(ScecdOptions options);
   ~ScecDaemon();
 
@@ -60,18 +63,11 @@ class ScecDaemon {
 
   uint16_t port() const { return port_; }
 
-  // Thread-safe fault injection; applies to queries arriving after the call.
-  void SetBehavior(Behavior behavior, double delay_s = 0.0);
-
-  uint64_t shares_held() const { return shares_held_.load(); }
-  uint64_t queries_served() const { return queries_served_.load(); }
-  // What this daemon computed: values staged, V·l mults and V·(l−1) adds
-  // per answered query, values returned. A transport's op ledger for this
-  // device never exceeds it.
-  DeviceOps ops() const {
-    return {staged_values_.load(), mults_.load(), adds_.load(),
-            values_returned_.load()};
-  }
+  // Thread-safe reads of the device. ops() is what this daemon computed: a
+  // transport's op ledger for this device never exceeds it.
+  uint64_t shares_held() const;
+  uint64_t queries_served() const;
+  DeviceOps ops() const;
 
  private:
   struct Connection;
@@ -88,17 +84,14 @@ class ScecDaemon {
   std::thread thread_;
   bool started_ = false;
 
-  std::atomic<int> behavior_{0};  // Behavior
-  std::atomic<double> behavior_delay_s_{0.0};
-  std::atomic<uint64_t> shares_held_{0};
-  std::atomic<uint64_t> queries_served_{0};
-  std::atomic<uint64_t> staged_values_{0};
-  std::atomic<uint64_t> mults_{0};
-  std::atomic<uint64_t> adds_{0};
-  std::atomic<uint64_t> values_returned_{0};
+  sim::FaultSchedule script_;
+  double started_s_ = 0.0;  // EventLoop::Now() at Start()
+  mutable std::mutex core_mutex_;  // guards core_ and queries_served_
+  DeviceCore core_;
+  uint64_t queries_served_ = 0;
 
   // Loop-thread state.
-  std::unordered_map<uint64_t, Matrix<double>> shares_;
+  ResponseMsg response_;  // the answer buffer, reused query after query
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
 };
 

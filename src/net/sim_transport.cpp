@@ -4,11 +4,9 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <span>
 #include <utility>
 
 #include "common/check.h"
-#include "linalg/matrix_ops.h"
 
 namespace scec::net {
 namespace {
@@ -38,9 +36,9 @@ SimTransport::SimTransport(std::vector<EdgeDevice> fleet,
     SCEC_CHECK_GE(spec.link_latency_s, 0.0);
     SCEC_CHECK_GT(spec.downlink_bps, 0.0);
     SCEC_CHECK_GT(spec.uplink_bps, 0.0);
-    DeviceState state;
-    state.spec = std::move(spec);
-    devices_.push_back(std::move(state));
+    devices_.push_back(DeviceState{
+        .spec = std::move(spec),
+        .core = DeviceCore(devices_.size(), options_.faults)});
   }
 }
 
@@ -141,48 +139,31 @@ void SimTransport::Dispatch(uint32_t r) {
 void SimTransport::Compute(uint32_t r) {
   Rpc& rpc = rpcs_[r];
   DeviceState& dev = devices_[rpc.device];
-  auto share_it = dev.shares.find(rpc.share_id);
-  if (share_it == dev.shares.end() ||
-      rpc.x.size() != share_it->second.cols()) {
-    // scecd answers a bad query with a typed error at once.
-    Reply(r, NetError::kProtocol);
+  const DeviceCore::Arrival arrival =
+      dev.core.Compute(rpc.share_id, rpc.x, now_, &rpc.values);
+  if (arrival == DeviceCore::Arrival::kMissed) return;
+  if (arrival != DeviceCore::Arrival::kComputed) {
+    Reply(r, NetError::kProtocol);  // as scecd refuses a bad query at once
     return;
   }
-  // A crashed or transiently offline device never receives the query.
-  if (options_.faults != nullptr &&
-      !options_.faults->AcceptsQueryAt(rpc.device, now_)) {
-    return;
-  }
-  // Single-core device: queue behind the in-flight query; Eq. (1) compute
-  // term V_j·l mults + V_j·(l−1) adds.
-  const Matrix<double>& share = share_it->second;
-  DeviceOps& ops = stats_.device_ops[rpc.device];
-  ops.mults += share.rows() * share.cols();
-  ops.adds += share.rows() * (share.cols() - 1);
-  const double flops = static_cast<double>(
-      share.rows() * share.cols() + share.rows() * (share.cols() - 1));
+  DeviceOps& billed = stats_.device_ops[rpc.device];
+  billed.mults = dev.core.ops().mults;
+  billed.adds = dev.core.ops().adds;
+  // Single-core device: queue behind the in-flight query.
+  const size_t rows = rpc.values.size();
+  const size_t cols = rpc.x.size();
+  const double flops = static_cast<double>(rows * cols + rows * (cols - 1));
   const double duration = options_.straggler.Apply(
       flops / dev.spec.compute_rate_flops, straggler_rng_);
   const double done = std::max(now_, dev.busy_until) + duration;
   dev.busy_until = done;
-  rpc.values.resize(share.rows());
-  MatVecInto(share, std::span<const double>(rpc.x),
-             std::span<double>(rpc.values));
-  sim::ApplyByzantine(options_.byzantine, options_.byzantine_seed,
-                      rpc.device, &dev.byzantine_draws, &dev.lies,
-                      &rpc.values);
   Schedule(done, EventKind::kComputeDone, r);
   rpc.event_pending = true;
 }
 
 void SimTransport::ComputeDone(uint32_t r) {
-  // Fail-stop mid-compute, or an omission fault: the work was done, the
-  // response is withheld.
   Rpc& rpc = rpcs_[r];
-  if (options_.faults != nullptr) {
-    if (!options_.faults->SendsResponseAt(rpc.device, now_)) return;
-    options_.faults->MaybeCorrupt(rpc.device, now_, rpc.values);
-  }
+  if (!devices_[rpc.device].core.Release(now_, &rpc.values)) return;
   Reply(r, NetError::kOk);
 }
 
@@ -249,9 +230,13 @@ bool SimTransport::RunOne() {
         break;
       case EventKind::kStaged: {
         const Matrix<double>& rows = *staging_.rows;
-        devices_[staging_.device].shares[staging_.share_id] = rows;
+        DeviceCore& core = devices_[staging_.device].core;
+        std::ranges::copy(
+            rows.Data(),
+            core.Stage(staging_.share_id, rows.rows(), rows.cols()).begin());
         stats_.staged_value_bytes += rows.size() * sizeof(double);
-        stats_.device_ops[staging_.device].staged_values += rows.size();
+        stats_.device_ops[staging_.device].staged_values =
+            core.ops().staged_values;
         staging_.rows = nullptr;
         break;
       }

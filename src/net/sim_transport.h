@@ -6,22 +6,23 @@
 // devices whose queries queue behind the one in progress, and
 // straggler-inflated compute, exposed through the poll-based Transport
 // interface so the protocol driver runs the same code path as over real
-// sockets. It is the simulator's one device model: every simulated SCEC
-// run goes through it, the driver's (one query or several in flight: the
-// Remark 1 timing, pipelining and lossy-link benches,
-// examples/secure_inference, the chaos soak) and the footnote-1 replica
-// protocol's (sim/redundant_protocol.h).
+// sockets. Every simulated SCEC run goes through it, the driver's (one
+// query or several in flight: the Remark 1 timing, pipelining and
+// lossy-link benches, examples/secure_inference, the chaos soak) and the
+// footnote-1 replica protocol's (sim/redundant_protocol.h).
 //
-// Faults follow the simulator's one model (SimTransportOptions): a scripted
-// sim::FaultSchedule (crash, omission, corruption, transient outage), the
-// Byzantine specs, the straggler model, and message loss. Every fault acts
-// on the query path; staging stays reliable and ships one share at a time.
-// A lost or withheld message surfaces the way it does on sockets: the
-// RPC's deadline fires as a kTimeout, and the driver retries. A query for
-// an unknown share, or with the wrong length, gets a kProtocol error after
-// the link round trip, as scecd replies. Values are 8-byte doubles on every
-// link. The Eq. (1) op ledger (NetTransportStats::device_ops) counts what
-// each device model computes, whether or not its answer arrives.
+// Each device is a net::DeviceCore, as in scecd: shares, answers, Eq. (1)
+// ops and its part of the scripted sim::FaultSchedule (crash, omission,
+// corruption, transient outage), on simulated time. Around the devices
+// this file models links, queueing, the straggler model and message loss
+// (SimTransportOptions). Every fault acts on the query path; staging stays
+// reliable and ships one share at a time. A lost or withheld message
+// surfaces the way it does on sockets: the RPC's deadline fires as a
+// kTimeout, and the driver retries. A query for an unknown share, or with
+// the wrong length, gets a kProtocol error after the link round trip, as
+// scecd replies. Values are 8-byte doubles on every link. The Eq. (1) op
+// ledger (NetTransportStats::device_ops) counts what each device computes,
+// whether or not its answer arrives, and the values that arrive.
 //
 // Simulation: one binary heap of plain events ordered by (time, sequence
 // number). The sequence number counts scheduled events, so events due at
@@ -42,11 +43,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "allocation/device.h"
 #include "linalg/matrix.h"
+#include "net/device_core.h"
 #include "net/transport.h"
 #include "sim/faults.h"
 #include "sim/straggler.h"
@@ -57,8 +58,6 @@ namespace scec::net {
 struct SimTransportOptions {
   sim::StragglerModel straggler;  // inflates device compute times
   uint64_t straggler_seed = 7;
-  std::vector<sim::ByzantineSpec> byzantine;
-  uint64_t byzantine_seed = 11;
   const sim::FaultSchedule* faults = nullptr;  // not owned
   double loss_probability = 0.0;  // per query-path message
   uint64_t loss_seed = 99;
@@ -103,13 +102,10 @@ class SimTransport : public Transport {
 
   struct DeviceState {
     EdgeDevice spec;
-    std::unordered_map<uint64_t, Matrix<double>> shares;
+    DeviceCore core;                   // shares, answers, ops, fault script
     double busy_until = 0.0;           // the single core
     double downlink_busy_until = 0.0;  // user -> device
     double uplink_busy_until = 0.0;    // device -> user
-    // ByzantineSpec bookkeeping: coin draws, and lies told per spec.
-    uint64_t byzantine_draws = 0;
-    std::vector<size_t> lies;
   };
 
   // One RPC, from submit until its last event ran. It is open until

@@ -160,14 +160,11 @@ bool DeriveScenario(const ChaosMix& mix, Xoshiro256StarStar& rng,
     if ((pick -= mix.crash) < 0.0) {
       fault.kind = FaultKind::kCrash;
       fault.start_s = rng.NextDouble(0.0, 0.02);
-      faults.AddCrash(fault.device, fault.start_s);
     } else if ((pick -= mix.omission) < 0.0) {
       fault.kind = FaultKind::kOmission;
       fault.start_s = rng.NextDouble(0.0, 0.01);
-      faults.AddOmission(fault.device, fault.start_s);
     } else if ((pick -= mix.corruption) < 0.0) {
       fault.kind = FaultKind::kCorruption;
-      fault.start_s = 0.0;
       if (mix.coordinated) {
         // Coordinated ≤ t-subset attack: every liar injects the SAME
         // (element, delta), so their corruptions corroborate each other.
@@ -189,25 +186,12 @@ bool DeriveScenario(const ChaosMix& mix, Xoshiro256StarStar& rng,
       fault.probability = mix.corruption_probability;
       fault.relative = mix.corruption_relative;
       fault.equivocate = mix.corruption_equivocate;
-      if (fault.probability < 1.0 || fault.relative || fault.equivocate) {
-        FaultEvent event;
-        event.kind = FaultKind::kCorruption;
-        event.start_s = fault.start_s;
-        event.element = 0;
-        event.delta = fault.delta;
-        event.probability = fault.probability;
-        event.relative = fault.relative;
-        event.equivocate = fault.equivocate;
-        faults.Add(fault.device, event);
-      } else {
-        faults.AddCorruption(fault.device, fault.start_s, 0, fault.delta);
-      }
     } else {
       fault.kind = FaultKind::kTransient;
       fault.start_s = rng.NextDouble(0.0, 0.01);
       fault.end_s = fault.start_s + rng.NextDouble(0.02, 0.1);
-      faults.AddTransient(fault.device, fault.start_s, fault.end_s);
     }
+    faults.Add(fault.device, fault);
     episode->schedule.push_back(fault);
   }
 
@@ -248,12 +232,14 @@ bool DeriveScenario(const ChaosMix& mix, Xoshiro256StarStar& rng,
 }
 
 // A socket episode's live loopback cluster: one scecd daemon behind one
-// ChaosProxy per fleet device, with the scripted schedule turned into
-// daemon behaviours (omission, corruption) and proxy faults (crash,
-// transient). Every fault strikes from the first query on: a loopback query
-// takes about a millisecond, so the drawn start times, scaled, would land
-// after the episode. A transient partition heals after kSocketTimeScale ×
-// its drawn window. Outlives the transport that connects to it.
+// ChaosProxy per fleet device. The scripted schedule splits into device
+// faults, which each daemon's DeviceCore plays from its copy of the
+// device's script (omission, corruption: the simulator's events, lies and
+// coin seed), and link faults on the proxy (crash, transient). Every fault
+// strikes from the first query on: a loopback query takes about a
+// millisecond, so the drawn start times, scaled, would land after the
+// episode. A transient partition heals after kSocketTimeScale × its drawn
+// window. Outlives the transport that connects to it.
 class SocketFleet {
  public:
   SocketFleet() = default;
@@ -281,8 +267,16 @@ class SocketFleet {
           mix.socket_straggler_delay_s / scenario.options.straggler.rate);
     }
     for (size_t d = 0; d < scenario.problem.fleet.size(); ++d) {
-      daemons_.push_back(std::make_unique<net::ScecDaemon>(
-          net::ScecdOptions{.daemon_id = d}));
+      net::ScecdOptions daemon{.daemon_id = d,
+                               .fault_seed = scenario.faults.seed()};
+      for (FaultEvent event : scenario.faults.EventsFor(d)) {
+        if (event.kind == FaultKind::kOmission ||
+            event.kind == FaultKind::kCorruption) {
+          event.start_s = 0.0;
+          daemon.faults.push_back(event);
+        }
+      }
+      daemons_.push_back(std::make_unique<net::ScecDaemon>(std::move(daemon)));
       Status up = daemons_.back()->Start();
       if (!up.ok()) return up;
       net::ChaosProxyOptions options = link;
@@ -295,22 +289,10 @@ class SocketFleet {
     }
     for (const ChaosScheduledFault& fault : episode.schedule) {
       net::ChaosProxy* proxy = proxies_[fault.device].get();
-      switch (fault.kind) {
-        case FaultKind::kOmission:
-          daemons_[fault.device]->SetBehavior(
-              net::ScecDaemon::Behavior::kSilent);
-          break;
-        case FaultKind::kCorruption:
-          daemons_[fault.device]->SetBehavior(
-              net::ScecDaemon::Behavior::kCorrupt);
-          break;
-        case FaultKind::kCrash:
-          crashes_.push_back(proxy);
-          break;
-        case FaultKind::kTransient:
-          partitions_.emplace_back(
-              kSocketTimeScale * (fault.end_s - fault.start_s), proxy);
-          break;
+      if (fault.kind == FaultKind::kCrash) crashes_.push_back(proxy);
+      if (fault.kind == FaultKind::kTransient) {
+        partitions_.emplace_back(
+            kSocketTimeScale * (fault.end_s - fault.start_s), proxy);
       }
     }
     std::sort(partitions_.begin(), partitions_.end());
@@ -398,10 +380,6 @@ Status BuildFleet(ChaosTransport kind, const ChaosMix& mix,
     fleet->transport = std::make_unique<net::SimTransport>(
         scenario->problem.fleet.devices(), scenario->options);
     return Status::Ok();
-  }
-  if (!RealizableOverSockets(mix)) {
-    return InvalidArgument("mix " + mix.name +
-                           " has liars scecd cannot play");
   }
   fleet->sockets = std::make_unique<SocketFleet>();
   Status up = fleet->sockets->Start(mix, episode, *scenario);
@@ -644,7 +622,7 @@ ChaosSoakSummary RunSoak(const ChaosConfig& config,
 ChaosEpisode NewEpisode(const ChaosConfig& config, size_t index,
                         ChaosMix* mix) {
   const std::vector<ChaosMix> mixes =
-      config.mixes.empty() ? ChaosMixesFor(config.transport) : config.mixes;
+      config.mixes.empty() ? DefaultChaosMixes() : config.mixes;
   *mix = mixes[index % mixes.size()];
   ChaosEpisode episode;
   episode.index = index;
@@ -707,21 +685,6 @@ std::vector<ChaosMix> DefaultChaosMixes() {
        .byzantine_tolerance = 2,
        .coordinated = true},
   };
-}
-
-bool RealizableOverSockets(const ChaosMix& mix) {
-  return mix.corruption_probability >= 1.0 && !mix.corruption_relative &&
-         !mix.corruption_equivocate && !mix.coordinated;
-}
-
-std::vector<ChaosMix> ChaosMixesFor(ChaosTransport transport) {
-  std::vector<ChaosMix> mixes = DefaultChaosMixes();
-  if (transport == ChaosTransport::kSocket) {
-    std::erase_if(mixes, [](const ChaosMix& mix) {
-      return !RealizableOverSockets(mix);
-    });
-  }
-  return mixes;
 }
 
 ChaosEpisode RunChaosEpisode(const ChaosConfig& config, size_t index,

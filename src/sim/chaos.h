@@ -12,19 +12,20 @@
 //   sim     the simulated fleet (net/sim_transport.h) in virtual time;
 //           episodes replay bit for bit;
 //   socket  a live loopback cluster — one scecd daemon behind one
-//           ChaosProxy per device, reached over SocketTransport. The
-//           scripted schedule becomes daemon behaviours and proxy faults,
-//           all striking from the first query:
-//             omission    -> silent daemon (ScecDaemon::Behavior::kSilent)
-//             corruption  -> lying daemon (kCorrupt)
+//           ChaosProxy per device, reached over SocketTransport. Device
+//           faults run in the daemon's net::DeviceCore, from the same
+//           script the simulator's devices run; link faults run on the
+//           proxy. All strike from the first query:
+//             omission    -> the daemon's script: compute, never answer
+//             corruption  -> the daemon's script: the simulator's lie,
+//                            seeded coins included
 //             crash       -> mid-message kill, then unreachable (Crash())
 //             transient   -> partition, healed after the drawn window
 //             stragglers  -> proxy delay
 //             lossy links -> proxy drop, delay and reorder
-//           The schedule replays from the seed; the interleaving does not,
-//           and the invariants hold under every interleaving. scecd has one
-//           fixed lie, so the intermittent, minimal, equivocating and
-//           coordinated liar mixes stay simulator-only.
+//           Both transports run every mix of DefaultChaosMixes(). The
+//           schedule replays from the seed; the interleaving does not, and
+//           the invariants hold under every interleaving.
 //
 // Invariants, identical on both transports:
 //
@@ -123,22 +124,14 @@ std::vector<ChaosMix> DefaultChaosMixes();
 
 enum class ChaosTransport { kSim, kSocket };
 
-// True when scecd can play the mix's liars: always lying, one fixed lie,
-// no coordination.
-bool RealizableOverSockets(const ChaosMix& mix);
-
-// The rotation of a transport: DefaultChaosMixes() on the simulator, and
-// those of them RealizableOverSockets() on sockets.
-std::vector<ChaosMix> ChaosMixesFor(ChaosTransport transport);
-
 struct ChaosConfig {
   uint64_t seed = 1;    // master seed; episode i is fully determined by (seed, i)
   size_t episodes = 200;
   size_t queries_per_episode = 2;
   ChaosTransport transport = ChaosTransport::kSim;
 
-  std::vector<ChaosMix> mixes;  // empty -> ChaosMixesFor(transport); episode
-                                // i uses mixes[i % mixes.size()]
+  std::vector<ChaosMix> mixes;  // empty -> DefaultChaosMixes(); episode i
+                                // uses mixes[i % mixes.size()]
 
   // Crash-injected episodes (RunCrashEpisode/RunCrashSoak) write each
   // episode's sealed snapshot + combined journal here when set, so a
@@ -156,17 +149,10 @@ enum class ChaosSabotage {
   kForgeLedger,   // forge a downlink delivery -> ledger invariant must trip
 };
 
-// One scripted fault of an episode's schedule (printable for repro).
-struct ChaosScheduledFault {
+// One scripted fault of an episode's schedule (printable for repro): the
+// event the episode's FaultSchedule holds for `device`.
+struct ChaosScheduledFault : FaultEvent {
   size_t device = 0;  // fleet index
-  FaultKind kind = FaultKind::kCrash;
-  double start_s = 0.0;
-  double end_s = 0.0;   // kTransient only
-  double delta = 0.0;   // kCorruption only
-  // kCorruption adversary-model knobs (mirrors FaultEvent).
-  double probability = 1.0;
-  bool relative = false;
-  bool equivocate = false;
 };
 
 // Per-invariant verdicts; all true on a healthy episode.

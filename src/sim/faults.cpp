@@ -30,23 +30,6 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
-void ApplyByzantine(const std::vector<ByzantineSpec>& specs, uint64_t seed,
-                    size_t device, uint64_t* draws, std::vector<size_t>* lies,
-                    std::vector<double>* response) {
-  if (response->empty()) return;
-  lies->resize(specs.size(), 0);
-  for (size_t s = 0; s < specs.size(); ++s) {
-    const ByzantineSpec& spec = specs[s];
-    if (spec.device != device || (*lies)[s] >= spec.max_lies) continue;
-    if (spec.probability < 1.0 &&
-        HashedCoin(seed, device, ++*draws) >= spec.probability) {
-      continue;
-    }
-    (*response)[spec.element % response->size()] += spec.magnitude;
-    ++(*lies)[s];
-  }
-}
-
 void FaultSchedule::Add(size_t device, FaultEvent event) {
   SCEC_CHECK_GE(event.start_s, 0.0);
   SCEC_CHECK_GE(event.end_s, event.start_s);
@@ -61,38 +44,37 @@ void FaultSchedule::Add(size_t device, FaultEvent event) {
 }
 
 void FaultSchedule::AddCrash(size_t device, double at_s) {
-  Add(device, FaultEvent{FaultKind::kCrash, at_s,
-                         std::numeric_limits<double>::infinity(), 0, 0.0});
+  Add(device, FaultEvent{.kind = FaultKind::kCrash, .start_s = at_s});
 }
 
 void FaultSchedule::AddOmission(size_t device, double from_s) {
-  Add(device, FaultEvent{FaultKind::kOmission, from_s,
-                         std::numeric_limits<double>::infinity(), 0, 0.0});
+  Add(device, FaultEvent{.kind = FaultKind::kOmission, .start_s = from_s});
 }
 
 void FaultSchedule::AddCorruption(size_t device, double from_s, size_t element,
                                   double delta) {
   SCEC_CHECK(delta != 0.0) << "a zero-delta corruption is a no-op";
-  Add(device, FaultEvent{FaultKind::kCorruption, from_s,
-                         std::numeric_limits<double>::infinity(), element,
-                         delta});
+  Add(device, FaultEvent{.kind = FaultKind::kCorruption,
+                         .start_s = from_s,
+                         .element = element,
+                         .delta = delta});
 }
 
 void FaultSchedule::AddTransient(size_t device, double from_s,
                                  double until_s) {
   SCEC_CHECK_GT(until_s, from_s) << "transient window must be non-empty";
-  Add(device, FaultEvent{FaultKind::kTransient, from_s, until_s, 0, 0.0});
+  Add(device, FaultEvent{.kind = FaultKind::kTransient,
+                         .start_s = from_s,
+                         .end_s = until_s});
 }
 
-const std::vector<FaultEvent>* FaultSchedule::EventsFor(size_t device) const {
-  if (device >= events_.size()) return nullptr;
-  return &events_[device];
+std::span<const FaultEvent> FaultSchedule::EventsFor(size_t device) const {
+  if (device >= events_.size()) return {};
+  return events_[device];
 }
 
 bool FaultSchedule::AcceptsQueryAt(size_t device, double when) const {
-  const auto* events = EventsFor(device);
-  if (events == nullptr) return true;
-  for (const FaultEvent& event : *events) {
+  for (const FaultEvent& event : EventsFor(device)) {
     if (event.kind == FaultKind::kCrash && when >= event.start_s) {
       ++stats_.crash_drops;
       return false;
@@ -107,9 +89,7 @@ bool FaultSchedule::AcceptsQueryAt(size_t device, double when) const {
 }
 
 bool FaultSchedule::SendsResponseAt(size_t device, double when) const {
-  const auto* events = EventsFor(device);
-  if (events == nullptr) return true;
-  for (const FaultEvent& event : *events) {
+  for (const FaultEvent& event : EventsFor(device)) {
     if (event.kind == FaultKind::kCrash && when >= event.start_s) {
       ++stats_.crash_drops;
       return false;
@@ -124,11 +104,11 @@ bool FaultSchedule::SendsResponseAt(size_t device, double when) const {
 
 bool FaultSchedule::MaybeCorrupt(size_t device, double when,
                                  std::vector<double>& response) const {
-  const auto* events = EventsFor(device);
-  if (events == nullptr || response.empty()) return false;
+  const std::span<const FaultEvent> events = EventsFor(device);
+  if (response.empty()) return false;
   bool corrupted = false;
-  for (size_t e = 0; e < events->size(); ++e) {
-    const FaultEvent& event = (*events)[e];
+  for (size_t e = 0; e < events.size(); ++e) {
+    const FaultEvent& event = events[e];
     if (event.kind != FaultKind::kCorruption || when < event.start_s ||
         when >= event.end_s) {
       continue;

@@ -10,7 +10,8 @@
 //   kOmission   — the device accepts work (the compute is performed and
 //                 billed) but silently never responds.
 //   kCorruption — Byzantine response corruption: an element of B_j·T·x is
-//                 perturbed before transmission. Per-device element/delta so
+//                 perturbed before transmission, while the event's
+//                 [start, end) window is open. Per-device element/delta so
 //                 tests can script *disagreeing* corruptions across replicas.
 //                 Adversary-model knobs: `probability` fires the corruption
 //                 intermittently (seeded, deterministic), `relative` scales
@@ -21,22 +22,21 @@
 //                 arriving in the window are lost, but a retry after the
 //                 window succeeds.
 //
-// A FaultSchedule is attached via net::SimTransportOptions::faults and
-// consulted by net::SimTransport, the simulator's one device model, so the
-// same injection layer drives the protocol driver (net/driver.h) and
-// RedundantScecProtocol over the simulated fleet. Device indices are
-// transport device ids (fleet indices).
+// A FaultSchedule scripts devices by transport device id (fleet index).
+// net::DeviceCore, the one device implementation, consults it: on
+// simulated time in net::SimTransport (SimTransportOptions::faults), and
+// on wall seconds in each scecd daemon, which holds a copy of its own
+// events (net::ScecdOptions::faults). The intermittent-lying coin is keyed
+// on (seed, device, draw), so a device draws the same coins on either.
 // Injection counters are mutable: they are simulator-side bookkeeping that
 // tests use to assert a scripted fault actually fired.
-//
-// ByzantineSpec is the seeded, per-device lying model the transport
-// applies to every answer it computes, before any scripted corruption.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -55,7 +55,8 @@ const char* FaultKindName(FaultKind kind);
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   double start_s = 0.0;  // when the fault becomes active (sim time)
-  double end_s = std::numeric_limits<double>::infinity();  // kTransient only
+  // When it stops: kTransient and kCorruption only.
+  double end_s = std::numeric_limits<double>::infinity();
   // kCorruption knobs: which response element is perturbed and by how much.
   size_t element = 0;
   double delta = 1.0;
@@ -78,24 +79,6 @@ struct FaultInjectionStats {
   }
 };
 
-// A configurable Byzantine device: which element of the response is
-// corrupted, by how much, how often, and for how many responses.
-struct ByzantineSpec {
-  size_t device = 0;        // transport device id
-  size_t element = 0;       // corrupted response element (mod length)
-  double magnitude = 1.0;   // added to the element
-  double probability = 1.0; // per-response chance of lying (seeded coin)
-  size_t max_lies = std::numeric_limits<size_t>::max();  // then turns honest
-};
-
-// Applies every spec of `device` in `specs` whose lie budget and seeded
-// coin (`seed`) allow to one of its responses. `draws` and `lies` are the
-// device's coin-draw count and per-spec lie counts, carried across
-// responses.
-void ApplyByzantine(const std::vector<ByzantineSpec>& specs, uint64_t seed,
-                    size_t device, uint64_t* draws, std::vector<size_t>* lies,
-                    std::vector<double>* response);
-
 class FaultSchedule {
  public:
   // Scripting API. `device` is the transport device id.
@@ -108,7 +91,12 @@ class FaultSchedule {
 
   // Seed for the intermittent-lying coin (probability < 1 corruption
   // events). Deterministic per (seed, device, draw index).
+  static constexpr uint64_t kDefaultSeed = 0x5EEDC0DEull;
   void SetSeed(uint64_t seed) { seed_ = seed; }
+  uint64_t seed() const { return seed_; }
+
+  // The events scripted for `device`, in the order they were added.
+  std::span<const FaultEvent> EventsFor(size_t device) const;
 
   // Queried at query-arrival time: false when the device is crashed or
   // transiently offline (the query is never received).
@@ -125,11 +113,9 @@ class FaultSchedule {
   const FaultInjectionStats& stats() const { return stats_; }
 
  private:
-  const std::vector<FaultEvent>* EventsFor(size_t device) const;
-
   // events_[device] = scripted faults for that device.
   std::vector<std::vector<FaultEvent>> events_;
-  uint64_t seed_ = 0x5EEDC0DEull;
+  uint64_t seed_ = kDefaultSeed;
   // Injection bookkeeping, not simulation state (see header comment):
   // per-device coin-draw counters and per-event firing counters (the latter
   // drive equivocation — each firing lies differently).

@@ -241,20 +241,27 @@ TEST(ByzantineReputation, QuarantinedLiarIsSkippedOnLaterQueries) {
 TEST(ByzantineReputation, TransientLiarWinsReadmissionThroughCanaries) {
   Rig rig(12, 5, 12, 88);
   ASSERT_GE(rig.spares(), 2u);
-  net::SimTransportOptions options;
-  // ByzantineSpec with a lie budget: corrupt exactly one response, then
-  // behave — the model of a since-patched device.
-  ByzantineSpec spec;
-  const size_t liar = rig.deployment.plan.participating[1];
-  spec.device = liar;
-  spec.element = 0;
-  spec.magnitude = 3.0;
-  spec.max_lies = 1;
-  options.byzantine.push_back(spec);
   net::NetCoordinatorOptions ft = recovery::SimDriverOptions();
   ft.byzantine_tolerance = 1;
   ft.reputation.canary_interval = 1;
   ft.reputation.canary_passes_to_readmit = 2;
+  // The model of a since-patched device: it lies through the first query,
+  // then behaves. Simulated time is deterministic, so a fault-free run of
+  // the same rig says when the first query ends: there the lying window
+  // closes.
+  double first_query_end_s = 0.0;
+  {
+    SimDriver honest(rig.deployment, rig.a, rig.problem.fleet, {}, ft);
+    ExpectDecodes(rig, honest.driver.Query(rig.x));
+    first_query_end_s = honest.transport.Now();
+  }
+  const size_t liar = rig.deployment.plan.participating[1];
+  FaultSchedule faults;
+  faults.Add(liar, FaultEvent{.kind = FaultKind::kCorruption,
+                              .end_s = first_query_end_s,
+                              .delta = 3.0});
+  net::SimTransportOptions options;
+  options.faults = &faults;
   SimDriver run(rig.deployment, rig.a, rig.problem.fleet, options, ft);
 
   Xoshiro256StarStar drng(89);
@@ -279,6 +286,7 @@ TEST(ByzantineReputation, TransientLiarWinsReadmissionThroughCanaries) {
       << "two clean canaries buy the device back in";
   EXPECT_EQ(rec.recovery_rounds, 0u);
   EXPECT_TRUE(run.driver.VerifyCumulativeSecurity().all_secure);
+  EXPECT_EQ(faults.stats().corruptions, 1u) << "one lie, then honest";
 }
 
 }  // namespace

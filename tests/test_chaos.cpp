@@ -150,7 +150,7 @@ TEST(ChaosSoak, HedgingMixesLaunchHedgesOnTheSimulator) {
   ChaosConfig config;
   config.seed = 1;
   config.episodes = 26;  // two passes over the 13 default mixes
-  const std::vector<ChaosMix> mixes = ChaosMixesFor(config.transport);
+  const std::vector<ChaosMix> mixes = DefaultChaosMixes();
   std::map<std::string, uint64_t> launched;
   for (size_t i = 0; i < config.episodes; ++i) {
     const ChaosMix& mix = mixes[i % mixes.size()];
@@ -240,27 +240,29 @@ ChaosConfig SocketConfig() {
   return config;
 }
 
-// Index of `name` in the socket rotation.
-size_t SocketMixIndex(const std::string& name) {
-  const std::vector<ChaosMix> rotation =
-      ChaosMixesFor(ChaosTransport::kSocket);
+// Index of `name` in the rotation, which both transports share.
+size_t MixIndex(const std::string& name) {
+  const std::vector<ChaosMix> rotation = DefaultChaosMixes();
   for (size_t i = 0; i < rotation.size(); ++i) {
     if (rotation[i].name == name) return i;
   }
-  ADD_FAILURE() << name << " is not in the socket rotation";
+  ADD_FAILURE() << name << " is not in the rotation";
   return 0;
 }
 
-TEST(ChaosSoak, SocketRotationLeavesOutTheLiarsScecdCannotPlay) {
-  const std::vector<ChaosMix> rotation =
-      ChaosMixesFor(ChaosTransport::kSocket);
-  EXPECT_EQ(rotation.size(), DefaultChaosMixes().size() - 4);
-  for (const ChaosMix& mix : rotation) {
-    EXPECT_TRUE(RealizableOverSockets(mix)) << mix.name;
+TEST(ChaosSoak, SocketRotationIsTheDefaultRotation) {
+  // Every liar model runs over sockets: the daemons play the simulator's
+  // script. Episodes from the first Byzantine mix on take the default
+  // rotation's mixes, and the rotation wraps after its last one.
+  ChaosConfig config = SocketConfig();
+  config.queries_per_episode = 1;
+  const std::vector<ChaosMix> rotation = DefaultChaosMixes();
+  for (size_t index = MixIndex("byzantine-masked");
+       index <= rotation.size(); ++index) {
+    const ChaosEpisode episode = RunChaosEpisode(config, index);
+    EXPECT_EQ(episode.mix, rotation[index % rotation.size()].name);
+    EXPECT_TRUE(episode.ok()) << DescribeSchedule(episode) << episode.failure;
   }
-  EXPECT_EQ(ChaosMixesFor(ChaosTransport::kSim).size(),
-            DefaultChaosMixes().size());
-  SocketMixIndex("byzantine-masked");
 }
 
 TEST(ChaosSoak, BenignEpisodeDecodesWithoutEvictionsOverSockets) {
@@ -315,8 +317,7 @@ TEST(ChaosSoak, ScriptedFaultsLandOnDistinctDevicesOverSockets) {
   ChaosConfig config = SocketConfig();
   config.queries_per_episode = 1;
   size_t multi_fault = 0;
-  for (size_t index = 0; index < ChaosMixesFor(config.transport).size();
-       ++index) {
+  for (size_t index = 0; index < DefaultChaosMixes().size(); ++index) {
     const ChaosEpisode episode = RunChaosEpisode(config, index);
     EXPECT_TRUE(episode.ok()) << DescribeSchedule(episode) << episode.failure;
     std::set<size_t> devices;
@@ -331,15 +332,15 @@ TEST(ChaosSoak, ScriptedFaultsLandOnDistinctDevicesOverSockets) {
 }
 
 TEST(ChaosSoak, HedgingMixesLaunchHedgesOverSockets) {
-  // The CI socket soak (seed 1, 18 episodes, 3 queries) must hedge in every
+  // The CI socket soak (seed 1, 26 episodes, 3 queries) must hedge in every
   // hedged-stragglers episode, whose straggling links hold frames past the
   // cold-start hedge delay, and in the kitchen-sink mix at least once.
   ChaosConfig config;
   config.seed = 1;
-  config.episodes = 18;
+  config.episodes = 26;
   config.queries_per_episode = 3;
   config.transport = ChaosTransport::kSocket;
-  const std::vector<ChaosMix> mixes = ChaosMixesFor(config.transport);
+  const std::vector<ChaosMix> mixes = DefaultChaosMixes();
   std::map<std::string, uint64_t> launched;
   for (size_t i = 0; i < config.episodes; ++i) {
     const ChaosMix& mix = mixes[i % mixes.size()];
@@ -359,8 +360,8 @@ TEST(ChaosSoak, HedgingMixesLaunchHedgesOverSockets) {
 
 TEST(ChaosSoak, ByzantineFamilyMasksAndQuarantinesOverSockets) {
   const ChaosConfig config = SocketConfig();
-  const size_t first = SocketMixIndex("byzantine-masked");
-  const size_t period = ChaosMixesFor(config.transport).size();
+  const size_t first = MixIndex("byzantine-masked");
+  const size_t period = DefaultChaosMixes().size();
   size_t guarded = 0;
   for (const size_t index : {first, first + period}) {
     const ChaosEpisode episode = RunChaosEpisode(config, index);

@@ -13,12 +13,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "linalg/matrix_ops.h"
+#include "net/chaos_proxy.h"
 #include "net/driver.h"
 #include "net/scecd.h"
 #include "net/sim_transport.h"
@@ -216,9 +218,10 @@ TEST(SocketTransport, UnknownShareSurfacesTypedProtocolError) {
 }
 
 TEST(SocketTransport, SilentDaemonHitsDeadline) {
-  ScecDaemon daemon(ScecdOptions{0, 0});
+  // An omission event in the daemon's script: it computes, never answers.
+  ScecDaemon daemon(ScecdOptions{
+      .faults = {sim::FaultEvent{.kind = sim::FaultKind::kOmission}}});
   ASSERT_TRUE(daemon.Start().ok());
-  daemon.SetBehavior(ScecDaemon::Behavior::kSilent);
   {
     SocketTransport transport({daemon.port()}, SocketTransportOptions{});
     Matrix<double> share = MakeShare(1, 1, 1.0);
@@ -229,16 +232,27 @@ TEST(SocketTransport, SilentDaemonHitsDeadline) {
     EXPECT_EQ(done[0].kind, Completion::Kind::kError);
     EXPECT_EQ(done[0].error, NetError::kTimeout);
     EXPECT_EQ(transport.stats().timeouts, 1u);
+    EXPECT_EQ(transport.stats().responses_delivered, 0u);
   }
+  EXPECT_EQ(daemon.ops().mults, 1u) << "an omitting device still computes";
+  EXPECT_EQ(daemon.ops().values_returned, 0u);
   daemon.Stop();
 }
 
 TEST(SocketTransport, TimedOutRpcStillDeliversLateAnswer) {
+  // A slow link, not a slow device: the proxy holds every data frame 0.3 s
+  // each way. Heartbeats are held too, so the channel's miss threshold
+  // (3 × 0.5 s) must outlast the 0.6 s round trip.
   ScecDaemon daemon(ScecdOptions{0, 0});
   ASSERT_TRUE(daemon.Start().ok());
-  daemon.SetBehavior(ScecDaemon::Behavior::kDelay, 0.3);
+  ChaosProxy proxy(ChaosProxyOptions{.upstream_port = daemon.port(),
+                                     .delay_prob = 1.0,
+                                     .delay_s = 0.3});
+  ASSERT_TRUE(proxy.Start().ok());
   {
-    SocketTransport transport({daemon.port()}, SocketTransportOptions{});
+    SocketTransportOptions options;
+    options.channel.heartbeat_interval_s = 0.5;
+    SocketTransport transport({proxy.port()}, options);
     Matrix<double> share = MakeShare(2, 3, 1.0);
     ASSERT_TRUE(transport.StageShare(0, 1, share).ok());
     const uint64_t rpc = transport.SubmitQuery(0, 1, {1.0, 2.0, 3.0}, 0.05,
@@ -253,6 +267,7 @@ TEST(SocketTransport, TimedOutRpcStillDeliversLateAnswer) {
     EXPECT_EQ(transport.stats().responses_delivered, 1u);
     EXPECT_EQ(transport.stats().staged_value_bytes, 6u * sizeof(double));
   }
+  proxy.Stop();
   daemon.Stop();
 }
 
@@ -729,11 +744,16 @@ TEST(NetCoordinator, BadQueryHandledAlikeOnBothTransports) {
   EXPECT_EQ(sim_trace, socket_trace);
 }
 
-// A loopback cluster of scecd daemons serving `session`'s deployment.
+// A loopback cluster of scecd daemons serving `session`'s deployment; each
+// daemon plays its device's events of `faults`.
 struct Cluster {
-  explicit Cluster(size_t k) {
+  explicit Cluster(size_t k, const sim::FaultSchedule& faults = {}) {
     for (size_t d = 0; d < k; ++d) {
-      daemons.push_back(std::make_unique<ScecDaemon>(ScecdOptions{d, 0}));
+      const std::span<const sim::FaultEvent> script = faults.EventsFor(d);
+      daemons.push_back(std::make_unique<ScecDaemon>(
+          ScecdOptions{.daemon_id = d,
+                       .faults = {script.begin(), script.end()},
+                       .fault_seed = faults.seed()}));
       EXPECT_TRUE(daemons.back()->Start().ok());
       ports.push_back(daemons.back()->port());
     }
@@ -762,8 +782,9 @@ TEST(NetCoordinator, MasksLyingScecdInOneRoundWithOneGuard) {
   ASSERT_TRUE(session.ok()) << session.status();
   const size_t liar = session->plan().participating[0];
 
-  Cluster cluster(k);
-  cluster.daemons[liar]->SetBehavior(ScecDaemon::Behavior::kCorrupt);
+  sim::FaultSchedule faults;
+  faults.AddCorruption(liar);  // +1 on element 0 of every answer
+  Cluster cluster(k, faults);
   {
     SocketTransport transport(cluster.ports, SocketTransportOptions{});
     NetCoordinatorOptions options = IdentityDriverOptions();

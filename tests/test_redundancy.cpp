@@ -159,8 +159,10 @@ TEST(RedundantProtocol, VerifiedQueryDetectsAndCorrectsByzantineReplica) {
   const auto expected = MatVec(a, std::span<const double>(x));
 
   // Corrupt block 0's first replica (element 0, +1, every answer).
+  sim::FaultSchedule faults;
+  faults.AddCorruption(plan->replica_groups[0][1], 0.0, 0, 1.0);
   net::SimTransportOptions options;
-  options.byzantine = {{.device = plan->replica_groups[0][1]}};
+  options.faults = &faults;
   net::SimTransport transport(problem.fleet.devices(), options);
   sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
   ASSERT_TRUE(protocol.Stage().ok());
@@ -187,9 +189,11 @@ TEST(RedundantProtocol, VerifiedQueryFlagsUnresolvableTie) {
   ASSERT_TRUE(plan.ok());
 
   const auto x = RandomVector<double>(problem.l, drng);
-  net::SimTransportOptions options;
   // The primary of block 0 lies: 1-vs-1 tie.
-  options.byzantine = {{.device = plan->replica_groups[0][0]}};
+  sim::FaultSchedule faults;
+  faults.AddCorruption(plan->replica_groups[0][0], 0.0, 0, 1.0);
+  net::SimTransportOptions options;
+  options.faults = &faults;
   net::SimTransport transport(problem.fleet.devices(), options);
   sim::RedundantScecProtocol protocol(&*deployment, &*plan, &transport);
   ASSERT_TRUE(protocol.Stage().ok());
@@ -200,9 +204,8 @@ TEST(RedundantProtocol, VerifiedQueryFlagsUnresolvableTie) {
 }
 
 TEST(RedundantProtocol, VerifiedQueryFlagsThreeWayDisagreement) {
-  // Two Byzantine replicas with DISTINCT corruptions (scripted via the fault
-  // schedule, which supports per-device deltas — one ByzantineSpec on each
-  // would apply the same +1.0 and fake an agreeing pair): all three replicas
+  // Two Byzantine replicas with DISTINCT corruptions (per-device deltas —
+  // the same +1.0 on each would fake an agreeing pair): all three replicas
   // of block 0 return different vectors, so no strict majority exists and
   // the block must be flagged unresolved.
   const auto problem = MakeProblem(12, 4, 18, 8);
